@@ -12,9 +12,6 @@ from .causality import CausalityAnalyzer, all_log_refs, audit_configuration
 from .explore import (
     Bound,
     CheckResult,
-    check_causal_consistency,
-    check_completeness,
-    check_soundness,
     plain_reachable,
     reachable,
     run_checks,
@@ -112,9 +109,6 @@ __all__ = [
     "Unit",
     "all_log_refs",
     "audit_configuration",
-    "check_causal_consistency",
-    "check_completeness",
-    "check_soundness",
     "control_points",
     "decorate",
     "enabled_forward",

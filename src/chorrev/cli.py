@@ -76,8 +76,6 @@ def _project(g) -> System:
 
 
 def _parse_channel(text: str) -> Channel:
-    if "->" not in text:
-        raise NotEnabled(f"malformed channel {text!r}; expected SENDER->RECEIVER")
     s, r = text.split("->", 1)
     return Channel(s.strip(), r.strip())
 
@@ -341,7 +339,7 @@ def _match_reversal(sim: _Simulation, d: dict) -> ReversalCandidate:
     hits = []
     for c in cands:
         m = sim.system.machines[c.participant]
-        if c.participant != d.get("participant", c.participant):
+        if c.participant != d["participant"]:
             continue
         if "message" in d and c.first_output.message != d["message"]:
             continue
@@ -359,11 +357,56 @@ def _match_reversal(sim: _Simulation, d: dict) -> ReversalCandidate:
     return hits[0]
 
 
-def _run_directive(sim: _Simulation, d: dict, rng: random.Random, max_steps: int) -> bool:
-    """Execute one schedule directive; False when the step budget ran out."""
+_DIRECTIVE_KINDS = ("out", "inp", "rev", "auto")
+
+
+def _directive_problem(d, system: System) -> Optional[str]:
+    """What makes a schedule directive malformed, or None if nothing does."""
+    if not isinstance(d, dict):
+        return "a directive must be a JSON object"
     kind = d.get("kind")
+    if kind not in _DIRECTIVE_KINDS:
+        return f"unknown kind {kind!r}; expected one of {', '.join(_DIRECTIVE_KINDS)}"
+    required = {"out": "cp", "inp": "cp", "auto": "steps"}.get(kind)
+    for key in ("cp", "steps"):
+        if key == required and key not in d:
+            return f"missing {key!r}"
+        if key in d and (not isinstance(d[key], int) or isinstance(d[key], bool)):
+            return f"{key!r} must be an integer"
+    if kind != "auto":
+        who = d.get("participant")
+        if who is None:
+            return "missing 'participant'"
+        if not isinstance(who, str) or who not in system.machines:
+            return f"unknown participant {who!r}"
+    channel = d.get("channel")
+    if channel is not None and not (isinstance(channel, str) and "->" in channel):
+        return f"malformed channel {channel!r}; expected SENDER->RECEIVER"
+    return None
+
+
+def _load_schedule(path: str, system: System) -> list:
+    """Read a schedule and check every directive before any of them runs."""
+    try:
+        raw = json.loads(Path(path).read_text())
+        directives = raw.get("entries") if isinstance(raw, dict) else raw
+        if not isinstance(directives, list):
+            raise ValueError('expected a list of directives or {"entries": [...]}')
+        for i, d in enumerate(directives, 1):
+            problem = _directive_problem(d, system)
+            if problem is not None:
+                raise ValueError(f"directive {i} {json.dumps(d, ensure_ascii=False)}: {problem}")
+    except (OSError, ValueError, RecursionError) as exc:
+        click.echo(f"error: malformed schedule {path}: {exc}", err=True)
+        sys.exit(2)
+    return directives
+
+
+def _run_directive(sim: _Simulation, d: dict, rng: random.Random, max_steps: int) -> bool:
+    """Execute one validated schedule directive; False when the step budget ran out."""
+    kind = d["kind"]
     if kind == "auto":
-        for _ in range(int(d.get("steps", 1))):
+        for _ in range(d["steps"]):
             if sim.steps >= max_steps:
                 return False
             if sim.random_step(rng) is None:
@@ -371,23 +414,21 @@ def _run_directive(sim: _Simulation, d: dict, rng: random.Random, max_steps: int
         return True
     if sim.steps >= max_steps:
         return False
-    if kind in ("out", "inp"):
-        ch = _parse_channel(d["channel"]) if "channel" in d else None
-        t = find_transition(
-            sim.cfg,
-            sim.system,
-            d["participant"],
-            "!" if kind == "out" else "?",
-            int(d["cp"]),
-            ch,
-            d.get("message"),
-        )
-        sim.apply_forward(d["participant"], t)
-        return True
     if kind == "rev":
         sim.apply_reversal(_match_reversal(sim, d))
         return True
-    raise NotEnabled(f"unknown directive kind {kind!r}")
+    ch = _parse_channel(d["channel"]) if "channel" in d else None
+    t = find_transition(
+        sim.cfg,
+        sim.system,
+        d["participant"],
+        "!" if kind == "out" else "?",
+        d["cp"],
+        ch,
+        d.get("message"),
+    )
+    sim.apply_forward(d["participant"], t)
+    return True
 
 
 def _state_line(sim: _Simulation) -> str:
@@ -475,18 +516,17 @@ def simulate(file, schedule_path, interactive, auto, seed, max_steps, trace_path
         raise click.UsageError("pick exactly one of --schedule, --interactive, --auto")
     g = _load(file)
     system = _project(g)
+    directives = None if schedule_path is None else _load_schedule(schedule_path, system)
     sim = _Simulation(system, guard_scope, block_on_guard)
     rng = random.Random(seed)
     truncated = False
     try:
-        if schedule_path is not None:
-            raw = json.loads(Path(schedule_path).read_text())
-            directives = raw["entries"] if isinstance(raw, dict) else raw
+        if directives is not None:
             for d in directives:
                 if not _run_directive(sim, d, rng, max_steps):
                     truncated = True
                     break
-                if sim.entries and d.get("kind") != "auto":
+                if sim.entries and d["kind"] != "auto":
                     _echo("  " + _describe_entry(sim.entries[-1]))
         elif auto is not None:
             budget = min(auto, max_steps)
@@ -499,7 +539,7 @@ def simulate(file, schedule_path, interactive, auto, seed, max_steps, trace_path
                 _echo("  " + _describe_entry(entry))
         else:
             _interactive_loop(sim, max_steps)
-    except (NotEnabled, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except NotEnabled as exc:
         click.echo(f"error: the run got stuck: {exc}", err=True)
         sys.exit(1)
     _echo(f"finished after {sim.steps} steps", bold=True)

@@ -24,7 +24,7 @@ from .machine import forget_machine
 from .model import LOOP_START, Channel
 from .projection import System
 from .reverse import ReversalCandidate
-from .runtime import FULL, Configuration
+from .runtime import Configuration
 
 PlainConfig = tuple
 
@@ -63,19 +63,13 @@ def marker_count(cfg: Configuration, channel: Channel, cp: int) -> int:
     )
 
 
-def _forward_successors(
-    cfg: Configuration,
-    system: System,
-    bound: Bound,
-    scope: str,
-    block_on_guard: bool,
-) -> Iterator[Configuration]:
-    for a, t in runtime.enabled_forward(cfg, system, scope, block_on_guard):
+def _forward_successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Configuration]:
+    for a, t in runtime.enabled_forward(cfg, system):
         ev = t.event
         if ev.polarity == "!":
             if ev.message == LOOP_START and marker_count(cfg, ev.channel, ev.cp) >= bound.max_rounds:
                 continue
-            yield runtime.step_output(cfg, system, a, t, scope, block_on_guard)
+            yield runtime.step_output(cfg, system, a, t)
         else:
             yield runtime.step_input(cfg, system, a, t)
 
@@ -84,8 +78,6 @@ def reachable(
     system: System,
     bound: Bound,
     with_reversals: bool = False,
-    scope: str = FULL,
-    block_on_guard: bool = False,
     analyzer: Optional[CausalityAnalyzer] = None,
 ) -> ExplorationResult:
     """Breadth-first reachability of the instrumented semantics."""
@@ -102,18 +94,18 @@ def reachable(
             truncated = any(
                 succ not in seen
                 for cfg in frontier
-                for succ in _forward_successors(cfg, system, bound, scope, block_on_guard)
+                for succ in _forward_successors(cfg, system, bound)
             )
             break
         layer: list[Configuration] = []
         for cfg in frontier:
-            for succ in _forward_successors(cfg, system, bound, scope, block_on_guard):
+            for succ in _forward_successors(cfg, system, bound):
                 if succ not in seen:
                     seen.add(succ)
                     layer.append(succ)
             if with_reversals:
-                for cand in reverse.enabled_reversals(cfg, system, analyzer, scope):
-                    succ = reverse.step_reverse(cfg, system, cand, analyzer, scope)
+                for cand in reverse.enabled_reversals(cfg, system, analyzer):
+                    succ = reverse.step_reverse(cfg, system, cand, analyzer)
                     edges.append((cfg, cand, succ))
                     if succ not in seen:
                         seen.add(succ)
@@ -228,64 +220,52 @@ def _format_plain(pc: PlainConfig) -> str:
     return f"[{states}] {queues}"
 
 
-def check_soundness(
-    system: System,
-    bound: Bound,
-    scope: str = FULL,
-    block_on_guard: bool = False,
+_NOT_EXHAUSTED = " (state space not exhausted at this bound)"
+
+CHECKS = ("soundness", "completeness", "causal-consistency")
+
+
+def _inclusion(
+    name: str, inner: frozenset, outer: frozenset, truncated: bool, stats: dict, escape: str, summary: str
 ) -> CheckResult:
-    """Forward runs of the instrumented semantics stay inside the plain one."""
-    dec = reachable(system, bound, with_reversals=False, scope=scope, block_on_guard=block_on_guard)
-    plain = plain_reachable(system, bound)
-    images = {runtime.forget_config(c) for c in dec.configs}
-    missing = sorted(images - plain.configs)
+    """Pass when every configuration of ``inner`` also lies in ``outer``."""
+    missing = sorted(inner - outer)
+    if missing:
+        return CheckResult(name, False, False, escape + _format_plain(missing[0]), dict(stats))
+    detail = f"{len(inner)} {summary}"
+    if truncated:
+        detail += _NOT_EXHAUSTED
+    return CheckResult(name, True, truncated, detail, dict(stats))
+
+
+def _forward_checks(system: System, bound: Bound, plain: PlainResult) -> dict[str, CheckResult]:
+    """Soundness (forward runs of the instrumented semantics stay inside
+    the plain one) and completeness (every plain behaviour is realised by
+    some instrumented run) from one forward search, which is freed on return.
+    """
+    dec = reachable(system, bound)
+    images = frozenset(runtime.forget_config(c) for c in dec.configs)
     stats = {
         "instrumented_configs": len(dec.configs),
         "plain_configs": len(plain.configs),
         "images": len(images),
     }
-    if missing:
-        detail = "instrumented run escapes the plain semantics: " + _format_plain(missing[0])
-        return CheckResult("soundness", False, False, detail, stats)
-    inconclusive = dec.truncated or plain.truncated
-    detail = f"{len(images)} forgetful images, all plain-reachable"
-    if inconclusive:
-        detail += " (state space not exhausted at this bound)"
-    return CheckResult("soundness", True, inconclusive, detail, stats)
-
-
-def check_completeness(
-    system: System,
-    bound: Bound,
-    scope: str = FULL,
-    block_on_guard: bool = False,
-) -> CheckResult:
-    """Every plain behaviour is realised by some instrumented run."""
-    dec = reachable(system, bound, with_reversals=False, scope=scope, block_on_guard=block_on_guard)
-    plain = plain_reachable(system, bound)
-    images = {runtime.forget_config(c) for c in dec.configs}
-    missing = sorted(plain.configs - images)
-    stats = {
-        "instrumented_configs": len(dec.configs),
-        "plain_configs": len(plain.configs),
-        "images": len(images),
+    truncated = dec.truncated or plain.truncated
+    return {
+        "soundness": _inclusion(
+            "soundness", images, plain.configs, truncated, stats,
+            "instrumented run escapes the plain semantics: ",
+            "forgetful images, all plain-reachable",
+        ),
+        "completeness": _inclusion(
+            "completeness", plain.configs, images, truncated, stats,
+            "plain configuration never realised: ",
+            "plain configurations, all realised",
+        ),
     }
-    if missing:
-        detail = "plain configuration never realised: " + _format_plain(missing[0])
-        return CheckResult("completeness", False, False, detail, stats)
-    inconclusive = dec.truncated or plain.truncated
-    detail = f"{len(plain.configs)} plain configurations, all realised"
-    if inconclusive:
-        detail += " (state space not exhausted at this bound)"
-    return CheckResult("completeness", True, inconclusive, detail, stats)
 
 
-def check_causal_consistency(
-    system: System,
-    bound: Bound,
-    scope: str = FULL,
-    block_on_guard: bool = False,
-) -> CheckResult:
+def _causal_consistency(system: System, bound: Bound, plain: PlainResult) -> CheckResult:
     """Rollbacks land on configurations the plain semantics could reach.
 
     Every reversal edge found within the bound is checked twice: its
@@ -293,15 +273,7 @@ def check_causal_consistency(
     must lie in the plain reachable set.
     """
     analyzer = CausalityAnalyzer(system)
-    dec = reachable(
-        system,
-        bound,
-        with_reversals=True,
-        scope=scope,
-        block_on_guard=block_on_guard,
-        analyzer=analyzer,
-    )
-    plain = plain_reachable(system, bound)
+    dec = reachable(system, bound, with_reversals=True, analyzer=analyzer)
     stats = {
         "instrumented_configs": len(dec.configs),
         "plain_configs": len(plain.configs),
@@ -328,28 +300,26 @@ def check_causal_consistency(
     inconclusive = dec.truncated or plain.truncated
     detail = f"{len(dec.reversal_edges)} reversal edges, all consistent"
     if inconclusive:
-        detail += " (state space not exhausted at this bound)"
+        detail += _NOT_EXHAUSTED
     return CheckResult("causal-consistency", True, inconclusive, detail, stats)
 
 
-CHECKS = {
-    "soundness": check_soundness,
-    "completeness": check_completeness,
-    "causal-consistency": check_causal_consistency,
-}
+def run_checks(system: System, bound: Bound, names: Optional[list[str]] = None) -> list[CheckResult]:
+    """Run the named checks (all of ``CHECKS`` by default), in that order.
 
-
-def run_checks(
-    system: System,
-    bound: Bound,
-    names: Optional[list[str]] = None,
-    scope: str = FULL,
-    block_on_guard: bool = False,
-) -> list[CheckResult]:
-    selected = list(CHECKS) if not names else names
-    out = []
+    One call runs each search at most once and derives every verdict
+    from the shared results: the plain search always, the forward-only
+    search for soundness and completeness, the search with reversals for
+    causal consistency.
+    """
+    selected = list(names) if names else list(CHECKS)
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; pick from {', '.join(CHECKS)}")
-        out.append(CHECKS[name](system, bound, scope, block_on_guard))
-    return out
+    plain = plain_reachable(system, bound)
+    verdicts: dict[str, CheckResult] = {}
+    if {"soundness", "completeness"} & set(selected):
+        verdicts.update(_forward_checks(system, bound, plain))
+    if "causal-consistency" in selected:
+        verdicts["causal-consistency"] = _causal_consistency(system, bound, plain)
+    return [verdicts[name] for name in selected]

@@ -268,23 +268,6 @@ def channels(g: Chor) -> frozenset[Channel]:
     )
 
 
-def strip_guards(g: Chor) -> Chor:
-    """The same choreography with every branch guard replaced by ``tt``."""
-    if isinstance(g, Seq):
-        return Seq(strip_guards(g.left), strip_guards(g.right))
-    if isinstance(g, Par):
-        return Par(tuple(strip_guards(b) for b in g.branches), g.cp)
-    if isinstance(g, Loop):
-        return Loop(g.controller, strip_guards(g.body), g.cp)
-    if isinstance(g, Choice):
-        return Choice(
-            tuple(ChoiceBranch(strip_guards(b.body), GTrue()) for b in g.branches),
-            g.cp,
-            g.at,
-        )
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Validation
 

@@ -342,10 +342,17 @@ def parse_choreography(text: str) -> Chor:
     """Parse surface syntax into a choreography tree.
 
     Raises :class:`ParseError` for syntax errors, mixed control point
-    annotation styles and duplicate annotations.
+    annotation styles, duplicate annotations and input nested deeper than
+    the recursive descent can follow (a ``;`` chain nests too, since
+    sequencing associates to the left).
     """
     parser = _Parser(tokenize(text), text)
-    g = parser.chor()
+    try:
+        g = parser.chor()
+        if not parser.annotations:
+            g = _renumber(g, itertools.count(1))
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
     leftover = parser.peek()
     if leftover is not None:
         parser.fail("unexpected trailing input")
@@ -358,7 +365,7 @@ def parse_choreography(text: str) -> Chor:
             text,
         )
     if not parser.annotations:
-        return _renumber(g, itertools.count(1))
+        return g
     seen: dict[int, Token] = {}
     for value, tok in parser.annotations:
         if value in seen:

@@ -238,10 +238,6 @@ def upd_inp(
     return dict(book)
 
 
-def decoration_valid(cfg: Configuration, participant: str, deco) -> bool:
-    return upd_out(cfg.book_dict(), participant, deco) is not None
-
-
 # ---------------------------------------------------------------------------
 # Steps
 

@@ -80,6 +80,23 @@ def test_parse_errors_exit_two(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 1000 + "A -> B : m" + ")" * 1000,
+        " ; ".join(["A -> B : m"] * 1000),
+    ],
+    ids=["nested-parentheses", "flat-chain"],
+)
+def test_deep_input_exits_two_without_a_traceback(runner, tmp_path, text):
+    path = write(tmp_path, "deep.rchor", text)
+    result = runner.invoke(main, ["check", path])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "nested too deeply" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_missing_file_exits_two(runner):
     result = runner.invoke(main, ["check", "nowhere.rchor"])
     assert result.exit_code == 2
@@ -212,6 +229,63 @@ def test_simulate_stuck_schedule_exits_one(runner, tmp_path):
     assert "stuck" in result.output
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[{", "Expecting property name"),
+        ("[" * 100_000, "recursion"),
+        ('"out"', "expected a list of directives"),
+        ('{"steps": []}', "expected a list of directives"),
+    ],
+)
+def test_simulate_unreadable_schedule_exits_two(runner, tmp_path, text, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(path)])
+    assert result.exit_code == 2
+    assert "malformed schedule" in result.output
+    assert problem in result.output
+
+
+FIRST_SEND = {"kind": "out", "participant": "T", "cp": 1, "channel": "T->D", "message": "†"}
+
+
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        (["out", "T", 1], "must be a JSON object"),
+        ({"kind": "jump", "participant": "T", "cp": 1}, "unknown kind 'jump'"),
+        ({"participant": "T", "cp": 1}, "unknown kind None"),
+        ({"kind": "out", "participant": "T"}, "missing 'cp'"),
+        ({"kind": "out", "participant": "T", "cp": "1"}, "'cp' must be an integer"),
+        ({"kind": "rev", "participant": "T", "cp": 8.5}, "'cp' must be an integer"),
+        ({"kind": "auto"}, "missing 'steps'"),
+        ({"kind": "auto", "steps": True}, "'steps' must be an integer"),
+        ({"kind": "out", "cp": 1}, "missing 'participant'"),
+        ({"kind": "rev", "message": "dest"}, "missing 'participant'"),
+        ({"kind": "out", "participant": "Z", "cp": 1}, "unknown participant 'Z'"),
+        ({"kind": "out", "participant": "T", "cp": 1, "channel": "TD"}, "malformed channel"),
+    ],
+)
+def test_simulate_malformed_directive_exits_two_before_any_step(runner, tmp_path, bad, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([FIRST_SEND, bad]))
+    result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(path)])
+    assert result.exit_code == 2
+    assert "malformed schedule" in result.output
+    assert "directive 2" in result.output
+    assert problem in result.output
+    assert "T sends" not in result.output
+
+
+def test_simulate_runs_the_first_send_alone(runner, tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([FIRST_SEND]))
+    result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(path)])
+    assert result.exit_code == 0
+    assert "T sends" in result.output
+
+
 def test_simulate_budget_exhaustion_exits_three(runner, schedule_path):
     result = runner.invoke(
         main,
@@ -316,6 +390,17 @@ def test_explore_single_check_json(runner):
     assert payload[0]["name"] == "soundness"
     assert payload[0]["verdict"] == "pass"
     assert payload[0]["stats"]["images"] == payload[0]["stats"]["plain_configs"]
+
+
+@pytest.mark.parametrize("check", ["all", "soundness", "completeness", "causal-consistency"])
+def test_explore_json_matches_the_recorded_output(runner, check):
+    result = runner.invoke(
+        main,
+        ["explore", TRAVEL, "--bound", "steps=200,rounds=1", "--check", check, "--json"],
+    )
+    assert result.exit_code == 0
+    golden = DATA / f"explore_travel_s200_r1_{check}.json"
+    assert result.stdout_bytes == golden.read_bytes()
 
 
 def test_explore_truncation_exits_three(runner):

@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
+import chorrev.explore
 import chorrev.reverse
 import chorrev.runtime
 from chorrev.explore import (
+    CHECKS,
     Bound,
     CheckResult,
     plain_reachable,
@@ -131,6 +135,66 @@ def test_no_reversals_is_inconclusive(ping_system):
 def test_unknown_check_name(travel_system):
     with pytest.raises(ValueError, match="unknown check"):
         run_checks(travel_system, Bound(1, 1), names=["confluence"])
+
+
+def _count_searches(monkeypatch) -> dict:
+    calls = {"forward": 0, "reversals": 0, "plain": 0}
+    real_reachable = chorrev.explore.reachable
+    real_plain = chorrev.explore.plain_reachable
+
+    def counted_reachable(system, bound, with_reversals=False, analyzer=None):
+        calls["reversals" if with_reversals else "forward"] += 1
+        return real_reachable(system, bound, with_reversals, analyzer)
+
+    def counted_plain(system, bound):
+        calls["plain"] += 1
+        return real_plain(system, bound)
+
+    monkeypatch.setattr(chorrev.explore, "reachable", counted_reachable)
+    monkeypatch.setattr(chorrev.explore, "plain_reachable", counted_plain)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "names, expected",
+    [
+        (None, {"forward": 1, "reversals": 1, "plain": 1}),
+        (["causal-consistency"], {"forward": 0, "reversals": 1, "plain": 1}),
+        (["completeness", "soundness"], {"forward": 1, "reversals": 0, "plain": 1}),
+    ],
+)
+def test_one_run_explores_each_route_at_most_once(retry_system, monkeypatch, names, expected):
+    calls = _count_searches(monkeypatch)
+    run_checks(retry_system, Bound(30, 1), names)
+    assert calls == expected
+
+
+def test_unknown_name_is_refused_before_any_search(travel_system, monkeypatch):
+    calls = _count_searches(monkeypatch)
+    with pytest.raises(ValueError, match="unknown check"):
+        run_checks(travel_system, Bound(200, 1), names=["soundness", "confluence"])
+    assert calls == {"forward": 0, "reversals": 0, "plain": 0}
+
+
+@pytest.mark.parametrize("system_name", ["ping_system", "retry_system", "travel_system"])
+def test_shared_run_equals_single_checks(system_name, request):
+    system = request.getfixturevalue(system_name)
+    bound = Bound(200, 1)
+    shared = run_checks(system, bound)
+    single = [run_checks(system, bound, [name])[0] for name in CHECKS]
+    assert [dataclasses.asdict(r) for r in shared] == [dataclasses.asdict(r) for r in single]
+    assert [r.name for r in shared] == list(CHECKS)
+
+
+def test_checks_come_back_in_the_requested_order(retry_system):
+    names = ["causal-consistency", "soundness"]
+    assert [r.name for r in run_checks(retry_system, Bound(30, 1), names)] == names
+
+
+def test_forward_checks_do_not_share_their_stats(retry_system):
+    sound, complete = run_checks(retry_system, Bound(30, 1), ["soundness", "completeness"])
+    assert sound.stats == complete.stats
+    assert sound.stats is not complete.stats
 
 
 def test_verdict_precedence():

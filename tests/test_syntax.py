@@ -116,6 +116,19 @@ def test_parse_error_reports_position():
         pytest.fail("expected ParseError")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 1000 + "A -> B : m" + ")" * 1000,
+        " ; ".join(["A -> B : m"] * 1000),
+    ],
+    ids=["nested-parentheses", "flat-chain"],
+)
+def test_deep_input_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_choreography(text)
+
+
 def test_reserved_words_are_not_identifiers():
     with pytest.raises(ParseError):
         parse_choreography("loop -> B : m")
