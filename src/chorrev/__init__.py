@@ -17,9 +17,8 @@ from .explore import (
     run_checks,
 )
 from .machine import (
-    Committed,
+    Branch,
     DeterminizationConflict,
-    Ongoing,
     PMachine,
     ProjectionError,
     RCfsm,
@@ -77,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bound",
     "BookEntry",
+    "Branch",
     "CausalityAnalyzer",
     "Channel",
     "ChannelState",
@@ -85,7 +85,6 @@ __all__ = [
     "ChoiceBranch",
     "Chor",
     "CommEvent",
-    "Committed",
     "Configuration",
     "DeterminizationConflict",
     "EventOrder",
@@ -95,7 +94,6 @@ __all__ = [
     "Log",
     "Loop",
     "NotEnabled",
-    "Ongoing",
     "PMachine",
     "Par",
     "ParseError",

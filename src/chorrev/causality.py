@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import Channel, Chor, LOOP_END, LOOP_START, Loop, control_points, subterms
-from .order import CommEvent, EventOrder, event_for_log, semantics
+from .order import CommEvent, EventOrder, event_for_log
 from .projection import System
 from .runtime import ChannelState, Configuration, Log
 
@@ -108,19 +108,12 @@ def all_log_refs(cfg: Configuration) -> list[LogRef]:
     return [(ch, log) for ch, cs in cfg.chi for log in cs.all_logs]
 
 
-def locate_log(cfg: Configuration, log: Log) -> Channel:
-    for ch, cs in cfg.chi:
-        if log in cs.all_logs:
-            return ch
-    raise KeyError(f"log {log} is not part of the configuration")
-
-
 class CausalityAnalyzer:
     """Causality queries against one projected system, with caching."""
 
     def __init__(self, system: System):
         self.system = system
-        self.order: EventOrder = semantics(system.chor)
+        self.order: EventOrder = system.order
         self.loops = loops_of(system.chor)
         self._relations: dict[tuple, frozenset[tuple[LogRef, LogRef]]] = {}
         self._bases: dict[tuple, dict[tuple[LogRef, LogRef], list[str]]] = {}

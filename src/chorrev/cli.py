@@ -20,7 +20,7 @@ import click
 from . import runtime
 from .causality import CausalityAnalyzer, all_log_refs
 from .explore import CHECKS, Bound, run_checks
-from .machine import Committed, Ongoing, ProjectionError, RCfsm, to_dot
+from .machine import Branch, ProjectionError, RCfsm, to_dot
 from .model import Channel, control_points, guard_text, participants, validate
 from .order import UndefinedSemantics, semantics, well_branched
 from .parse import ParseError, parse_choreography
@@ -144,14 +144,9 @@ def _transition_text(m: RCfsm, t) -> str:
         f" {m.alias(t.dst)}"
     )
     d = t.decoration
-    if isinstance(d, Ongoing):
+    if isinstance(d, Branch):
         base += (
-            f"  [branch of {m.alias(d.choice_state)}: {d.first_output.message}"
-            f" unless {guard_text(d.guard)}]"
-        )
-    elif isinstance(d, Committed):
-        base += (
-            f"  [commits branch of {m.alias(d.choice_state)}:"
+            f"  [{'commits branch' if d.committed else 'branch'} of {m.alias(d.choice_state)}:"
             f" {d.first_output.message} unless {guard_text(d.guard)}]"
         )
     return base

@@ -4,9 +4,9 @@ A participant's behavior is a finite-state machine whose transitions are
 labeled with send/receive events.  Transitions that implement a branch of a
 choice additionally carry a decoration: which state took the decision,
 which first output identifies the branch, and under which guard the branch
-may be undone.  A decoration is ``ongoing`` while the branch may still be
-rolled back and ``committed`` on the transitions that leave the branch for
-good.
+may be undone.  That decoration is one :class:`Branch`; its ``committed``
+flag is set on the transitions that leave the branch for good and clear
+(the branch is ``ongoing``) while it may still be rolled back.
 
 Machines are built with a small algebra (sequencing, merging of
 alternatives, parallel product) over pre-machines that carry an explicit
@@ -16,6 +16,7 @@ their presentation form.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -46,33 +47,29 @@ UNIT = Unit()
 
 
 @dataclass(frozen=True)
-class Ongoing:
+class Branch:
+    """The decoration of a branch transition: the decision it belongs to."""
+
     choice_state: int
     first_output: CommEvent
     guard: Guard
+    committed: bool
+
+    @property
+    def kind(self) -> str:
+        return "committed" if self.committed else "ongoing"
 
     def __str__(self) -> str:
-        return f"ongoing({self.choice_state}, {self.first_output}, {guard_text(self.guard)})"
+        return f"{self.kind}({self.choice_state}, {self.first_output}, {guard_text(self.guard)})"
 
 
-@dataclass(frozen=True)
-class Committed:
-    choice_state: int
-    first_output: CommEvent
-    guard: Guard
-
-    def __str__(self) -> str:
-        return f"committed({self.choice_state}, {self.first_output}, {guard_text(self.guard)})"
-
-
-Decoration = Union[Unit, Ongoing, Committed]
+Decoration = Union[Unit, Branch]
 
 
 def decoration_key(d: Decoration) -> tuple:
     if isinstance(d, Unit):
         return ("unit",)
-    kind = "ongoing" if isinstance(d, Ongoing) else "committed"
-    return (kind, d.choice_state, event_key(d.first_output), guard_text(d.guard))
+    return (d.kind, d.choice_state, event_key(d.first_output), guard_text(d.guard))
 
 
 def event_key(e: CommEvent) -> tuple:
@@ -153,10 +150,8 @@ def _sub_state(mapping: dict[int, int], s: int) -> int:
 
 
 def _sub_decoration(mapping: dict[int, int], d: Decoration) -> Decoration:
-    if isinstance(d, Ongoing):
-        return Ongoing(_sub_state(mapping, d.choice_state), d.first_output, d.guard)
-    if isinstance(d, Committed):
-        return Committed(_sub_state(mapping, d.choice_state), d.first_output, d.guard)
+    if isinstance(d, Branch):
+        return dataclasses.replace(d, choice_state=_sub_state(mapping, d.choice_state))
     return d
 
 
@@ -261,8 +256,8 @@ def decorate(m: PMachine, guard: Guard, families: dict[CommEvent, Optional[CommE
             raise ProjectionError(
                 f"no anchoring output for {t.event} in a branch of {m.owner}"
             )
-        cls = Committed if t.dst == m.interface else Ongoing
-        transitions.add(Transition(t.src, t.event, cls(q_hat, first, guard), t.dst))
+        deco = Branch(q_hat, first, guard, t.dst == m.interface)
+        transitions.add(Transition(t.src, t.event, deco, t.dst))
     return PMachine(m.owner, m.states, m.initial, m.interface, frozenset(transitions))
 
 
@@ -443,8 +438,7 @@ def finalize(m: PMachine) -> RCfsm:
                 f"two distinct choice states of {m.owner} were merged into one"
             )
         choice_state_targets[new_q] = d.choice_state
-        kind = Ongoing if isinstance(d, Ongoing) else Committed
-        return kind(new_q, d.first_output, d.guard)
+        return dataclasses.replace(d, choice_state=new_q)
 
     transitions: list[Transition] = []
     emitted = set()
@@ -521,10 +515,9 @@ def to_dot(m: RCfsm) -> str:
     lines.append(f'  __start -> "{m.alias(m.initial)}";')
     for t in m.transitions:
         label = str(t.event)
-        if isinstance(t.decoration, (Ongoing, Committed)):
-            kind = "ongoing" if isinstance(t.decoration, Ongoing) else "committed"
+        if isinstance(t.decoration, Branch):
             label += (
-                f"\\n{kind}({m.alias(t.decoration.choice_state)},"
+                f"\\n{t.decoration.kind}({m.alias(t.decoration.choice_state)},"
                 f" {t.decoration.first_output.message})"
             )
         lines.append(f'  "{m.alias(t.src)}" -> "{m.alias(t.dst)}" [label="{label}"];')

@@ -160,12 +160,17 @@ def semantics(g: Chor) -> EventOrder:
         le |= {(e, end) for e in events}
         return EventOrder(frozenset(events), frozenset(le))
     if isinstance(g, Choice):
-        active = active_participant(g)
-        gate = GateEvent(g.cp, "choice", active)
+        orders = [semantics(br.body) for br in g.branches]
+        subjects = _opening_subjects(orders)
+        if len(subjects) != 1:
+            raise UndefinedSemantics(
+                f"choice at control point {g.cp} has no unique deciding participant"
+                f" (candidates: {sorted(subjects) or 'none'})"
+            )
+        gate = GateEvent(g.cp, "choice", next(iter(subjects)))
         events = {gate}
         le = set()
-        for br in g.branches:
-            sub = semantics(br.body)
+        for sub in orders:
             events |= sub.events
             le |= sub.le
         le |= {(gate, e) for e in events}
@@ -199,18 +204,13 @@ def seq_compose(left: EventOrder, right: EventOrder) -> EventOrder:
     return EventOrder(frozenset(events), _closure(events, edges))
 
 
-def active_participant(c: Choice) -> str:
-    """The unique participant whose events open every branch of ``c``."""
-    subjects: set[str] = set()
-    for br in c.branches:
-        sub = semantics(br.body)
-        subjects |= {e.subject for e in sub.minimal()}
-    if len(subjects) != 1:
-        raise UndefinedSemantics(
-            f"choice at control point {c.cp} has no unique deciding participant"
-            f" (candidates: {sorted(subjects) or 'none'})"
-        )
-    return next(iter(subjects))
+def _opening_subjects(branches: Iterable[EventOrder]) -> set[str]:
+    """The participants whose events open the given branches of a choice.
+
+    A choice has a deciding participant exactly when this set has one
+    member.
+    """
+    return {e.subject for sub in branches for e in sub.minimal()}
 
 
 def event_for_log(g: Chor, cp: int, message: str) -> Event:
@@ -262,9 +262,7 @@ def _check_choice(c: Choice) -> list[Issue]:
         except UndefinedSemantics as exc:
             return [Issue("undefined-branch", str(exc), c.cp)]
 
-    subjects: set[str] = set()
-    for sub in orders:
-        subjects |= {e.subject for e in sub.minimal()}
+    subjects = _opening_subjects(orders)
     if len(subjects) != 1:
         return [
             Issue(

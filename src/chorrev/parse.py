@@ -51,6 +51,7 @@ from .model import (
     Or,
     Par,
     Seq,
+    subterms,
 )
 
 KEYWORDS = frozenset({"par", "loop", "choice", "unless", "count", "in", "tt", "ff"})
@@ -343,14 +344,17 @@ def parse_choreography(text: str) -> Chor:
 
     Raises :class:`ParseError` for syntax errors, mixed control point
     annotation styles, duplicate annotations and input nested deeper than
-    the recursive descent can follow (a ``;`` chain nests too, since
-    sequencing associates to the left).
+    the recursive descent and the tree walks can follow (a ``;`` chain
+    nests too, since sequencing associates to the left).
     """
     parser = _Parser(tokenize(text), text)
     try:
         g = parser.chor()
         if not parser.annotations:
             g = _renumber(g, itertools.count(1))
+        # Validation and every later tree walk recurse once per level too.
+        for _ in subterms(g):
+            pass
     except RecursionError:
         raise ParseError("input nested too deeply") from None
     leftover = parser.peek()

@@ -45,25 +45,43 @@ from .model import (
     participants,
     validate,
 )
-from .order import CommEvent, UndefinedSemantics, active_participant, semantics, well_branched
+from .order import CommEvent, EventOrder, GateEvent, semantics, well_branched
 
 
 @dataclass
 class System:
-    """A choreography together with the machines of all its participants."""
+    """A choreography together with the machines of all its participants.
+
+    ``order`` is the choreography's event order, computed once during
+    projection and shared with everything that reads it later.
+    """
 
     chor: Chor
     machines: dict[str, RCfsm]
     channels: tuple[Channel, ...]
+    order: EventOrder
 
     @property
     def participants(self) -> tuple[str, ...]:
         return tuple(self.machines)
 
 
-def project(g: Chor, participant: str, alloc: Optional[StateAlloc] = None, decorated: bool = True) -> RCfsm:
-    """Project ``g`` onto one participant and finalize the machine."""
-    pm = _project(g, participant, alloc if alloc is not None else StateAlloc())
+def _deciders(order: EventOrder) -> dict[int, str]:
+    """The deciding participant of each choice, by control point."""
+    return {
+        e.cp: e.subject
+        for e in order.events
+        if isinstance(e, GateEvent) and e.kind == "choice"
+    }
+
+
+def project(g: Chor, participant: str, decorated: bool = True) -> RCfsm:
+    """Project ``g`` onto one participant and finalize the machine.
+
+    Raises :class:`UndefinedSemantics` if the event order of ``g`` does
+    not exist.
+    """
+    pm = _project(g, participant, StateAlloc(), _deciders(semantics(g)))
     if not decorated:
         pm = forget_machine(pm)
     return finalize(pm)
@@ -79,21 +97,22 @@ def project_system(g: Chor) -> System:
     report = validate(g)
     if not report.ok:
         raise ProjectionError(f"invalid choreography:\n{report}")
-    semantics(g)
+    order = semantics(g)
     wb = well_branched(g)
     if not wb.ok:
         raise ProjectionError(f"choreography is not well branched:\n{wb}")
     alloc = StateAlloc()
+    deciders = _deciders(order)
     machines: dict[str, RCfsm] = {}
     for a in sorted(participants(g)):
-        machines[a] = finalize(_project(g, a, alloc))
+        machines[a] = finalize(_project(g, a, alloc, deciders))
     channels = sorted(
         {t.event.channel for m in machines.values() for t in m.transitions}
     )
-    return System(g, machines, tuple(channels))
+    return System(g, machines, tuple(channels), order)
 
 
-def _project(g: Chor, a: str, alloc: StateAlloc) -> PMachine:
+def _project(g: Chor, a: str, alloc: StateAlloc, deciders: dict[int, str]) -> PMachine:
     if isinstance(g, Interaction):
         if a == g.sender:
             return single_event(a, CommEvent(g.channel, "!", g.cp, g.message), alloc)
@@ -102,12 +121,14 @@ def _project(g: Chor, a: str, alloc: StateAlloc) -> PMachine:
         return empty_machine(a, alloc)
 
     if isinstance(g, Seq):
-        return seq_machines(_project(g.left, a, alloc), _project(g.right, a, alloc))
+        return seq_machines(
+            _project(g.left, a, alloc, deciders), _project(g.right, a, alloc, deciders)
+        )
 
     if isinstance(g, Par):
-        machine = _project(g.branches[0], a, alloc)
+        machine = _project(g.branches[0], a, alloc, deciders)
         for branch in g.branches[1:]:
-            machine = product_machines(machine, _project(branch, a, alloc), alloc)
+            machine = product_machines(machine, _project(branch, a, alloc, deciders), alloc)
         return machine
 
     if isinstance(g, Loop):
@@ -130,7 +151,7 @@ def _project(g: Chor, a: str, alloc: StateAlloc) -> PMachine:
             leave = single_event(a, CommEvent(ch, "?", g.cp, LOOP_END), alloc)
         else:
             return empty_machine(a, alloc)
-        body = _project(g.body, a, alloc)
+        body = _project(g.body, a, alloc, deciders)
         again = substitute(again, {again.initial: body.interface, again.interface: body.initial})
         leave = substitute(leave, {leave.initial: body.interface})
         combined = PMachine(
@@ -143,11 +164,10 @@ def _project(g: Chor, a: str, alloc: StateAlloc) -> PMachine:
         return seq_machines(entry, combined)
 
     if isinstance(g, Choice):
-        active = active_participant(g)
-        if a == active:
+        if a == deciders[g.cp]:
             branch_machines = []
             for br in g.branches:
-                bm = _project(br.body, a, alloc)
+                bm = _project(br.body, a, alloc, deciders)
                 families = _family_map(br.body, a, None)
                 branch_machines.append(decorate(bm, br.guard, families))
             return join_machines(branch_machines)
@@ -159,7 +179,7 @@ def _project(g: Chor, a: str, alloc: StateAlloc) -> PMachine:
                 f"{a} takes part in some but not all branches of the choice"
                 f" at control point {g.cp}"
             )
-        return join_machines([_project(br.body, a, alloc) for br in g.branches])
+        return join_machines([_project(br.body, a, alloc, deciders) for br in g.branches])
 
     raise TypeError(f"not a choreography term: {g!r}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .causality import CausalityAnalyzer, LogRef, all_log_refs
-from .machine import Committed, Ongoing, Unit
+from .machine import Branch, RCfsm
 from .model import Channel, Guard
 from .order import CommEvent
 from .projection import System
@@ -75,7 +75,8 @@ def rho(
     After the removal pass, every participant that lost an already
     consumed input is restored by replaying its remaining history; the
     replayed state is authoritative because the literal sender rewind
-    cannot account for inputs the receiver keeps.
+    cannot account for inputs the receiver keeps.  A history that does not
+    replay to exactly one state raises :class:`ValueError`.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
     relation = analyzer.relation(cfg)
@@ -122,8 +123,11 @@ def rho(
     interim = Configuration.make(sigma, chi, book)
     for p in sorted({ch.receiver for ch, _ in removed_consumed}):
         ends = analyzer.replay_end_states(interim, p)
-        if len(ends) == 1:
-            sigma[p] = next(iter(ends))
+        if len(ends) != 1:
+            raise ValueError(
+                f"the history of {p} replays to {sorted(ends)}, not to one state"
+            )
+        (sigma[p],) = ends
     return Configuration.make(sigma, chi, book)
 
 
@@ -141,15 +145,13 @@ def _latest_anchor(
     return None
 
 
-def _families_at(system: System, participant: str, state: int) -> list[tuple[CommEvent, Guard]]:
-    """The branch families decorating a decision state, deduplicated."""
-    machine = system.machines[participant]
+def _families_at(machine: RCfsm, state: int) -> list[tuple[int, CommEvent, Guard]]:
+    """The branch families decorating the transitions out of ``state``, deduplicated."""
     seen = []
-    for t in machine.transitions:
+    for t in machine.out_of(state):
         d = t.decoration
-        if isinstance(d, (Ongoing, Committed)) and d.choice_state == state:
-            if t.src == state and (d.first_output, d.guard) not in seen:
-                seen.append((d.first_output, d.guard))
+        if isinstance(d, Branch) and (d.choice_state, d.first_output, d.guard) not in seen:
+            seen.append((d.choice_state, d.first_output, d.guard))
     return seen
 
 
@@ -169,16 +171,7 @@ def enabled_reversals(
     out: list[ReversalCandidate] = []
     rollback_cache: Optional[set[LogRef]] = None
     for a in sorted(system.machines):
-        machine = system.machines[a]
-        state = cfg.state_of(a)
-        families: list[tuple[int, CommEvent, Guard]] = []
-        for t in machine.out_of(state):
-            d = t.decoration
-            if isinstance(d, (Ongoing, Committed)):
-                item = (d.choice_state, d.first_output, d.guard)
-                if item not in families:
-                    families.append(item)
-        for q_hat, first, guard in families:
+        for q_hat, first, guard in _families_at(system.machines[a], cfg.state_of(a)):
             entry = cfg.book_entry(a, q_hat)
             if entry.exhausted:
                 continue
@@ -217,12 +210,14 @@ def step_reverse(
     effects = analyzer.effects(cfg, candidate.anchor)
     rolled = rho(cfg, system, effects, analyzer)
     book = rolled.book_dict()
-    key = (candidate.participant, candidate.choice_state)
+    q_hat = candidate.choice_state
+    key = (candidate.participant, q_hat)
     entry = book.get(key, BookEntry())
     tried = entry.tried | {(candidate.first_output, candidate.guard)}
     exhausted = all(
-        fam in tried or eval_guard(fam[1], rolled, scope)
-        for fam in _families_at(system, candidate.participant, candidate.choice_state)
+        (first, guard) in tried or eval_guard(guard, rolled, scope)
+        for q, first, guard in _families_at(system.machines[candidate.participant], q_hat)
+        if q == q_hat
     )
     book[key] = BookEntry(tried, exhausted)
     return Configuration.make(rolled.sigma_dict(), rolled.chi_dict(), book)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-from .machine import Committed, Ongoing, RCfsm, Transition, Unit
+from .machine import Branch, Decoration, Transition
 from .model import (
     And,
     Channel,
@@ -128,13 +128,13 @@ class Configuration:
         return self._book.get((participant, state), EMPTY_ENTRY)
 
     def sigma_dict(self) -> dict[str, int]:
-        return dict(self.sigma)
+        return dict(self._sigma)
 
     def chi_dict(self) -> dict[Channel, ChannelState]:
-        return dict(self.chi)
+        return dict(self._chi)
 
     def book_dict(self) -> dict[tuple[str, int], BookEntry]:
-        return {(a, q): e for a, q, e in self.book}
+        return dict(self._book)
 
 
 def initial_configuration(system: System) -> Configuration:
@@ -206,36 +206,31 @@ def eval_guard(
 # Book updates
 
 
-def upd_out(
-    book: dict[tuple[str, int], BookEntry], participant: str, deco
-) -> Optional[dict[tuple[str, int], BookEntry]]:
-    """Book update for an output; ``None`` when the output is forbidden.
-
-    Taking a branch family that was already tried is only allowed once the
-    decision state's alternatives are exhausted; committing out of a branch
-    clears the decision state's entry.
-    """
-    if isinstance(deco, Unit):
-        return book
-    entry = book.get((participant, deco.choice_state), EMPTY_ENTRY)
-    if (deco.first_output, deco.guard) in entry.tried and not entry.exhausted:
-        return None
-    if isinstance(deco, Committed):
-        cleared = dict(book)
-        cleared.pop((participant, deco.choice_state), None)
-        return cleared
-    return book
+def _tried_here(entry: BookEntry, deco: Branch) -> bool:
+    """Is the family of ``deco`` barred: tried at its decision state, whose
+    book entry is ``entry``, while alternatives remain?"""
+    return (deco.first_output, deco.guard) in entry.tried and not entry.exhausted
 
 
 def upd_inp(
-    book: dict[tuple[str, int], BookEntry], participant: str, deco
+    book: dict[tuple[str, int], BookEntry], participant: str, deco: Decoration
 ) -> dict[tuple[str, int], BookEntry]:
-    """Book update for an input (always defined)."""
-    if isinstance(deco, Committed):
-        cleared = dict(book)
-        cleared.pop((participant, deco.choice_state), None)
-        return cleared
-    return dict(book)
+    """Book update for an input: committing out of a branch clears its entry."""
+    if isinstance(deco, Branch) and deco.committed:
+        book = dict(book)
+        book.pop((participant, deco.choice_state), None)
+    return book
+
+
+def upd_out(
+    book: dict[tuple[str, int], BookEntry], participant: str, deco: Decoration
+) -> Optional[dict[tuple[str, int], BookEntry]]:
+    """Book update for an output; ``None`` when the family is barred."""
+    if isinstance(deco, Branch) and _tried_here(
+        book.get((participant, deco.choice_state), EMPTY_ENTRY), deco
+    ):
+        return None
+    return upd_inp(book, participant, deco)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +238,10 @@ def upd_inp(
 
 
 def output_blocked_by_guard(
-    cfg: Configuration, participant: str, deco, scope: str = FULL
+    cfg: Configuration, participant: str, deco: Decoration, scope: str = FULL
 ) -> bool:
     """Guard-sensitive blocking: a revertible output whose guard holds waits."""
-    if isinstance(deco, Unit):
+    if not isinstance(deco, Branch):
         return False
     entry = cfg.book_entry(participant, deco.choice_state)
     return not entry.exhausted and eval_guard(deco.guard, cfg, scope)
@@ -263,9 +258,10 @@ def _check_output(
         return "not an output transition"
     if cfg.state_of(participant) != t.src:
         return f"{participant} is not in state {t.src}"
-    if upd_out(cfg.book_dict(), participant, t.decoration) is None:
+    d = t.decoration
+    if isinstance(d, Branch) and _tried_here(cfg.book_entry(participant, d.choice_state), d):
         return "this branch family was already tried here"
-    if block_on_guard and output_blocked_by_guard(cfg, participant, t.decoration, scope):
+    if block_on_guard and output_blocked_by_guard(cfg, participant, d, scope):
         return "the branch guard holds, the output is blocked"
     return None
 

@@ -5,7 +5,6 @@ from chorrev.causality import (
     LoopRef,
     all_log_refs,
     audit_configuration,
-    locate_log,
     loops_of,
     ongoing,
     round_of,
@@ -237,12 +236,6 @@ def test_every_log_of_the_run_is_a_rollback_point(travel_system, replan_config):
     points = analyzer.rollback_points(replan_config)
     assert points == set(all_log_refs(replan_config))
     assert len(points) == 7
-
-
-def test_locate_log(replan_config, dest_log):
-    assert locate_log(replan_config, dest_log) == TB
-    with pytest.raises(KeyError):
-        locate_log(replan_config, Log("ghost", 0, 1, 99))
 
 
 # -- replay and audit ---------------------------------------------------------

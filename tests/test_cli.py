@@ -85,8 +85,9 @@ def test_parse_errors_exit_two(runner, tmp_path):
     [
         "(" * 1000 + "A -> B : m" + ")" * 1000,
         " ; ".join(["A -> B : m"] * 1000),
+        " ; ".join(f"A -> B : m{i} @cp {i}" for i in range(1, 1001)),
     ],
-    ids=["nested-parentheses", "flat-chain"],
+    ids=["nested-parentheses", "flat-chain", "annotated-chain"],
 )
 def test_deep_input_exits_two_without_a_traceback(runner, tmp_path, text):
     path = write(tmp_path, "deep.rchor", text)
@@ -112,6 +113,21 @@ def test_project_lists_machines(runner):
     assert "D: 4 states, initial q0D, final q3D" in result.output
     assert "[branch of q3T: dest unless count(upd, T->D) >= 1]" in result.output
     assert "[commits branch of q3T: dest unless count(upd, T->D) >= 1]" in result.output
+
+
+def test_project_matches_the_recorded_output(runner):
+    result = runner.invoke(main, ["project", TRAVEL])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / "project_travel.txt").read_bytes()
+
+
+def test_project_dot_matches_the_recorded_files(runner, tmp_path):
+    result = runner.invoke(main, ["project", TRAVEL, "--dot", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stdout_bytes.startswith((DATA / "project_travel.txt").read_bytes())
+    for a in ("B", "D", "T"):
+        golden = DATA / f"project_travel_{a}.dot"
+        assert (tmp_path / f"{a}.dot").read_bytes() == golden.read_bytes()
 
 
 def test_project_single_participant(runner):

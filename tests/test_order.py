@@ -5,7 +5,6 @@ from chorrev.order import (
     CommEvent,
     GateEvent,
     UndefinedSemantics,
-    active_participant,
     event_for_log,
     semantics,
     well_branched,
@@ -113,7 +112,7 @@ def test_active_participant_travel(travel_chor):
     from chorrev.model import Choice, subterms
 
     choice = next(n for n in subterms(travel_chor) if isinstance(n, Choice))
-    assert active_participant(choice) == "T"
+    assert GateEvent(choice.cp, "choice", "T") in semantics(travel_chor).events
 
 
 def test_event_for_log(travel_chor):

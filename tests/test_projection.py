@@ -1,7 +1,11 @@
+import sys
+
 import pytest
 
-from chorrev.machine import Committed, Ongoing, ProjectionError, Unit
-from chorrev.model import Channel, CountAtom
+from chorrev import order
+from chorrev.causality import CausalityAnalyzer
+from chorrev.machine import ProjectionError, Unit
+from chorrev.model import Channel, CountAtom, subterms
 from chorrev.order import CommEvent, UndefinedSemantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project, project_system
@@ -85,20 +89,20 @@ def test_traveler_branch_decorations(travel_system):
     by_family = {}
     for x in decorated:
         by_family.setdefault(x.decoration.first_output, set()).add(
-            (str(x.event), type(x.decoration).__name__, x.decoration.guard)
+            (str(x.event), x.decoration.kind, x.decoration.guard)
         )
     assert set(by_family) == {flight, car, dest}
     assert by_family[dest] == {
-        ("T->B!dest/8", "Ongoing", BOOKED_YET),
-        ("B->T?fullPrice/9", "Committed", BOOKED_YET),
+        ("T->B!dest/8", "ongoing", BOOKED_YET),
+        ("B->T?fullPrice/9", "committed", BOOKED_YET),
     }
     # each par thread keeps its own anchor: the price receive belongs to the
     # request that triggered it
-    assert ("B->T?flightPrice/5", "Committed", NOT_BOOKED) in by_family[flight]
-    assert ("B->T?carPrice/7", "Committed", NOT_BOOKED) in by_family[car]
+    assert ("B->T?flightPrice/5", "committed", NOT_BOOKED) in by_family[flight]
+    assert ("B->T?carPrice/7", "committed", NOT_BOOKED) in by_family[car]
     assert all(g == NOT_BOOKED for (_, _, g) in by_family[flight] | by_family[car])
 
-    committed = {x for x in decorated if isinstance(x.decoration, Committed)}
+    committed = {x for x in decorated if x.decoration.committed}
     assert {x.dst for x in committed} == {10}
     assert set(outs(t, "q10T")) == {("q10T", "T->D!upd/10", "q13T")}
 
@@ -168,3 +172,60 @@ def test_project_system_rejects_undefined():
     g = parse_choreography("A -> B : m ; C -> D : n")
     with pytest.raises(UndefinedSemantics):
         project_system(g)
+    with pytest.raises(UndefinedSemantics):
+        project(g, "A")
+
+
+# -- how often the event order is computed --------------------------------------
+
+# Choices nested three deep, each decided by a different participant.
+NESTED = """
+choice {
+  { A -> B : x3 ;
+    choice {
+      { B -> C : x2 ;
+        choice { { C -> D : x1 } unless tt + { C -> D : y1 } unless tt }
+      } unless tt
+      + { B -> C : y2 ; C -> D : z2 } unless tt
+    }
+  } unless tt
+  + { A -> B : y3 ; B -> C : w3 ; C -> D : v3 } unless tt
+}
+"""
+
+
+@pytest.fixture
+def semantics_calls(monkeypatch):
+    """Count calls of ``semantics``, wherever the package looks it up."""
+    calls = []
+    original = order.semantics
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name == "chorrev" or name.startswith("chorrev."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_semantics_visits_each_subterm_once(semantics_calls):
+    g = parse_choreography(NESTED)
+    order.semantics(g)
+    assert len(semantics_calls) == len(list(subterms(g)))
+
+
+def test_projection_and_analysis_reuse_the_root_order(semantics_calls):
+    g = parse_choreography(NESTED)
+    order.well_branched(g)
+    checking = len(semantics_calls)
+    semantics_calls.clear()
+    system = project_system(g)
+    # the root order, then well-branchedness; the projection adds nothing
+    assert len(semantics_calls) == len(list(subterms(g))) + checking
+    semantics_calls.clear()
+    CausalityAnalyzer(system)
+    assert semantics_calls == []

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from chorrev.causality import CausalityAnalyzer
-from chorrev.machine import Committed, Ongoing
+from chorrev.machine import Branch
 from chorrev.model import Channel, CountAtom
 from chorrev.order import CommEvent
 from chorrev.parse import parse_choreography
@@ -132,6 +132,16 @@ def test_rho_rejects_foreign_targets(travel_system, replan_config):
     ghost = (TB, Log("ghost", 0, 8, 42))
     with pytest.raises(ValueError, match="logs of the configuration"):
         rho(replan_config, travel_system, [ghost])
+
+
+def test_rho_refuses_a_history_that_does_not_replay():
+    system = project_system(parse_choreography("A -> B : m ; A -> B : n"))
+    # B's consumed queue is doctored to hold n before m; once m goes, the
+    # n that is left cannot be replayed from B's initial state
+    n_log, m_log = Log("n", 1, 2, 1), Log("m", 0, 1, 2)
+    cfg = Configuration.make({"A": 2, "B": 2}, {AB: ChannelState((n_log, m_log), ())}, {})
+    with pytest.raises(ValueError, match=r"history of B replays to \[\]"):
+        rho(cfg, system, [(AB, m_log)])
 
 
 # -- the reversal step on the travel system -----------------------------------
@@ -304,7 +314,7 @@ def test_anchor_premise_needs_an_ongoing_loop(looped_system):
     q_hat = next(
         t.decoration.choice_state
         for t in machine.transitions
-        if isinstance(t.decoration, (Committed, Ongoing))
+        if isinstance(t.decoration, Branch)
     )
     b_final = next(iter(looped_system.machines["B"].finals))
     closed = Configuration.make(

@@ -1,6 +1,6 @@
 import pytest
 
-from chorrev.machine import Committed, Ongoing, Unit
+from chorrev.machine import Branch, Unit
 from chorrev.model import And, Channel, CountAtom, GFalse, GTrue, MemberAtom, Not, Or
 from chorrev.order import CommEvent
 from chorrev.runtime import (
@@ -187,30 +187,30 @@ TRIED = BookEntry(tried=frozenset({(FLIGHT, GTrue())}))
 
 
 def test_upd_out_blocks_tried_family():
-    deco = Ongoing(3, FLIGHT, GTrue())
+    deco = Branch(3, FLIGHT, GTrue(), committed=False)
     assert upd_out({("T", 3): TRIED}, "T", deco) is None
 
 
 def test_upd_out_allows_tried_family_once_exhausted():
-    deco = Ongoing(3, FLIGHT, GTrue())
+    deco = Branch(3, FLIGHT, GTrue(), committed=False)
     book = {("T", 3): BookEntry(TRIED.tried, exhausted=True)}
     assert upd_out(book, "T", deco) == book
 
 
 def test_upd_out_fresh_family_passes_through():
-    deco = Ongoing(3, CommEvent(TB, "!", 6, "car"), GTrue())
+    deco = Branch(3, CommEvent(TB, "!", 6, "car"), GTrue(), committed=False)
     book = {("T", 3): TRIED}
     assert upd_out(book, "T", deco) == book
 
 
 def test_commit_clears_the_entry():
-    deco = Committed(3, FLIGHT, GTrue())
+    deco = Branch(3, FLIGHT, GTrue(), committed=True)
     assert upd_out({("T", 3): BookEntry(TRIED.tried, True)}, "T", deco) == {}
     assert upd_inp({("T", 3): TRIED}, "T", deco) == {}
 
 
 def test_upd_inp_keeps_ongoing_entries():
-    deco = Ongoing(3, FLIGHT, GTrue())
+    deco = Branch(3, FLIGHT, GTrue(), committed=False)
     assert upd_inp({("T", 3): TRIED}, "T", deco) == {("T", 3): TRIED}
 
 
@@ -222,9 +222,9 @@ def test_unit_decoration_never_blocks(travel_system):
 
 def test_output_blocked_by_guard(travel_system):
     cfg = initial_configuration(travel_system)
-    live = Ongoing(3, FLIGHT, GTrue())
+    live = Branch(3, FLIGHT, GTrue(), committed=False)
     assert output_blocked_by_guard(cfg, "T", live)
-    assert not output_blocked_by_guard(cfg, "T", Ongoing(3, FLIGHT, GFalse()))
+    assert not output_blocked_by_guard(cfg, "T", Branch(3, FLIGHT, GFalse(), committed=False))
     # exhaustion lifts the block
     tired = Configuration_with_book(cfg, {("T", 3): BookEntry(frozenset(), True)})
     assert not output_blocked_by_guard(tired, "T", live)

@@ -121,8 +121,9 @@ def test_parse_error_reports_position():
     [
         "(" * 1000 + "A -> B : m" + ")" * 1000,
         " ; ".join(["A -> B : m"] * 1000),
+        " ; ".join(f"A -> B : m{i} @cp {i}" for i in range(1, 1001)),
     ],
-    ids=["nested-parentheses", "flat-chain"],
+    ids=["nested-parentheses", "flat-chain", "annotated-chain"],
 )
 def test_deep_input_is_a_parse_error(text):
     with pytest.raises(ParseError, match="nested too deeply"):
