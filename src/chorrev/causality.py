@@ -30,11 +30,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import Channel, Chor, LOOP_END, LOOP_START, Loop, control_points, subterms
-from .order import CommEvent, EventOrder, event_for_log
+from .order import CommEvent, Event, EventOrder, GateEvent
 from .projection import System
 from .runtime import ChannelState, Configuration, Log
 
 LogRef = tuple[Channel, Log]
+
+# The log message that marks each kind of loop gate event.
+_MARKERS = {"loop_start": LOOP_START, "loop_end": LOOP_END}
 
 
 @dataclass(frozen=True)
@@ -114,15 +117,19 @@ class CausalityAnalyzer:
     def __init__(self, system: System):
         self.system = system
         self.order: EventOrder = system.order
+        # The static event of each log, keyed like the log: (cp, message).
+        self._events: dict[tuple[int, str], Event] = {}
+        for e in self.order.events:
+            if isinstance(e, CommEvent) and e.polarity == "!":
+                self._events[e.cp, e.message] = e
+            elif isinstance(e, GateEvent) and e.kind in _MARKERS:
+                self._events[e.cp, _MARKERS[e.kind]] = e
         self.loops = loops_of(system.chor)
         self._relations: dict[tuple, frozenset[tuple[LogRef, LogRef]]] = {}
         self._bases: dict[tuple, dict[tuple[LogRef, LogRef], list[str]]] = {}
         self._replays: dict[tuple, frozenset[tuple[int, ...]]] = {}
 
     # -- static helpers ------------------------------------------------
-
-    def _event_of(self, log: Log) -> CommEvent:
-        return event_for_log(self.system.chor, log.cp, log.message)
 
     def _innermost_common_loop(self, cp1: int, cp2: int) -> Optional[LoopRef]:
         common = [
@@ -170,13 +177,11 @@ class CausalityAnalyzer:
                         add((ch2, l2), (ch1, l1), "sender-order")
 
         # (3) static order, refined by loop rounds
+        events = [self._events[log.cp, log.message] for _, log in refs]
         for i, (ch1, l1) in enumerate(refs):
-            for ch2, l2 in refs[i + 1 :]:
-                if ch1 == ch2:
-                    continue
-                e1 = self._event_of(l1)
-                e2 = self._event_of(l2)
-                if e1 == e2:
+            e1 = events[i]
+            for (ch2, l2), e2 in zip(refs[i + 1 :], events[i + 1 :]):
+                if ch1 == ch2 or e1 is e2:
                     continue
                 if self.order.leq(e1, e2):
                     first, second = (ch1, l1), (ch2, l2)

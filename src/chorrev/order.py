@@ -13,6 +13,13 @@ must already take part in a communication on the left.  Otherwise there is
 no way for the right side to know that the left side happened, and
 :func:`seq_compose` raises :class:`UndefinedSemantics`.
 
+An :class:`EventOrder` keeps one down-set per event: a Python int whose
+bits are the indices of the events at or below it.  Each constructor of
+:func:`semantics` builds the down-sets of its result from those of its
+parts (shifting them past the events placed before), so no closure is ever
+recomputed; ``leq`` tests one bit and ``minimal`` one mask per event.  The
+relation as a set of pairs, ``EventOrder.le``, is built only on demand.
+
 This module also hosts the branching analysis (:func:`well_branched`): a
 choice is implementable only if a single participant decides it, the other
 participants either sit out the choice entirely or can recognize the taken
@@ -23,6 +30,7 @@ decider can see.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .model import (
@@ -84,47 +92,79 @@ class UndefinedSemantics(Exception):
 
 @dataclass(frozen=True)
 class EventOrder:
-    """A set of events with a reflexive, transitive precedence relation."""
+    """A set of events with a reflexive, transitive precedence relation.
 
+    ``down[i]`` is the down-set of ``event_list[i]`` as a bitset: bit ``j``
+    is set when ``event_list[j]`` precedes or equals ``event_list[i]``.
+    ``events`` holds the same events as ``event_list``.  ``le``, the
+    relation as a set of pairs, is built on first access only.
+    """
+
+    event_list: tuple[Event, ...]
+    down: tuple[int, ...]
     events: frozenset[Event]
-    le: frozenset[tuple[Event, Event]]
+
+    @cached_property
+    def _index(self) -> dict[Event, int]:
+        return {e: i for i, e in enumerate(self.event_list)}
+
+    @cached_property
+    def le(self) -> frozenset[tuple[Event, Event]]:
+        pairs = []
+        for e, d in zip(self.event_list, self.down):
+            while d:
+                low = d & -d
+                pairs.append((self.event_list[low.bit_length() - 1], e))
+                d ^= low
+        return frozenset(pairs)
 
     def leq(self, e1: Event, e2: Event) -> bool:
-        return (e1, e2) in self.le
+        i = self._index.get(e1)
+        j = self._index.get(e2)
+        return i is not None and j is not None and self.down[j] >> i & 1 == 1
 
     def lt(self, e1: Event, e2: Event) -> bool:
-        return e1 != e2 and (e1, e2) in self.le
+        return e1 != e2 and self.leq(e1, e2)
 
     @property
     def comm_events(self) -> frozenset[CommEvent]:
-        return frozenset(e for e in self.events if isinstance(e, CommEvent))
+        return frozenset(e for e in self.event_list if isinstance(e, CommEvent))
 
     def minimal(self, subset: Optional[Iterable[Event]] = None) -> frozenset[Event]:
         """Events of ``subset`` with no strict predecessor inside ``subset``."""
-        pool = self.events if subset is None else frozenset(subset)
+        if subset is None:
+            indexed = enumerate(zip(self.event_list, self.down))
+            return frozenset(e for i, (e, d) in indexed if d == 1 << i)
+        pool = frozenset(subset)
+        at = {e: self._index[e] for e in pool if e in self._index}
+        mask = sum(1 << i for i in at.values())
         return frozenset(
-            e for e in pool if not any(o != e and (o, e) in self.le for o in pool)
+            e for e in pool if e not in at or self.down[at[e]] & mask == 1 << at[e]
         )
 
     def events_of(self, participant: str) -> frozenset[Event]:
-        return frozenset(e for e in self.events if e.subject == participant)
+        return frozenset(e for e in self.event_list if e.subject == participant)
 
 
-def _closure(events: Iterable[Event], edges: set[tuple[Event, Event]]) -> frozenset:
-    succ: dict[Event, set[Event]] = {e: set() for e in events}
-    for a, b in edges:
-        succ[a].add(b)
-    pairs: set[tuple[Event, Event]] = set()
-    for start in succ:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in succ[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        pairs.update((start, e) for e in seen)
-    return frozenset(pairs)
+def _union(
+    parts: list[EventOrder], extra: tuple[Event, ...] = ()
+) -> tuple[list[Event], list[int], frozenset[Event]]:
+    """The events of ``parts`` side by side, then ``extra``.
+
+    Each part's down-sets are shifted past the events before it; the
+    caller appends the down-sets of ``extra``.
+    """
+    event_list: list[Event] = []
+    down: list[int] = []
+    for sub in parts:
+        offset = len(event_list)
+        event_list.extend(sub.event_list)
+        down.extend(d << offset for d in sub.down)
+    event_list.extend(extra)
+    events = frozenset(extra).union(*(sub.events for sub in parts))
+    if len(events) != len(event_list):
+        raise ValueError("cannot compose overlapping event sets")
+    return event_list, down, events
 
 
 def semantics(g: Chor) -> EventOrder:
@@ -136,29 +176,19 @@ def semantics(g: Chor) -> EventOrder:
     if isinstance(g, Interaction):
         snd = CommEvent(g.channel, "!", g.cp, g.message)
         rcv = CommEvent(g.channel, "?", g.cp, g.message)
-        return EventOrder(
-            frozenset({snd, rcv}),
-            frozenset({(snd, snd), (rcv, rcv), (snd, rcv)}),
-        )
+        return EventOrder((snd, rcv), (1, 3), frozenset({snd, rcv}))
     if isinstance(g, Seq):
         return seq_compose(semantics(g.left), semantics(g.right))
     if isinstance(g, Par):
-        events: set[Event] = set()
-        le: set[tuple[Event, Event]] = set()
-        for branch in g.branches:
-            sub = semantics(branch)
-            events |= sub.events
-            le |= sub.le
-        return EventOrder(frozenset(events), frozenset(le))
+        event_list, down, events = _union([semantics(b) for b in g.branches])
+        return EventOrder(tuple(event_list), tuple(down), events)
     if isinstance(g, Loop):
-        body = semantics(g.body)
         start = GateEvent(g.cp, "loop_start", g.controller)
         end = GateEvent(g.cp, "loop_end", g.controller)
-        events = body.events | {start, end}
-        le = set(body.le)
-        le |= {(start, e) for e in events}
-        le |= {(e, end) for e in events}
-        return EventOrder(frozenset(events), frozenset(le))
+        event_list, down, events = _union([semantics(g.body)], (start, end))
+        bit = 1 << len(down)
+        down = [d | bit for d in down] + [bit, (bit << 2) - 1]
+        return EventOrder(tuple(event_list), tuple(down), events)
     if isinstance(g, Choice):
         orders = [semantics(br.body) for br in g.branches]
         subjects = _opening_subjects(orders)
@@ -168,13 +198,10 @@ def semantics(g: Chor) -> EventOrder:
                 f" (candidates: {sorted(subjects) or 'none'})"
             )
         gate = GateEvent(g.cp, "choice", next(iter(subjects)))
-        events = {gate}
-        le = set()
-        for sub in orders:
-            events |= sub.events
-            le |= sub.le
-        le |= {(gate, e) for e in events}
-        return EventOrder(frozenset(events), frozenset(le))
+        event_list, down, events = _union(orders, (gate,))
+        bit = 1 << len(down)
+        down = [d | bit for d in down] + [bit]
+        return EventOrder(tuple(event_list), tuple(down), events)
     raise TypeError(f"not a choreography term: {g!r}")
 
 
@@ -185,23 +212,40 @@ def seq_compose(left: EventOrder, right: EventOrder) -> EventOrder:
     composition is undefined when some participant can move first on the
     right without taking part in any communication on the left.
     """
-    if left.events & right.events:
+    if not left.events.isdisjoint(right.events):
         raise ValueError("cannot compose overlapping event sets")
-    left_subjects = {e.subject for e in left.comm_events}
-    first_right = right.minimal(right.comm_events)
-    uncovered = sorted(str(e) for e in first_right if e.subject not in left_subjects)
+    # Per participant, everything on the left at or below one of its events.
+    below: dict[str, int] = {}
+    talkers: set[str] = set()
+    for e, d in zip(left.event_list, left.down):
+        below[e.subject] = below.get(e.subject, 0) | d
+        if isinstance(e, CommEvent):
+            talkers.add(e.subject)
+    uncovered = sorted(
+        str(e) for e in right.minimal(right.comm_events) if e.subject not in talkers
+    )
     if uncovered:
         raise UndefinedSemantics(
             "sequential composition undefined: "
             + ", ".join(uncovered)
             + " would happen with no prior involvement of its participant"
         )
-    events = left.events | right.events
-    edges = set(left.le) | set(right.le)
-    edges |= {
-        (a, b) for a in left.events for b in right.events if a.subject == b.subject
-    }
-    return EventOrder(frozenset(events), _closure(events, edges))
+    # Per participant with events on both sides, its events on the right.
+    theirs: dict[str, int] = {}
+    for i, e in enumerate(right.event_list):
+        if e.subject in below:
+            theirs[e.subject] = theirs.get(e.subject, 0) | 1 << i
+    n = len(left.event_list)
+    down = list(left.down)
+    for d in right.down:
+        new = d << n
+        for p, mask in theirs.items():
+            if d & mask:
+                new |= below[p]
+        down.append(new)
+    return EventOrder(
+        left.event_list + right.event_list, tuple(down), left.events | right.events
+    )
 
 
 def _opening_subjects(branches: Iterable[EventOrder]) -> set[str]:

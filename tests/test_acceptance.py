@@ -26,6 +26,7 @@ from chorrev.projection import project_system
 from chorrev.reverse import enabled_reversals, maximal_logs, rho, step_reverse
 from chorrev.runtime import BookEntry, ChannelState, Configuration, Log
 
+import order_oracle
 from conftest import DAG, DATA, drive, random_decoration_inputs, random_pmachine
 
 TB = Channel("T", "B")
@@ -268,3 +269,23 @@ def test_criterion_10_trace_schedule_roundtrip(tmp_path):
             a = json.loads(trace.read_text())
             b = json.loads(replay.read_text())
             assert a["final"] == b["final"], f"seed {seed} diverged"
+
+
+def test_criterion_11_straight_line_scales():
+    n = 300
+    lines = [
+        f"A -> B : m{k} ;" if k % 2 else f"B -> A : m{k} ;" for k in range(1, n + 1)
+    ]
+    source = " ".join(lines)[:-2]
+    with criterion(11, 10.0):
+        chor = parse_choreography(source)
+        order = semantics(chor)
+        system = project_system(chor)
+        assert len(order.events) == 2 * n
+        assert len(system.machines["A"].transitions) == n
+
+    # the first 40 interactions are ordered as the closure oracle orders them
+    prefix = order_oracle.semantics(parse_choreography(" ".join(lines[:40])[:-2]))
+    assert {
+        (a, b) for a in prefix.events for b in prefix.events if order.leq(a, b)
+    } == prefix.le

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from chorrev import model, order
 from chorrev.causality import (
     CausalityAnalyzer,
     LoopRef,
@@ -9,6 +12,7 @@ from chorrev.causality import (
     ongoing,
     round_of,
 )
+from chorrev.explore import Bound, run_checks
 from chorrev.model import Channel
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
@@ -269,3 +273,18 @@ def test_audit_flags_impossible_history(travel_system, replan_config):
     broken = Configuration.make(replan_config.sigma_dict(), chi, replan_config.book_dict())
     problems = audit_configuration(broken, travel_system)
     assert any("cannot be replayed at all" in p for p in problems)
+
+
+def test_logs_find_their_events_without_a_tree_walk_each(travel_system, monkeypatch):
+    calls = Counter()
+    walk = model.node_at
+
+    def counting(g, cp):
+        calls[cp] += 1
+        return walk(g, cp)
+
+    monkeypatch.setattr(model, "node_at", counting)
+    monkeypatch.setattr(order, "node_at", counting)
+    results = run_checks(travel_system, Bound(200, 1))
+    assert all(r.passed for r in results)
+    assert max(calls.values(), default=0) <= 1

@@ -1,0 +1,103 @@
+"""The down-set order against the closure-based oracle in ``order_oracle``."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import order_oracle
+from chorrev.model import Choice, ChoiceBranch, GTrue, Interaction, Loop, Par, Seq
+from chorrev.order import UndefinedSemantics, semantics, seq_compose
+from chorrev.parse import parse_choreography
+
+from conftest import DATA
+
+PARTICIPANTS = "ABCD"
+
+interactions = st.tuples(
+    st.just("inter"),
+    st.sampled_from(PARTICIPANTS),
+    st.sampled_from(PARTICIPANTS),
+    st.sampled_from("mn"),
+).filter(lambda t: t[1] != t[2])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(st.just("seq"), inner, inner),
+        st.tuples(st.just("par"), st.lists(inner, min_size=2, max_size=3)),
+        st.tuples(st.just("loop"), st.sampled_from(PARTICIPANTS), inner),
+        st.tuples(st.just("choice"), st.lists(inner, min_size=2, max_size=3)),
+    )
+
+
+shapes = st.recursive(interactions, _compound, max_leaves=10)
+
+
+def build(shape, cps=None):
+    """A choreography term of ``shape`` with fresh control points in preorder."""
+    cps = itertools.count(1) if cps is None else cps
+    kind = shape[0]
+    if kind == "inter":
+        return Interaction(shape[1], shape[2], shape[3], next(cps))
+    if kind == "seq":
+        left = build(shape[1], cps)
+        return Seq(left, build(shape[2], cps))
+    cp = next(cps)
+    if kind == "par":
+        return Par(tuple(build(b, cps) for b in shape[1]), cp)
+    if kind == "loop":
+        return Loop(shape[1], build(shape[2], cps), cp)
+    return Choice(tuple(ChoiceBranch(build(b, cps), GTrue()) for b in shape[1]), cp)
+
+
+def outcome(sem, g):
+    try:
+        return sem(g), None
+    except UndefinedSemantics as exc:
+        return None, str(exc)
+
+
+def assert_same_order(g):
+    order, error = outcome(semantics, g)
+    expected, expected_error = outcome(order_oracle.semantics, g)
+    assert error == expected_error
+    if expected is None:
+        return
+    assert order.events == expected.events
+    assert order.le == expected.le
+    assert order.minimal() == expected.minimal()
+    assert order.minimal(order.comm_events) == expected.minimal(expected.comm_events)
+    for p in PARTICIPANTS:
+        mine = order.events_of(p)
+        assert order.minimal(mine) == expected.minimal(mine)
+    assert {
+        (a, b) for a in order.events for b in order.events if order.leq(a, b)
+    } == expected.le
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes)
+def test_generated_terms_match_the_closure_oracle(shape):
+    assert_same_order(build(shape))
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.rchor")), ids=lambda p: p.name)
+def test_recorded_protocols_match_the_closure_oracle(path):
+    assert_same_order(parse_choreography(path.read_text()))
+
+
+def test_undefined_terms_give_the_oracle_message():
+    g = parse_choreography("A -> B : m ; choice { { C -> D : x } unless tt + { D -> C : y } unless tt }")
+    assert_same_order(g)
+    with pytest.raises(UndefinedSemantics, match="no unique deciding participant"):
+        semantics(g)
+
+
+def test_overlapping_event_sets_are_refused():
+    one = semantics(Interaction("A", "B", "m", 1))
+    with pytest.raises(ValueError, match="cannot compose overlapping event sets"):
+        seq_compose(one, one)
+    repeated = Interaction("A", "B", "m", 1)
+    with pytest.raises(ValueError, match="cannot compose overlapping event sets"):
+        semantics(Par((repeated, repeated), 2))
