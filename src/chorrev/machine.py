@@ -174,18 +174,22 @@ def substitute(m: PMachine, mapping: dict[int, int]) -> PMachine:
     )
 
 
-def seq_machines(m1: PMachine, m2: PMachine) -> PMachine:
-    """Run ``m1`` to its interface, then continue as ``m2``."""
-    if m1.owner != m2.owner:
+def seq_machines(*machines: PMachine) -> PMachine:
+    """Run each machine to its interface, then continue as the next one."""
+    if len({m.owner for m in machines}) > 1:
         raise ProjectionError("cannot sequence machines of different participants")
-    renamed = substitute(m1, {m1.interface: m2.initial})
-    return PMachine(
-        m1.owner,
-        renamed.states | m2.states,
-        renamed.initial,
-        m2.interface,
-        renamed.transitions | m2.transitions,
+    # An empty machine's initial state is its interface: glue from the right.
+    glue: dict[int, int] = {}
+    for m, nxt in reversed(list(zip(machines, machines[1:]))):
+        glue[m.interface] = glue.get(nxt.initial, nxt.initial)
+    whole = PMachine(
+        machines[0].owner,
+        frozenset().union(*(m.states for m in machines)),
+        machines[0].initial,
+        machines[-1].interface,
+        frozenset().union(*(m.transitions for m in machines)),
     )
+    return substitute(whole, glue)
 
 
 def join_machines(machines: list[PMachine]) -> PMachine:

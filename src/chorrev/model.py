@@ -185,8 +185,13 @@ class Interaction:
 
 @dataclass(frozen=True)
 class Seq:
-    left: "Chor"
-    right: "Chor"
+    """One ``;`` chain of two or more parts, run left to right.
+
+    A part that is itself a ``Seq`` was parenthesised and is kept apart,
+    because definedness of ``;`` is not associative.
+    """
+
+    parts: tuple["Chor", ...]
 
 
 @dataclass(frozen=True)
@@ -225,8 +230,8 @@ def subterms(g: Chor) -> Iterator[Chor]:
     """All subterms of ``g`` in preorder (not descending into guards)."""
     yield g
     if isinstance(g, Seq):
-        yield from subterms(g.left)
-        yield from subterms(g.right)
+        for part in g.parts:
+            yield from subterms(part)
     elif isinstance(g, Par):
         for b in g.branches:
             yield from subterms(b)
@@ -260,12 +265,6 @@ def participants(g: Chor) -> frozenset[str]:
         elif isinstance(node, Loop):
             out.add(node.controller)
     return frozenset(out)
-
-
-def channels(g: Chor) -> frozenset[Channel]:
-    return frozenset(
-        node.channel for node in subterms(g) if isinstance(node, Interaction)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +404,14 @@ def _ann(node: Chor, annotate: bool) -> str:
 def _emit(g: Chor, depth: int, annotate: bool, lines: list[str]) -> None:
     pad = "  " * depth
     if isinstance(g, Seq):
-        parts = list(_seq_terms(g))
-        for i, part in enumerate(parts):
-            _emit(part, depth, annotate, lines)
-            if i + 1 < len(parts):
+        for i, part in enumerate(g.parts):
+            if isinstance(part, Seq):
+                lines.append(f"{pad}(")
+                _emit(part, depth + 1, annotate, lines)
+                lines.append(f"{pad})")
+            else:
+                _emit(part, depth, annotate, lines)
+            if i + 1 < len(g.parts):
                 lines[-1] += " ;"
     elif isinstance(g, Interaction):
         lines.append(
@@ -436,11 +439,3 @@ def _emit(g: Chor, depth: int, annotate: bool, lines: list[str]) -> None:
         lines.append(f"{pad}}}")
     else:
         raise TypeError(f"not a choreography term: {g!r}")
-
-
-def _seq_terms(g: Chor) -> Iterator[Chor]:
-    if isinstance(g, Seq):
-        yield from _seq_terms(g.left)
-        yield from _seq_terms(g.right)
-    else:
-        yield g

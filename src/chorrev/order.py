@@ -5,12 +5,12 @@ captures causal precedence.  Interactions contribute a send and a receive
 event; loops and choices additionally contribute gate events that record
 where the iteration or the decision happens.  Parallel branches stay
 unordered; sequential composition orders events of the same participant
-across the two sides.
+from one part to the next.
 
-Sequential composition is only defined when the right-hand side is
-anchored in the left: every participant that can move first on the right
-must already take part in a communication on the left.  Otherwise there is
-no way for the right side to know that the left side happened, and
+Sequential composition is only defined when each part is anchored in the
+parts before it: every participant that can move first in a part must
+already take part in a communication before it.  Otherwise there is no way
+for that part to know that the earlier ones happened, and
 :func:`seq_compose` raises :class:`UndefinedSemantics`.
 
 An :class:`EventOrder` keeps one down-set per event: a Python int whose
@@ -178,7 +178,7 @@ def semantics(g: Chor) -> EventOrder:
         rcv = CommEvent(g.channel, "?", g.cp, g.message)
         return EventOrder((snd, rcv), (1, 3), frozenset({snd, rcv}))
     if isinstance(g, Seq):
-        return seq_compose(semantics(g.left), semantics(g.right))
+        return seq_compose(semantics(part) for part in g.parts)
     if isinstance(g, Par):
         event_list, down, events = _union([semantics(b) for b in g.branches])
         return EventOrder(tuple(event_list), tuple(down), events)
@@ -205,47 +205,51 @@ def semantics(g: Chor) -> EventOrder:
     raise TypeError(f"not a choreography term: {g!r}")
 
 
-def seq_compose(left: EventOrder, right: EventOrder) -> EventOrder:
-    """Compose two event orders sequentially.
+def seq_compose(orders: Iterable[EventOrder]) -> EventOrder:
+    """Compose event orders sequentially, reading them one at a time.
 
-    Events of the same participant are ordered left before right.  The
-    composition is undefined when some participant can move first on the
-    right without taking part in any communication on the left.
+    Each participant's events are ordered before its events in later
+    orders.  The first order in which a participant can move first with no
+    communication in the orders before it makes the composition undefined.
     """
-    if not left.events.isdisjoint(right.events):
-        raise ValueError("cannot compose overlapping event sets")
-    # Per participant, everything on the left at or below one of its events.
+    event_list: list[Event] = []
+    down: list[int] = []
+    events: set[Event] = set()
+    # Per participant, everything so far at or below one of its events.
     below: dict[str, int] = {}
     talkers: set[str] = set()
-    for e, d in zip(left.event_list, left.down):
-        below[e.subject] = below.get(e.subject, 0) | d
-        if isinstance(e, CommEvent):
-            talkers.add(e.subject)
-    uncovered = sorted(
-        str(e) for e in right.minimal(right.comm_events) if e.subject not in talkers
-    )
-    if uncovered:
-        raise UndefinedSemantics(
-            "sequential composition undefined: "
-            + ", ".join(uncovered)
-            + " would happen with no prior involvement of its participant"
-        )
-    # Per participant with events on both sides, its events on the right.
-    theirs: dict[str, int] = {}
-    for i, e in enumerate(right.event_list):
-        if e.subject in below:
-            theirs[e.subject] = theirs.get(e.subject, 0) | 1 << i
-    n = len(left.event_list)
-    down = list(left.down)
-    for d in right.down:
-        new = d << n
-        for p, mask in theirs.items():
-            if d & mask:
-                new |= below[p]
-        down.append(new)
-    return EventOrder(
-        left.event_list + right.event_list, tuple(down), left.events | right.events
-    )
+    for k, order in enumerate(orders):
+        if not events.isdisjoint(order.events):
+            raise ValueError("cannot compose overlapping event sets")
+        if k:
+            uncovered = sorted(
+                str(e) for e in order.minimal(order.comm_events) if e.subject not in talkers
+            )
+            if uncovered:
+                raise UndefinedSemantics(
+                    "sequential composition undefined: "
+                    + ", ".join(uncovered)
+                    + " would happen with no prior involvement of its participant"
+                )
+        # Per participant with events so far, its events in this order.
+        theirs: dict[str, int] = {}
+        for i, e in enumerate(order.event_list):
+            if e.subject in below:
+                theirs[e.subject] = theirs.get(e.subject, 0) | 1 << i
+        n = len(event_list)
+        for d in order.down:
+            new = d << n
+            for p, mask in theirs.items():
+                if d & mask:
+                    new |= below[p]
+            down.append(new)
+        for e, d in zip(order.event_list, down[n:]):
+            below[e.subject] = below.get(e.subject, 0) | d
+            if isinstance(e, CommEvent):
+                talkers.add(e.subject)
+        event_list.extend(order.event_list)
+        events |= order.events
+    return EventOrder(tuple(event_list), tuple(down), frozenset(events))
 
 
 def _opening_subjects(branches: Iterable[EventOrder]) -> set[str]:

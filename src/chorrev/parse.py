@@ -18,8 +18,8 @@ The grammar::
 
 ``//`` starts a line comment.  Identifiers are ``[A-Za-z][A-Za-z0-9_]*``;
 the words ``par loop choice unless count in tt ff`` are reserved.  ``!``
-binds tighter than ``&&``, which binds tighter than ``||``; sequencing
-associates to the left.
+binds tighter than ``&&``, which binds tighter than ``||``.  A ``;`` chain
+is one ``Seq`` node, and parentheses inside it keep their grouping.
 
 Control points may be annotated explicitly with ``@cp N`` on every
 construct, or omitted everywhere, in which case constructs are numbered
@@ -192,10 +192,10 @@ class _Parser:
     # -- choreography grammar ----------------------------------------------
 
     def chor(self) -> Chor:
-        term = self.term()
+        terms = [self.term()]
         while self.accept(";"):
-            term = Seq(term, self.term())
-        return term
+            terms.append(self.term())
+        return terms[0] if len(terms) == 1 else Seq(tuple(terms))
 
     def term(self) -> Chor:
         if self.accept("("):
@@ -319,8 +319,7 @@ class _Parser:
 
 def _renumber(g: Chor, counter: "itertools.count[int]") -> Chor:
     if isinstance(g, Seq):
-        left = _renumber(g.left, counter)
-        return Seq(left, _renumber(g.right, counter))
+        return Seq(tuple(_renumber(part, counter) for part in g.parts))
     if isinstance(g, Interaction):
         return dataclasses.replace(g, cp=next(counter))
     if isinstance(g, Par):
@@ -344,8 +343,7 @@ def parse_choreography(text: str) -> Chor:
 
     Raises :class:`ParseError` for syntax errors, mixed control point
     annotation styles, duplicate annotations and input nested deeper than
-    the recursive descent and the tree walks can follow (a ``;`` chain
-    nests too, since sequencing associates to the left).
+    the recursive descent and the tree walks can follow.
     """
     parser = _Parser(tokenize(text), text)
     try:

@@ -121,9 +121,7 @@ def _project(g: Chor, a: str, alloc: StateAlloc, deciders: dict[int, str]) -> PM
         return empty_machine(a, alloc)
 
     if isinstance(g, Seq):
-        return seq_machines(
-            _project(g.left, a, alloc, deciders), _project(g.right, a, alloc, deciders)
-        )
+        return seq_machines(*(_project(part, a, alloc, deciders) for part in g.parts))
 
     if isinstance(g, Par):
         machine = _project(g.branches[0], a, alloc, deciders)
@@ -211,19 +209,19 @@ def _family_map(
         return {}
 
     if isinstance(g, Seq):
-        left = _family_map(g.left, a, inherited)
+        out: dict[CommEvent, Optional[CommEvent]] = {}
         anchor = inherited
-        if anchor is None:
-            introduced = sorted(
-                {v for v in left.values() if v is not None}, key=lambda e: e.cp
-            )
-            if introduced:
-                anchor = introduced[0]
-        right = _family_map(g.right, a, anchor)
-        return {**left, **right}
+        for part in g.parts:
+            families = _family_map(part, a, anchor)
+            if anchor is None:
+                # The start markers of one loop share a cp; the first receiver's is canonical.
+                introduced = filter(None, families.values())
+                anchor = min(introduced, key=lambda e: (e.cp, e.channel.receiver), default=None)
+            out.update(families)
+        return out
 
     if isinstance(g, Par):
-        out: dict[CommEvent, Optional[CommEvent]] = {}
+        out = {}
         for branch in g.branches:
             out.update(_family_map(branch, a, inherited))
         return out

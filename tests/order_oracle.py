@@ -11,6 +11,7 @@ that representation with this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional
 
 from chorrev.model import Choice, Chor, Interaction, Loop, Par, Seq
@@ -61,7 +62,7 @@ def semantics(g: Chor) -> ClosureOrder:
             frozenset({(snd, snd), (rcv, rcv), (snd, rcv)}),
         )
     if isinstance(g, Seq):
-        return seq_compose(semantics(g.left), semantics(g.right))
+        return reduce(seq_compose, map(semantics, g.parts))
     if isinstance(g, Par):
         events: set[Event] = set()
         le: set[tuple[Event, Event]] = set()

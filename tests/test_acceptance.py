@@ -60,7 +60,7 @@ def test_criterion_01_validation_gate(travel_chor):
 
         # the concrete syntax already refuses a twice-annotated control
         # point, so the duplicate is built directly on the syntax tree
-        dup = Seq(Interaction("A", "B", "m", 1), Interaction("B", "C", "n", 1))
+        dup = Seq((Interaction("A", "B", "m", 1), Interaction("B", "C", "n", 1)))
         assert [i.kind for i in validate(dup).issues] == ["duplicate-control-point"]
 
         stray = parse_choreography("loop @ A { B -> C : m }")
@@ -289,3 +289,17 @@ def test_criterion_11_straight_line_scales():
     assert {
         (a, b) for a in prefix.events for b in prefix.events if order.leq(a, b)
     } == prefix.le
+
+
+def test_criterion_12_thousand_interaction_chain():
+    n = 1000
+    source = " ; ".join(
+        f"A -> B : m{k}" if k % 2 else f"B -> A : m{k}" for k in range(1, n + 1)
+    )
+    with criterion(12, 10.0):
+        chor = parse_choreography(source)
+        order = semantics(chor)
+        system = project_system(chor)
+        assert isinstance(chor, Seq) and len(chor.parts) == n
+        assert len(order.events) == 2 * n
+        assert len(system.machines["A"].transitions) == n

@@ -51,6 +51,19 @@ def test_check_reports_undefined_composition(runner, tmp_path):
     assert result.exit_code == 1
     assert "undefined semantics" in result.output
 
+    # the first undefined step of a chain is reported, not the choice after it
+    path = write(
+        tmp_path,
+        "first.rchor",
+        "A -> B : x ; C -> D : y ; choice { { A -> B : p } unless tt + { B -> A : q } unless tt }",
+    )
+    result = runner.invoke(main, ["check", path, "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["undefined"] == (
+        "sequential composition undefined: C->D!y/2"
+        " would happen with no prior involvement of its participant"
+    )
+
 
 def test_check_json_payload(runner, tmp_path):
     result = runner.invoke(main, ["check", TRAVEL, "--json"])
@@ -84,10 +97,8 @@ def test_parse_errors_exit_two(runner, tmp_path):
     "text",
     [
         "(" * 1000 + "A -> B : m" + ")" * 1000,
-        " ; ".join(["A -> B : m"] * 1000),
-        " ; ".join(f"A -> B : m{i} @cp {i}" for i in range(1, 1001)),
     ],
-    ids=["nested-parentheses", "flat-chain", "annotated-chain"],
+    ids=["nested-parentheses"],
 )
 def test_deep_input_exits_two_without_a_traceback(runner, tmp_path, text):
     path = write(tmp_path, "deep.rchor", text)
@@ -95,6 +106,23 @@ def test_deep_input_exits_two_without_a_traceback(runner, tmp_path, text):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "nested too deeply" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["check", "project"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        " ; ".join(["A -> B : m"] * 1000),
+        " ; ".join(f"A -> B : m{i} @cp {i}" for i in range(1, 1001)),
+    ],
+    ids=["flat-chain", "annotated-chain"],
+)
+def test_long_chain_exits_zero(runner, tmp_path, text, command):
+    path = write(tmp_path, "long.rchor", text)
+    result = runner.invoke(main, [command, path])
+    assert result.exit_code == 0
+    assert result.exception is None
     assert "Traceback" not in result.output
 
 

@@ -12,6 +12,7 @@ from chorrev.machine import (
     Transition,
     Unit,
     decorate,
+    empty_machine,
     finalize,
     forget_machine,
     join_machines,
@@ -59,6 +60,23 @@ def test_seq_glues_at_interface():
     # the glued state is reachable as m2's initial
     mid = next(t.dst for t in m.transitions if t.src == m.initial)
     assert mid == m2.initial
+
+
+def test_seq_of_many_glues_like_nested_pairs():
+    # empty parts share their initial and interface state, in a row too
+    alloc = StateAlloc()
+    parts = [
+        single_event("A", out_ev(1, "m"), alloc),
+        empty_machine("A", alloc),
+        empty_machine("A", alloc),
+        single_event("A", in_ev(2, "n"), alloc),
+        empty_machine("A", alloc),
+    ]
+    nested = parts[0]
+    for m in parts[1:]:
+        nested = seq_machines(nested, m)
+    assert seq_machines(*parts) == nested
+    assert len(nested.states) == 3
 
 
 def test_seq_rejects_mixed_owners():

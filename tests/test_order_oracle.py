@@ -1,4 +1,8 @@
-"""The down-set order against the closure-based oracle in ``order_oracle``."""
+"""The down-set order against the closure-based oracle in ``order_oracle``.
+
+The random terms of this module also check that ``pretty`` prints every
+term so that it parses back to the same tree.
+"""
 
 import itertools
 
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import order_oracle
-from chorrev.model import Choice, ChoiceBranch, GTrue, Interaction, Loop, Par, Seq
+from chorrev.model import Choice, ChoiceBranch, GTrue, Interaction, Loop, Par, Seq, pretty
 from chorrev.order import UndefinedSemantics, semantics, seq_compose
 from chorrev.parse import parse_choreography
 
@@ -24,7 +28,7 @@ interactions = st.tuples(
 
 def _compound(inner):
     return st.one_of(
-        st.tuples(st.just("seq"), inner, inner),
+        st.tuples(st.just("seq"), st.lists(inner, min_size=2, max_size=4)),
         st.tuples(st.just("par"), st.lists(inner, min_size=2, max_size=3)),
         st.tuples(st.just("loop"), st.sampled_from(PARTICIPANTS), inner),
         st.tuples(st.just("choice"), st.lists(inner, min_size=2, max_size=3)),
@@ -41,8 +45,7 @@ def build(shape, cps=None):
     if kind == "inter":
         return Interaction(shape[1], shape[2], shape[3], next(cps))
     if kind == "seq":
-        left = build(shape[1], cps)
-        return Seq(left, build(shape[2], cps))
+        return Seq(tuple(build(part, cps) for part in shape[1]))
     cp = next(cps)
     if kind == "par":
         return Par(tuple(build(b, cps) for b in shape[1]), cp)
@@ -82,6 +85,13 @@ def test_generated_terms_match_the_closure_oracle(shape):
     assert_same_order(build(shape))
 
 
+@settings(max_examples=300, deadline=None)
+@given(shapes)
+def test_generated_terms_print_and_parse_back(shape):
+    g = build(shape)
+    assert parse_choreography(pretty(g)) == g
+
+
 @pytest.mark.parametrize("path", sorted(DATA.glob("*.rchor")), ids=lambda p: p.name)
 def test_recorded_protocols_match_the_closure_oracle(path):
     assert_same_order(parse_choreography(path.read_text()))
@@ -94,10 +104,25 @@ def test_undefined_terms_give_the_oracle_message():
         semantics(g)
 
 
+def test_a_chain_reports_its_first_undefined_step():
+    # The choice has no unique decider either, but the chain is undefined
+    # one step earlier, and that is the error reported.
+    g = parse_choreography(
+        "A -> B : x ; C -> D : y ; choice { { A -> B : p } unless tt + { B -> A : q } unless tt }"
+    )
+    assert_same_order(g)
+    with pytest.raises(UndefinedSemantics) as exc:
+        semantics(g)
+    assert str(exc.value) == (
+        "sequential composition undefined: C->D!y/2"
+        " would happen with no prior involvement of its participant"
+    )
+
+
 def test_overlapping_event_sets_are_refused():
     one = semantics(Interaction("A", "B", "m", 1))
     with pytest.raises(ValueError, match="cannot compose overlapping event sets"):
-        seq_compose(one, one)
+        seq_compose([one, one])
     repeated = Interaction("A", "B", "m", 1)
     with pytest.raises(ValueError, match="cannot compose overlapping event sets"):
         semantics(Par((repeated, repeated), 2))

@@ -1,7 +1,11 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chorrev
 from chorrev import order
 from chorrev.causality import CausalityAnalyzer
 from chorrev.machine import ProjectionError, Unit
@@ -229,3 +233,30 @@ def test_projection_and_analysis_reuse_the_root_order(semantics_calls):
     semantics_calls.clear()
     CausalityAnalyzer(system)
     assert semantics_calls == []
+
+
+def test_branch_families_do_not_depend_on_the_hash_seed():
+    # The loop's three start markers share a control point; the branch
+    # after the loop must anchor on the same one in every process.
+    source = (
+        "choice @A { { loop @A { A -> B : x ; A -> C : y ; A -> D : w } ;"
+        " A -> B : z ; A -> C : v ; A -> D : u } unless count(z, A->B) >= 1"
+        " + { A -> B : p ; A -> C : q ; A -> D : r } unless tt }"
+    )
+    script = (
+        "import sys\n"
+        "from chorrev.parse import parse_choreography\n"
+        "from chorrev.projection import project_system\n"
+        "system = project_system(parse_choreography(sys.argv[1]))\n"
+        "print(repr(system.machines['A'].transitions))\n"
+    )
+    src = str(Path(chorrev.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(1, 11):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", script, source],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
