@@ -55,7 +55,7 @@ from .order import (
 )
 from .parse import ParseError, parse_choreography, parse_guard
 from .projection import System, project, project_system
-from .reverse import ReversalCandidate, enabled_reversals, rho, step_reverse
+from .reverse import ReversalCandidate, RollbackFailed, enabled_reversals, rho, step_reverse
 from .runtime import (
     BookEntry,
     ChannelState,
@@ -100,6 +100,7 @@ __all__ = [
     "ProjectionError",
     "RCfsm",
     "ReversalCandidate",
+    "RollbackFailed",
     "Seq",
     "System",
     "Transition",

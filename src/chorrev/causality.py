@@ -128,6 +128,7 @@ class CausalityAnalyzer:
         self._relations: dict[tuple, frozenset[tuple[LogRef, LogRef]]] = {}
         self._bases: dict[tuple, dict[tuple[LogRef, LogRef], list[str]]] = {}
         self._replays: dict[tuple, frozenset[tuple[int, ...]]] = {}
+        self._rollbacks: dict[tuple, frozenset[LogRef]] = {}
 
     # -- static helpers ------------------------------------------------
 
@@ -252,13 +253,15 @@ class CausalityAnalyzer:
 
     # -- rollback points ---------------------------------------------------
 
-    def rollback_points(self, cfg: Configuration) -> set[LogRef]:
+    def rollback_points(self, cfg: Configuration) -> frozenset[LogRef]:
         """Logs history can be rewound to.
 
         A log outside every loop qualifies only if nothing depends on it.
         A log inside a loop qualifies while its outermost loop is still
         ongoing and everything depending on it belongs to that same loop.
         """
+        if cfg.chi in self._rollbacks:
+            return self._rollbacks[cfg.chi]
         points: set[LogRef] = set()
         for ref in all_log_refs(cfg):
             _, log = ref
@@ -272,7 +275,9 @@ class CausalityAnalyzer:
                 continue
             if all(encl.contains_cp(other[1].cp) for other in succs):
                 points.add(ref)
-        return points
+        frozen = frozenset(points)
+        self._rollbacks[cfg.chi] = frozen
+        return frozen
 
     # -- replay ------------------------------------------------------------
 

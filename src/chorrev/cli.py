@@ -25,7 +25,7 @@ from .model import Channel, control_points, guard_text, participants, validate
 from .order import UndefinedSemantics, semantics, well_branched
 from .parse import ParseError, parse_choreography
 from .projection import System, project_system
-from .reverse import ReversalCandidate, enabled_reversals, step_reverse
+from .reverse import ReversalCandidate, RollbackFailed, enabled_reversals, step_reverse
 from .runtime import (
     Configuration,
     NotEnabled,
@@ -536,6 +536,9 @@ def simulate(file, schedule_path, interactive, auto, seed, max_steps, trace_path
             _interactive_loop(sim, max_steps)
     except NotEnabled as exc:
         click.echo(f"error: the run got stuck: {exc}", err=True)
+        sys.exit(1)
+    except RollbackFailed as exc:
+        click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     _echo(f"finished after {sim.steps} steps", bold=True)
     _echo(_state_line(sim))

@@ -7,6 +7,13 @@ over the forgetful image of the machines: plain states and pending
 words, nothing else.  The checks compare the two; sharing the stepping
 logic between them would make the comparison circular.
 
+Without reversals, ``reachable`` keeps one configuration per forward
+class: configurations with the same ``forward_key`` (states, book,
+pending words and consumed counts) enable the same moves to the same
+classes, so soundness and completeness, which read only forgetful
+images, run on the classes.  With reversals it keeps every
+configuration, because a rollback reads the timestamps.
+
 Exploration is bounded in two ways: a cap on the number of transitions
 (breadth-first depth) and a cap on loop rounds, enforced by refusing to
 send a loop's continue marker on a channel that already carries the
@@ -15,6 +22,7 @@ maximum number of them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -23,7 +31,7 @@ from .causality import CausalityAnalyzer, audit_configuration
 from .machine import forget_machine
 from .model import LOOP_START, Channel
 from .projection import System
-from .reverse import ReversalCandidate
+from .reverse import ReversalCandidate, RollbackFailed
 from .runtime import Configuration
 
 PlainConfig = tuple
@@ -63,6 +71,28 @@ def marker_count(cfg: Configuration, channel: Channel, cp: int) -> int:
     )
 
 
+def forward_key(cfg: Configuration) -> tuple:
+    """What a forward move reads of ``cfg``: the states, the book, and per
+    channel the pending word and the counts of consumed (message, cp).
+
+    The round bound counts markers in both queues, hence the counts.  A
+    forward run's depth, one step per log plus one per consumed log, is a
+    function of the key too.
+    """
+    return (
+        cfg.sigma,
+        cfg.book,
+        tuple(
+            (
+                ch,
+                tuple((log.message, log.cp) for log in cs.pending),
+                tuple(sorted(Counter((log.message, log.cp) for log in cs.consumed).items())),
+            )
+            for ch, cs in cfg.chi
+        ),
+    )
+
+
 def _forward_successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Configuration]:
     for a, t in runtime.enabled_forward(cfg, system):
         ev = t.event
@@ -80,11 +110,19 @@ def reachable(
     with_reversals: bool = False,
     analyzer: Optional[CausalityAnalyzer] = None,
 ) -> ExplorationResult:
-    """Breadth-first reachability of the instrumented semantics."""
+    """Breadth-first reachability of the instrumented semantics.
+
+    Without reversals ``configs`` holds one configuration per
+    ``forward_key``; ``truncated`` and ``steps_explored`` are those of the
+    search over every configuration.  With reversals every configuration
+    is kept, and a failed rollback raises
+    :class:`~chorrev.reverse.RollbackFailed`.
+    """
     if with_reversals and analyzer is None:
         analyzer = CausalityAnalyzer(system)
+    key = (lambda cfg: cfg) if with_reversals else forward_key
     init = runtime.initial_configuration(system)
-    seen = {init}
+    seen = {key(init): init}
     frontier = [init]
     edges: list[tuple[Configuration, ReversalCandidate, Configuration]] = []
     depth = 0
@@ -92,7 +130,7 @@ def reachable(
     while frontier:
         if depth == bound.max_steps:
             truncated = any(
-                succ not in seen
+                key(succ) not in seen
                 for cfg in frontier
                 for succ in _forward_successors(cfg, system, bound)
             )
@@ -100,19 +138,20 @@ def reachable(
         layer: list[Configuration] = []
         for cfg in frontier:
             for succ in _forward_successors(cfg, system, bound):
-                if succ not in seen:
-                    seen.add(succ)
+                k = key(succ)
+                if k not in seen:
+                    seen[k] = succ
                     layer.append(succ)
             if with_reversals:
                 for cand in reverse.enabled_reversals(cfg, system, analyzer):
                     succ = reverse.step_reverse(cfg, system, cand, analyzer)
                     edges.append((cfg, cand, succ))
                     if succ not in seen:
-                        seen.add(succ)
+                        seen[succ] = succ
                         layer.append(succ)
         frontier = layer
         depth += 1
-    return ExplorationResult(frozenset(seen), truncated, tuple(edges), depth)
+    return ExplorationResult(frozenset(seen.values()), truncated, tuple(edges), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +281,10 @@ def _forward_checks(system: System, bound: Bound, plain: PlainResult) -> dict[st
     """Soundness (forward runs of the instrumented semantics stay inside
     the plain one) and completeness (every plain behaviour is realised by
     some instrumented run) from one forward search, which is freed on return.
+
+    The search keeps one configuration per forward class, and the checks
+    read only the classes' forgetful images, which every member of a class
+    shares; ``instrumented_configs`` counts the classes.
     """
     dec = reachable(system, bound)
     images = frozenset(runtime.forget_config(c) for c in dec.configs)
@@ -270,10 +313,15 @@ def _causal_consistency(system: System, bound: Bound, plain: PlainResult) -> Che
 
     Every reversal edge found within the bound is checked twice: its
     target must pass the replay audit, and the target's forgetful image
-    must lie in the plain reachable set.
+    must lie in the plain reachable set.  A rollback that cannot be
+    carried out at all fails the check.
     """
     analyzer = CausalityAnalyzer(system)
-    dec = reachable(system, bound, with_reversals=True, analyzer=analyzer)
+    try:
+        dec = reachable(system, bound, with_reversals=True, analyzer=analyzer)
+    except RollbackFailed as exc:
+        stats = {"plain_configs": len(plain.configs)}
+        return CheckResult("causal-consistency", False, False, str(exc), stats)
     stats = {
         "instrumented_configs": len(dec.configs),
         "plain_configs": len(plain.configs),

@@ -42,6 +42,10 @@ class ReversalCandidate:
     anchor: LogRef
 
 
+class RollbackFailed(Exception):
+    """An enabled reversal whose rollback cannot be carried out."""
+
+
 def _ref_sort_key(ref: LogRef):
     ch, log = ref
     return (ch.sender, ch.receiver, log.timestamp, log.cp, log.message)
@@ -169,7 +173,7 @@ def enabled_reversals(
     """
     analyzer = analyzer or CausalityAnalyzer(system)
     out: list[ReversalCandidate] = []
-    rollback_cache: Optional[set[LogRef]] = None
+    rollback_cache: Optional[frozenset[LogRef]] = None
     for a in sorted(system.machines):
         for q_hat, first, guard in _families_at(system.machines[a], cfg.state_of(a)):
             entry = cfg.book_entry(a, q_hat)
@@ -201,14 +205,21 @@ def step_reverse(
     The decision state's book gains the reversed family; its exhausted
     flag records whether every family is now either tried or permitted by
     its guard in the rolled-back state, in which case the next attempt
-    starts with a clean slate.
+    starts with a clean slate.  When :func:`rho` refuses the effects,
+    :class:`RollbackFailed` names the participant and the reversed message.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
     live = enabled_reversals(cfg, system, analyzer, scope)
     if candidate not in live:
         raise NotEnabled(f"reversal of {candidate.first_output} is not enabled")
     effects = analyzer.effects(cfg, candidate.anchor)
-    rolled = rho(cfg, system, effects, analyzer)
+    try:
+        rolled = rho(cfg, system, effects, analyzer)
+    except ValueError as exc:
+        raise RollbackFailed(
+            f"rollback of {candidate.first_output.message} by {candidate.participant}"
+            f" cannot be carried out: {exc}"
+        ) from exc
     book = rolled.book_dict()
     q_hat = candidate.choice_state
     key = (candidate.participant, q_hat)

@@ -1,0 +1,63 @@
+"""The forward search over every configuration, kept as a test oracle.
+
+This is the first implementation of :func:`chorrev.explore.reachable`
+without reversals: it keeps every configuration it meets, timestamps and
+sender states included.  On travel at two loop rounds that is 25,203
+configurations for 240 forgetful images, so the package now keeps one
+configuration per ``forward_key``; the differential tests compare the
+two searches.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from chorrev import runtime
+from chorrev.explore import Bound, ExplorationResult
+from chorrev.model import LOOP_START
+from chorrev.projection import System
+from chorrev.runtime import Configuration
+
+
+def successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Configuration]:
+    """Every forward move of ``cfg``, except a loop start past the round bound."""
+    for a, t in runtime.enabled_forward(cfg, system):
+        ev = t.event
+        if ev.polarity == "?":
+            yield runtime.step_input(cfg, system, a, t)
+            continue
+        if ev.message == LOOP_START:
+            markers = sum(
+                1
+                for log in cfg.channel_state(ev.channel).all_logs
+                if log.message == LOOP_START and log.cp == ev.cp
+            )
+            if markers >= bound.max_rounds:
+                continue
+        yield runtime.step_output(cfg, system, a, t)
+
+
+def reachable(system: System, bound: Bound) -> ExplorationResult:
+    """Breadth-first search of the forward semantics, keeping every configuration."""
+    init = runtime.initial_configuration(system)
+    seen = {init}
+    frontier = [init]
+    depth = 0
+    truncated = False
+    while frontier:
+        if depth == bound.max_steps:
+            truncated = any(
+                succ not in seen
+                for cfg in frontier
+                for succ in successors(cfg, system, bound)
+            )
+            break
+        layer = []
+        for cfg in frontier:
+            for succ in successors(cfg, system, bound):
+                if succ not in seen:
+                    seen.add(succ)
+                    layer.append(succ)
+        frontier = layer
+        depth += 1
+    return ExplorationResult(frozenset(seen), truncated, (), depth)

@@ -303,3 +303,10 @@ def test_criterion_12_thousand_interaction_chain():
         assert isinstance(chor, Seq) and len(chor.parts) == n
         assert len(order.events) == 2 * n
         assert len(system.machines["A"].transitions) == n
+
+
+def test_criterion_13_forward_checks_at_three_rounds(travel_system):
+    with criterion(13, 10.0):
+        results = run_checks(travel_system, Bound(200, 3), ["soundness", "completeness"])
+        assert [r.verdict for r in results] == ["pass", "pass"]
+        assert results[0].stats == {"instrumented_configs": 1414, "plain_configs": 375, "images": 375}

@@ -12,7 +12,7 @@ from chorrev.causality import (
     ongoing,
     round_of,
 )
-from chorrev.explore import Bound, run_checks
+from chorrev.explore import Bound, reachable, run_checks
 from chorrev.model import Channel
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
@@ -240,6 +240,18 @@ def test_every_log_of_the_run_is_a_rollback_point(travel_system, replan_config):
     points = analyzer.rollback_points(replan_config)
     assert points == set(all_log_refs(replan_config))
     assert len(points) == 7
+
+
+def test_rollback_points_are_kept_per_history(travel_system):
+    # The search queries each configuration, and step_reverse queries it
+    # again; the second query is a memo hit on the same history.
+    analyzer = CausalityAnalyzer(travel_system)
+    searched = reachable(travel_system, Bound(200, 1), with_reversals=True, analyzer=analyzer)
+    for cfg in searched.configs:
+        points = analyzer.rollback_points(cfg)
+        assert isinstance(points, frozenset)
+        assert analyzer.rollback_points(cfg) is points
+        assert points == CausalityAnalyzer(travel_system).rollback_points(cfg)
 
 
 # -- replay and audit ---------------------------------------------------------

@@ -8,6 +8,12 @@ from chorrev.cli import main
 from conftest import DATA, load_json
 
 TRAVEL = str(DATA / "travel.rchor")
+# A receiver consumes the loop's exit marker after the input a rollback removes.
+CONSUMED_MARKER = str(DATA / "rollback_consumed_marker.rchor")
+ROLLBACK_FAILURE = (
+    "rollback of m6 by E cannot be carried out:"
+    " the history of C replays to [], not to one state"
+)
 
 
 @pytest.fixture
@@ -453,6 +459,36 @@ def test_explore_truncation_exits_three(runner):
     )
     assert result.exit_code == 3
     assert "inconclusive" in result.output
+
+
+@pytest.mark.parametrize("steps", [12, 16])
+def test_explore_fails_a_rollback_that_cannot_be_carried_out(runner, steps):
+    result = runner.invoke(
+        main,
+        ["explore", CONSUMED_MARKER, "--bound", f"steps={steps},rounds=1",
+         "--check", "causal-consistency", "--json"],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (verdict,) = json.loads(result.output)
+    assert verdict["verdict"] == "fail"
+    assert verdict["details"] == ROLLBACK_FAILURE
+
+
+def test_explore_text_names_the_failed_rollback(runner):
+    result = runner.invoke(main, ["explore", CONSUMED_MARKER, "--bound", "steps=16,rounds=1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "soundness: pass" in result.output
+    assert f"causal-consistency: fail\n  {ROLLBACK_FAILURE}\n" in result.output
+
+
+def test_simulate_failed_rollback_exits_one(runner):
+    schedule = DATA / "rollback_consumed_marker.schedule.json"
+    result = runner.invoke(main, ["simulate", CONSUMED_MARKER, "--schedule", str(schedule)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.endswith(f"error: {ROLLBACK_FAILURE}\n")
 
 
 def test_explore_rejects_malformed_bounds(runner):
