@@ -150,8 +150,9 @@ class CausalityAnalyzer:
 
     def base_relation(self, cfg: Configuration) -> dict[tuple[LogRef, LogRef], list[str]]:
         """The asserted dependency edges with the clauses that produced them."""
-        if cfg.chi in self._bases:
-            return self._bases[cfg.chi]
+        cached = self._bases.get(cfg.chi)
+        if cached is not None:
+            return cached
         edges: dict[tuple[LogRef, LogRef], list[str]] = {}
 
         def add(src: LogRef, dst: LogRef, why: str) -> None:
@@ -219,8 +220,9 @@ class CausalityAnalyzer:
 
     def relation(self, cfg: Configuration) -> frozenset[tuple[LogRef, LogRef]]:
         """The full dependency relation: reflexive-transitive closure."""
-        if cfg.chi in self._relations:
-            return self._relations[cfg.chi]
+        cached = self._relations.get(cfg.chi)
+        if cached is not None:
+            return cached
         refs = all_log_refs(cfg)
         succ: dict[LogRef, set[LogRef]] = {r: set() for r in refs}
         for (src, dst) in self.base_relation(cfg):
@@ -260,8 +262,9 @@ class CausalityAnalyzer:
         A log inside a loop qualifies while its outermost loop is still
         ongoing and everything depending on it belongs to that same loop.
         """
-        if cfg.chi in self._rollbacks:
-            return self._rollbacks[cfg.chi]
+        cached = self._rollbacks.get(cfg.chi)
+        if cached is not None:
+            return cached
         points: set[LogRef] = set()
         for ref in all_log_refs(cfg):
             _, log = ref
@@ -310,8 +313,9 @@ class CausalityAnalyzer:
             tuple((ch, consumed[ch]) for ch in channels),
             outputs,
         )
-        if key in self._replays:
-            return self._replays[key]
+        cached = self._replays.get(key)
+        if cached is not None:
+            return cached
 
         start = (machine.initial,) + (0,) * len(channels) + (0,)
         n_ch = len(channels)

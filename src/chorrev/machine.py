@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .model import Guard, guard_text
@@ -291,7 +292,12 @@ def forget_machine(m: "PMachine | RCfsm") -> "PMachine | RCfsm":
 
 @dataclass(frozen=True)
 class RCfsm:
-    """A finished machine: deterministic, minimal, canonically numbered."""
+    """A finished machine: deterministic, minimal, canonically numbered.
+
+    The lookups by state, by (state, event) and of the branch families
+    at a state go through indexes built on first use, so projecting a
+    machine never builds them.
+    """
 
     owner: str
     states: tuple[int, ...]
@@ -317,14 +323,38 @@ class RCfsm:
     def alias(self, state: int) -> str:
         return self.aliases.get(state, str(state))
 
+    @cached_property
+    def _by_state(self) -> dict[int, tuple[Transition, ...]]:
+        index: dict[int, list[Transition]] = {}
+        for t in self.transitions:
+            index.setdefault(t.src, []).append(t)
+        return {q: tuple(ts) for q, ts in index.items()}
+
+    @cached_property
+    def _by_label(self) -> dict[tuple[int, CommEvent], Transition]:
+        index: dict[tuple[int, CommEvent], Transition] = {}
+        for t in self.transitions:
+            index.setdefault((t.src, t.event), t)
+        return index
+
+    @cached_property
+    def families(self) -> dict[int, tuple[tuple[int, CommEvent, Guard], ...]]:
+        """Per state, the branch families decorating its outgoing
+        transitions, as (choice state, first output, guard), deduplicated
+        and in transition order."""
+        index: dict[int, dict[tuple[int, CommEvent, Guard], None]] = {}
+        for t in self.transitions:
+            d = t.decoration
+            if isinstance(d, Branch):
+                index.setdefault(t.src, {})[d.choice_state, d.first_output, d.guard] = None
+        return {q: tuple(fams) for q, fams in index.items()}
+
     def out_of(self, state: int) -> list[Transition]:
-        return [t for t in self.transitions if t.src == state]
+        return list(self._by_state.get(state, ()))
 
     def step(self, state: int, event: CommEvent) -> Optional[Transition]:
-        for t in self.transitions:
-            if t.src == state and t.event == event:
-                return t
-        return None
+        """The first transition from ``state`` on ``event``; a valid machine has at most one."""
+        return self._by_label.get((state, event))
 
 
 def finalize(m: PMachine) -> RCfsm:
@@ -481,32 +511,6 @@ def finalize(m: PMachine) -> RCfsm:
         finals,
         aliases,
     )
-
-
-def validate_machine(m: RCfsm) -> list[str]:
-    """Structural sanity checks; returns a list of problems (empty if fine)."""
-    problems = []
-    states = set(m.states)
-    if m.initial not in states:
-        problems.append("initial state is unknown")
-    for t in m.transitions:
-        if t.src not in states or t.dst not in states:
-            problems.append(f"transition {t} leaves the state set")
-        if t.event.subject != m.owner:
-            problems.append(f"transition {t} does not belong to {m.owner}")
-        if not isinstance(t.decoration, Unit):
-            if t.decoration.choice_state not in states:
-                problems.append(f"decoration of {t} references an unknown state")
-    seen = {}
-    for t in m.transitions:
-        marker = (t.src, event_key(t.event))
-        if marker in seen:
-            problems.append(f"nondeterministic on {t.event} from {t.src}")
-        seen[marker] = t
-    for f in m.finals:
-        if f not in states:
-            problems.append("final state is unknown")
-    return problems
 
 
 def to_dot(m: RCfsm) -> str:

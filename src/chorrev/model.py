@@ -35,10 +35,20 @@ COUNT_OPS = ("<", "<=", "==", ">=", ">")
 
 @dataclass(frozen=True, order=True)
 class Channel:
-    """A directed point-to-point channel between two participants."""
+    """A directed point-to-point channel between two participants.
+
+    Channels key every configuration's queues, so the hash is computed
+    once, at construction; it is not a field.
+    """
 
     sender: str
     receiver: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.sender, self.receiver)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def endpoints(self) -> tuple[str, str]:
         return (self.sender, self.receiver)

@@ -123,9 +123,6 @@ class EventOrder:
         j = self._index.get(e2)
         return i is not None and j is not None and self.down[j] >> i & 1 == 1
 
-    def lt(self, e1: Event, e2: Event) -> bool:
-        return e1 != e2 and self.leq(e1, e2)
-
     @property
     def comm_events(self) -> frozenset[CommEvent]:
         return frozenset(e for e in self.event_list if isinstance(e, CommEvent))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .causality import CausalityAnalyzer, LogRef, all_log_refs
-from .machine import Branch, RCfsm
+from .machine import RCfsm
 from .model import Channel, Guard
 from .order import CommEvent
 from .projection import System
@@ -149,14 +149,9 @@ def _latest_anchor(
     return None
 
 
-def _families_at(machine: RCfsm, state: int) -> list[tuple[int, CommEvent, Guard]]:
+def _families_at(machine: RCfsm, state: int) -> tuple[tuple[int, CommEvent, Guard], ...]:
     """The branch families decorating the transitions out of ``state``, deduplicated."""
-    seen = []
-    for t in machine.out_of(state):
-        d = t.decoration
-        if isinstance(d, Branch) and (d.choice_state, d.first_output, d.guard) not in seen:
-            seen.append((d.choice_state, d.first_output, d.guard))
-    return seen
+    return machine.families.get(state, ())
 
 
 def enabled_reversals(

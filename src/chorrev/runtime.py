@@ -12,12 +12,20 @@ local to the sender (its send counter across all of its channels).  Logs
 are never discarded by forward execution; consuming an input only moves
 the log from the pending queue to the consumed queue.  This is what makes
 rollback possible later.
+
+Searches hash configurations far more often than they build them, so
+logs, channel states and configurations compute their hash once, at
+construction.  A forward step builds its successor from the parent's
+tuples: it replaces the mover's state and one channel, and shares every
+other channel and, unless the book rule changes it, the book.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .machine import Branch, Decoration, Transition
@@ -50,6 +58,14 @@ class Log:
     cp: int
     timestamp: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.message, self.sender_state, self.cp, self.timestamp))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return f"({self.message}, {self.sender_state}, {self.cp}, {self.timestamp})"
 
@@ -58,6 +74,12 @@ class Log:
 class ChannelState:
     consumed: tuple[Log, ...] = ()
     pending: tuple[Log, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.consumed, self.pending)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def all_logs(self) -> tuple[Log, ...]:
@@ -76,13 +98,36 @@ class BookEntry:
 EMPTY_ENTRY = BookEntry()
 
 
+def _canonical_book(book: dict[tuple[str, int], BookEntry]) -> tuple[tuple[str, int, BookEntry], ...]:
+    """The book part of :meth:`Configuration.make`: sorted, without empty entries."""
+    return tuple(
+        sorted(
+            ((a, q, e) for (a, q), e in book.items() if e != EMPTY_ENTRY),
+            key=lambda triple: (triple[0], triple[1]),
+        )
+    )
+
+
 @dataclass(frozen=True)
 class Configuration:
-    """An immutable, canonically ordered snapshot of the whole system."""
+    """An immutable, canonically ordered snapshot of the whole system.
+
+    ``sigma`` and ``book`` are sorted by participant (and state), ``chi``
+    by channel, and ``chi`` holds no empty channel and ``book`` no empty
+    entry.  :meth:`make` canonicalises dict input; the forward steps keep
+    the order themselves, sharing the parts of the parent they leave
+    alone.  The hash is computed once, at construction; it is not a field.
+    """
 
     sigma: tuple[tuple[str, int], ...]
     chi: tuple[tuple[Channel, ChannelState], ...]
     book: tuple[tuple[str, int, BookEntry], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.sigma, self.chi, self.book)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(
@@ -90,6 +135,8 @@ class Configuration:
         chi: dict[Channel, ChannelState],
         book: dict[tuple[str, int], BookEntry],
     ) -> "Configuration":
+        """The canonical configuration of three dicts: sorted, without
+        empty channels or empty book entries."""
         return Configuration(
             tuple(sorted(sigma.items())),
             tuple(
@@ -98,12 +145,7 @@ class Configuration:
                     key=lambda pair: pair[0],
                 )
             ),
-            tuple(
-                sorted(
-                    ((a, q, e) for (a, q), e in book.items() if e != EMPTY_ENTRY),
-                    key=lambda triple: (triple[0], triple[1]),
-                )
-            ),
+            _canonical_book(book),
         )
 
     @cached_property
@@ -215,7 +257,10 @@ def _tried_here(entry: BookEntry, deco: Branch) -> bool:
 def upd_inp(
     book: dict[tuple[str, int], BookEntry], participant: str, deco: Decoration
 ) -> dict[tuple[str, int], BookEntry]:
-    """Book update for an input: committing out of a branch clears its entry."""
+    """Book update for an input: committing out of a branch clears its entry.
+
+    ``book`` is never mutated; when nothing changes it is returned itself.
+    """
     if isinstance(deco, Branch) and deco.committed:
         book = dict(book)
         book.pop((participant, deco.choice_state), None)
@@ -283,6 +328,43 @@ def _check_input(cfg: Configuration, participant: str, t: Transition) -> Optiona
     return None
 
 
+def _with_state(
+    sigma: tuple[tuple[str, int], ...], participant: str, state: int
+) -> tuple[tuple[str, int], ...]:
+    """``sigma`` with the participant's slot replaced."""
+    i = bisect_left(sigma, participant, key=itemgetter(0))
+    return sigma[:i] + ((participant, state),) + sigma[i + 1 :]
+
+
+def _with_channel(
+    chi: tuple[tuple[Channel, ChannelState], ...], channel: Channel, cs: ChannelState
+) -> tuple[tuple[Channel, ChannelState], ...]:
+    """``chi`` with the channel's slot replaced, or inserted in channel order."""
+    i = bisect_left(chi, channel, key=itemgetter(0))
+    end = i + 1 if i < len(chi) and chi[i][0] == channel else i
+    return chi[:i] + ((channel, cs),) + chi[end:]
+
+
+def _successor(
+    cfg: Configuration,
+    participant: str,
+    t: Transition,
+    cs: ChannelState,
+    book: dict[tuple[str, int], BookEntry],
+) -> Configuration:
+    """``cfg`` after ``participant`` took ``t``, leaving ``cs`` on its channel.
+
+    Only the mover's state and the one channel are new; the other slots
+    are the parent's, and so is the book when the book rule returned it
+    unchanged.
+    """
+    return Configuration(
+        _with_state(cfg.sigma, participant, t.dst),
+        _with_channel(cfg.chi, t.event.channel, cs),
+        cfg.book if book is cfg._book else _canonical_book(book),
+    )
+
+
 def step_output(
     cfg: Configuration,
     system: System,
@@ -295,15 +377,12 @@ def step_output(
     reason = _check_output(cfg, participant, t, scope, block_on_guard)
     if reason is not None:
         raise NotEnabled(reason)
-    book = upd_out(cfg.book_dict(), participant, t.decoration)
+    book = upd_out(cfg._book, participant, t.decoration)
     assert book is not None
-    sigma = cfg.sigma_dict()
-    chi = cfg.chi_dict()
-    log = Log(t.event.message, sigma[participant], t.event.cp, next_timestamp(cfg, participant))
-    cs = chi.get(t.event.channel, EMPTY_CHANNEL)
-    chi[t.event.channel] = ChannelState(cs.consumed, cs.pending + (log,))
-    sigma[participant] = t.dst
-    return Configuration.make(sigma, chi, book)
+    ev = t.event
+    log = Log(ev.message, cfg.state_of(participant), ev.cp, next_timestamp(cfg, participant))
+    cs = cfg.channel_state(ev.channel)
+    return _successor(cfg, participant, t, ChannelState(cs.consumed, cs.pending + (log,)), book)
 
 
 def step_input(
@@ -313,14 +392,9 @@ def step_input(
     reason = _check_input(cfg, participant, t)
     if reason is not None:
         raise NotEnabled(reason)
-    sigma = cfg.sigma_dict()
-    chi = cfg.chi_dict()
-    cs = chi[t.event.channel]
-    head = cs.pending[0]
-    chi[t.event.channel] = ChannelState(cs.consumed + (head,), cs.pending[1:])
-    sigma[participant] = t.dst
-    book = upd_inp(cfg.book_dict(), participant, t.decoration)
-    return Configuration.make(sigma, chi, book)
+    cs = cfg.channel_state(t.event.channel)
+    moved = ChannelState(cs.consumed + cs.pending[:1], cs.pending[1:])
+    return _successor(cfg, participant, t, moved, upd_inp(cfg._book, participant, t.decoration))
 
 
 def enabled_forward(

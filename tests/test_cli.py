@@ -453,6 +453,16 @@ def test_explore_json_matches_the_recorded_output(runner, check):
     assert result.stdout_bytes == golden.read_bytes()
 
 
+def test_explore_json_at_two_rounds_matches_the_recorded_output(runner):
+    # 532 forward classes, 33,299 configurations and 808 reversal edges.
+    result = runner.invoke(
+        main, ["explore", TRAVEL, "--bound", "steps=200,rounds=2", "--json"]
+    )
+    assert result.exit_code == 0
+    golden = DATA / "explore_travel_s200_r2_all.json"
+    assert result.stdout_bytes == golden.read_bytes()
+
+
 def test_explore_truncation_exits_three(runner):
     result = runner.invoke(
         main, ["explore", TRAVEL, "--bound", "steps=3,rounds=1", "--check", "soundness"]

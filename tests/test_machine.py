@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from chorrev.machine import (
     Branch,
@@ -13,6 +14,7 @@ from chorrev.machine import (
     Unit,
     decorate,
     empty_machine,
+    event_key,
     finalize,
     forget_machine,
     join_machines,
@@ -21,12 +23,45 @@ from chorrev.machine import (
     single_event,
     substitute,
     to_dot,
-    validate_machine,
 )
 from chorrev.model import Channel, GTrue, Not
-from chorrev.order import CommEvent
+from chorrev.order import CommEvent, UndefinedSemantics
+from chorrev.parse import parse_choreography
+from chorrev.projection import project_system
+from chorrev.reverse import _families_at
 
-from conftest import random_decoration_inputs, random_pmachine
+from conftest import DATA, random_decoration_inputs, random_pmachine
+from test_order_oracle import build, shapes
+
+
+def validate_machine(m: RCfsm) -> list[str]:
+    """Structural sanity checks; returns a list of problems (empty if fine).
+
+    The determinism check is what ``RCfsm.step``'s (state, event) index
+    relies on: at most one transition per state and event.
+    """
+    problems = []
+    states = set(m.states)
+    if m.initial not in states:
+        problems.append("initial state is unknown")
+    for t in m.transitions:
+        if t.src not in states or t.dst not in states:
+            problems.append(f"transition {t} leaves the state set")
+        if t.event.subject != m.owner:
+            problems.append(f"transition {t} does not belong to {m.owner}")
+        if not isinstance(t.decoration, Unit):
+            if t.decoration.choice_state not in states:
+                problems.append(f"decoration of {t} references an unknown state")
+    seen = {}
+    for t in m.transitions:
+        marker = (t.src, event_key(t.event))
+        if marker in seen:
+            problems.append(f"nondeterministic on {t.event} from {t.src}")
+        seen[marker] = t
+    for f in m.finals:
+        if f not in states:
+            problems.append("final state is unknown")
+    return problems
 
 
 def out_ev(cp, msg, frm="A", to="B"):
@@ -262,3 +297,61 @@ def test_to_dot_mentions_decorations():
     assert dot.startswith('digraph "A"')
     assert "doublecircle" in dot
     assert "committed(q0A, m)" in dot
+
+
+# -- the indexes of a finished machine against linear scans ----------------------
+
+
+def scanned_families(m, state):
+    """The branch families out of ``state`` by a scan of every transition."""
+    seen = []
+    for t in m.transitions:
+        d = t.decoration
+        if t.src == state and isinstance(d, Branch):
+            if (d.choice_state, d.first_output, d.guard) not in seen:
+                seen.append((d.choice_state, d.first_output, d.guard))
+    return seen
+
+
+def assert_indexes_match_scans(m):
+    assert validate_machine(m) == []
+    events = {t.event for t in m.transitions}
+    for q in m.states + (len(m.states),):
+        scan = [t for t in m.transitions if t.src == q]
+        out = m.out_of(q)
+        assert out == scan
+        assert out is not m.out_of(q)
+        for e in events:
+            assert m.step(q, e) == next((t for t in scan if t.event == e), None)
+        assert list(_families_at(m, q)) == scanned_families(m, q)
+
+
+def machines_of(system):
+    for a in sorted(system.machines):
+        m = system.machines[a]
+        yield m
+        yield forget_machine(m)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.rchor")), ids=lambda p: p.name)
+def test_indexes_match_scans_on_the_data_files(path):
+    system = project_system(parse_choreography(path.read_text()))
+    for m in machines_of(system):
+        assert_indexes_match_scans(m)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(shapes)
+def test_indexes_match_scans_on_generated_systems(shape):
+    try:
+        system = project_system(build(shape))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    for m in machines_of(system):
+        assert_indexes_match_scans(m)
+
+
+def test_projection_builds_no_index(travel_source):
+    system = project_system(parse_choreography(travel_source))
+    for m in system.machines.values():
+        assert not {"_by_state", "_by_label", "families"} & set(vars(m))

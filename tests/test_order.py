@@ -16,6 +16,11 @@ def ev(sender, receiver, pol, cp, msg):
     return CommEvent(Channel(sender, receiver), pol, cp, msg)
 
 
+def lt(order, e1, e2):
+    """Strict precedence in ``order``."""
+    return e1 != e2 and order.leq(e1, e2)
+
+
 def test_single_interaction():
     order = semantics(parse_choreography("A -> B : m"))
     snd = ev("A", "B", "!", 1, "m")
@@ -48,17 +53,17 @@ def test_seq_definedness_table(src, defined):
 
 def test_seq_cross_edges_same_subject_only():
     order = semantics(parse_choreography("A -> B : m ; B -> C : n"))
-    assert order.lt(ev("A", "B", "!", 1, "m"), ev("B", "C", "!", 2, "n"))
-    assert order.lt(ev("A", "B", "?", 1, "m"), ev("B", "C", "!", 2, "n"))
+    assert lt(order, ev("A", "B", "!", 1, "m"), ev("B", "C", "!", 2, "n"))
+    assert lt(order, ev("A", "B", "?", 1, "m"), ev("B", "C", "!", 2, "n"))
     # A's send precedes B's send only through B's receive (transitively)
-    assert order.lt(ev("A", "B", "!", 1, "m"), ev("B", "C", "?", 2, "n"))
+    assert lt(order, ev("A", "B", "!", 1, "m"), ev("B", "C", "?", 2, "n"))
 
 
 def test_par_keeps_branches_unordered():
     order = semantics(parse_choreography("par { A -> B : m | C -> D : n }"))
     a = ev("A", "B", "!", 2, "m")
     c = ev("C", "D", "!", 3, "n")
-    assert not order.lt(a, c) and not order.lt(c, a)
+    assert not lt(order, a, c) and not lt(order, c, a)
     assert order.minimal() == {a, c}
 
 
@@ -90,19 +95,19 @@ def test_travel_order_facts(travel_chor):
     upd_in = ev("T", "D", "?", 10, "upd")
 
     assert order.minimal() == {start}
-    assert order.lt(start, gate)
-    assert order.lt(gate, flight)
-    assert order.lt(gate, dest)
-    assert order.lt(flight, flight_price_in)
-    assert order.lt(dest, full_price_in)
+    assert lt(order, start, gate)
+    assert lt(order, gate, flight)
+    assert lt(order, gate, dest)
+    assert lt(order, flight, flight_price_in)
+    assert lt(order, dest, full_price_in)
     # the two par threads are unordered
-    assert not order.lt(flight, car) and not order.lt(car, flight)
-    assert not order.lt(flight_price_in, car_price_in)
-    assert not order.lt(car_price_in, flight_price_in)
+    assert not lt(order, flight, car) and not lt(order, car, flight)
+    assert not lt(order, flight_price_in, car_price_in)
+    assert not lt(order, car_price_in, flight_price_in)
     # everything in the choice precedes the update that follows it
-    assert order.lt(full_price_in, upd)
-    assert order.lt(flight_price_in, upd)
-    assert order.lt(upd, upd_in)
+    assert lt(order, full_price_in, upd)
+    assert lt(order, flight_price_in, upd)
+    assert lt(order, upd, upd_in)
     # the loop's end gate closes over every event, including D's receive
     assert all(order.leq(e, end) for e in order.events)
     assert all(order.leq(start, e) for e in order.events)

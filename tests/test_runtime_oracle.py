@@ -1,0 +1,158 @@
+"""The forward steps against the dict-based oracle in ``runtime_oracle``.
+
+``step_output`` and ``step_input`` build a successor from the parent's
+tuples and configurations hash once, at construction.  Both are exact
+when every move gives the configuration the oracle gives, with the same
+hash, and when equal configurations hash equal whichever route built
+them.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+import explore_oracle
+import runtime_oracle
+from chorrev import runtime
+from chorrev.causality import CausalityAnalyzer
+from chorrev.explore import Bound, reachable
+from chorrev.machine import ProjectionError, Unit
+from chorrev.model import Channel
+from chorrev.order import UndefinedSemantics
+from chorrev.projection import project_system
+from chorrev.reverse import RollbackFailed, enabled_reversals, rho, step_reverse
+from chorrev.runtime import ChannelState, Configuration, Log, NotEnabled
+
+from test_order_oracle import build, shapes
+
+
+def outcome(step, *args):
+    try:
+        return step(*args)
+    except NotEnabled as exc:
+        return str(exc)
+
+
+def assert_canonical(cfg):
+    channels = [ch for ch, _ in cfg.chi]
+    assert channels == sorted(set(channels))
+    assert all(cs.consumed or cs.pending for _, cs in cfg.chi)
+    assert [a for a, _ in cfg.sigma] == sorted({a for a, _ in cfg.sigma})
+
+
+def assert_steps_match(cfg, system):
+    """Every transition out of every participant's state, enabled or not,
+    steps to the oracle's configuration or fails with its reason."""
+    for a in sorted(system.machines):
+        for t in system.machines[a].out_of(cfg.state_of(a)):
+            if t.event.polarity == "!":
+                pairs = [
+                    (
+                        outcome(runtime.step_output, cfg, system, a, t, runtime.FULL, block),
+                        outcome(runtime_oracle.step_output, cfg, system, a, t, runtime.FULL, block),
+                    )
+                    for block in (False, True)
+                ]
+            else:
+                pairs = [
+                    (
+                        outcome(runtime.step_input, cfg, system, a, t),
+                        outcome(runtime_oracle.step_input, cfg, system, a, t),
+                    )
+                ]
+            for new, old in pairs:
+                assert new == old
+                if isinstance(new, str):
+                    continue
+                assert hash(new) == hash(old)
+                assert new.book == old.book
+                assert_canonical(new)
+                # Untouched channels, and the book under a plain move, are the parent's.
+                before = dict(cfg.chi)
+                for ch, cs in new.chi:
+                    if ch != t.event.channel:
+                        assert cs is before[ch]
+                if isinstance(t.decoration, Unit):
+                    assert new.book is cfg.book
+
+
+@pytest.fixture(scope="module")
+def travel_reversal_search(travel_system):
+    return reachable(travel_system, Bound(200, 1), with_reversals=True)
+
+
+def test_travel_reversal_search_steps_match_the_oracle(travel_system, travel_reversal_search):
+    assert len(travel_reversal_search.configs) == 907
+    for cfg in travel_reversal_search.configs:
+        assert_steps_match(cfg, travel_system)
+
+
+def _reached_with_reversals(system, bound):
+    """The forward configurations within ``bound`` and what their reversals reach."""
+    forward = explore_oracle.reachable(system, bound).configs
+    analyzer = CausalityAnalyzer(system)
+    rolled = set()
+    for cfg in forward:
+        for cand in enabled_reversals(cfg, system, analyzer):
+            try:
+                rolled.add(step_reverse(cfg, system, cand, analyzer))
+            except RollbackFailed:
+                pass
+    return forward | rolled
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(shapes, st.integers(1, 2), st.integers(0, 6))
+def test_generated_systems_step_like_the_oracle(shape, rounds, steps):
+    try:
+        system = project_system(build(shape))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    for cfg in _reached_with_reversals(system, Bound(steps, rounds)):
+        assert_steps_match(cfg, system)
+
+
+def _rebuilt(cfg):
+    """``cfg`` from dicts of new channel, log and channel-state objects."""
+    chi = {
+        Channel(ch.sender, ch.receiver): ChannelState(
+            tuple(dataclasses.replace(log) for log in cs.consumed),
+            tuple(dataclasses.replace(log) for log in cs.pending),
+        )
+        for ch, cs in cfg.chi
+    }
+    return Configuration.make(cfg.sigma_dict(), chi, cfg.book_dict())
+
+
+def test_equal_configurations_hash_equal_by_every_route(travel_system, travel_reversal_search):
+    for cfg in travel_reversal_search.configs:
+        made = _rebuilt(cfg)
+        assert made == cfg and hash(made) == hash(cfg)
+        assert len({made, cfg}) == 1
+    # Forward steps from the initial configuration, with no rollback on the
+    # way.  rho keeps the book, so a rollback of a forward configuration
+    # often lands on a configuration the forward steps reach as well.
+    forward = explore_oracle.reachable(travel_system, Bound(200, 1)).configs
+    by_repr = {repr(cfg): cfg for cfg in forward}
+    analyzer = CausalityAnalyzer(travel_system)
+    met = 0
+    for pre, cand, _ in travel_reversal_search.reversal_edges:
+        rolled = rho(pre, travel_system, analyzer.effects(pre, cand.anchor), analyzer)
+        twin = by_repr.get(repr(rolled))
+        if twin is not None:
+            met += 1
+            assert twin == rolled and hash(twin) == hash(rolled)
+            assert len({twin, rolled}) == 1
+            assert rolled in forward
+    assert met == 136
+
+
+def test_the_hash_is_not_a_field(replan_config):
+    names = ("sigma", "chi", "book")
+    assert tuple(f.name for f in dataclasses.fields(Configuration)) == names
+    assert "_hash" not in repr(replan_config)
+    assert hash(replan_config) == hash(tuple(getattr(replan_config, n) for n in names))
+    log = replan_config.chi[0][1].all_logs[0]
+    assert tuple(f.name for f in dataclasses.fields(Log)) == ("message", "sender_state", "cp", "timestamp")
+    assert "_hash" not in repr(log)
