@@ -27,12 +27,12 @@ states) and with the configuration audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .model import Channel, Chor, LOOP_END, LOOP_START, Loop, control_points, subterms
 from .order import CommEvent, Event, EventOrder, GateEvent
 from .projection import System
-from .runtime import ChannelState, Configuration, Log
+from .runtime import Configuration, Log
 
 LogRef = tuple[Channel, Log]
 
@@ -64,14 +64,14 @@ def loops_of(g: Chor) -> list[LoopRef]:
     return out
 
 
-def round_of(log: Log, loop: LoopRef, channel_logs: tuple[Log, ...]) -> Optional[int]:
-    """The iteration of ``loop`` a log on one channel belongs to.
+def round_of(idx: int, loop: LoopRef, channel_logs: tuple[Log, ...]) -> Optional[int]:
+    """The iteration of ``loop`` that the log at position ``idx`` of one
+    channel's logs belongs to.
 
     Rounds are measured by the loop's markers on that channel: a log after
     k end markers, or after k+1 start markers, is in round k.  The round
     is undefined when no marker of the loop appears at or before the log.
     """
-    idx = channel_logs.index(log)
     ends_before = sum(
         1
         for l in channel_logs[:idx]
@@ -94,7 +94,7 @@ def ongoing(loop: LoopRef, cfg: Configuration) -> bool:
     it, or an end marker is still in flight.
     """
     for _, cs in cfg.chi:
-        logs = cs.all_logs
+        logs = cs.logs
         for i, log in enumerate(logs):
             if log.cp == loop.cp and log.message == LOOP_START:
                 if not any(
@@ -102,13 +102,13 @@ def ongoing(loop: LoopRef, cfg: Configuration) -> bool:
                     for later in logs[i + 1 :]
                 ):
                     return True
-        if any(l.cp == loop.cp and l.message == LOOP_END for l in cs.pending):
+        if any(l.cp == loop.cp and l.message == LOOP_END for l in logs[cs.head :]):
             return True
     return False
 
 
 def all_log_refs(cfg: Configuration) -> list[LogRef]:
-    return [(ch, log) for ch, cs in cfg.chi for log in cs.all_logs]
+    return [(ch, log) for ch, cs in cfg.chi for log in cs.logs]
 
 
 class CausalityAnalyzer:
@@ -159,9 +159,9 @@ class CausalityAnalyzer:
             edges.setdefault((src, dst), []).append(why)
 
         refs = all_log_refs(cfg)
-        logs_on: dict[Channel, tuple[Log, ...]] = {
-            ch: cs.all_logs for ch, cs in cfg.chi
-        }
+        logs_on: dict[Channel, tuple[Log, ...]] = {ch: cs.logs for ch, cs in cfg.chi}
+        # The position of each of ``refs`` in its channel's logs.
+        where = [i for _, cs in cfg.chi for i in range(len(cs.logs))]
 
         # (1) queue order per channel
         for ch, logs in logs_on.items():
@@ -180,17 +180,18 @@ class CausalityAnalyzer:
 
         # (3) static order, refined by loop rounds
         events = [self._events[log.cp, log.message] for _, log in refs]
-        for i, (ch1, l1) in enumerate(refs):
+        for i, (ch1, _) in enumerate(refs):
             e1 = events[i]
-            for (ch2, l2), e2 in zip(refs[i + 1 :], events[i + 1 :]):
-                if ch1 == ch2 or e1 is e2:
+            for j, e2 in enumerate(events[i + 1 :], i + 1):
+                if e1 is e2 or ch1 == refs[j][0]:
                     continue
                 if self.order.leq(e1, e2):
-                    first, second = (ch1, l1), (ch2, l2)
+                    a, b = i, j
                 elif self.order.leq(e2, e1):
-                    first, second = (ch2, l2), (ch1, l1)
+                    a, b = j, i
                 else:
                     continue
+                first, second = refs[a], refs[b]
                 loop = self._innermost_common_loop(
                     first[1].cp, second[1].cp
                 )
@@ -201,8 +202,8 @@ class CausalityAnalyzer:
                 sep2 = any(l.cp == loop.cp for l in logs_on[second[0]])
                 if not (sep1 and sep2):
                     continue
-                n = round_of(first[1], loop, logs_on[first[0]])
-                m = round_of(second[1], loop, logs_on[second[0]])
+                n = round_of(where[a], loop, logs_on[first[0]])
+                m = round_of(where[b], loop, logs_on[second[0]])
                 if n is None or m is None:
                     continue
                 if n <= m:
@@ -244,10 +245,6 @@ class CausalityAnalyzer:
     def precedes(self, cfg: Configuration, first: LogRef, second: LogRef) -> bool:
         return (first, second) in self.relation(cfg)
 
-    def successors(self, cfg: Configuration, ref: LogRef) -> set[LogRef]:
-        rel = self.relation(cfg)
-        return {other for other in all_log_refs(cfg) if (ref, other) in rel and other != ref}
-
     def effects(self, cfg: Configuration, ref: LogRef) -> set[LogRef]:
         """Everything that must be undone together with ``ref`` (inclusive)."""
         rel = self.relation(cfg)
@@ -269,7 +266,7 @@ class CausalityAnalyzer:
         for ref in all_log_refs(cfg):
             _, log = ref
             encl = self._outermost_loop(log.cp)
-            succs = self.successors(cfg, ref)
+            succs = self.effects(cfg, ref) - {ref}
             if encl is None:
                 if not succs:
                     points.add(ref)
@@ -288,19 +285,21 @@ class CausalityAnalyzer:
         consumed: dict[Channel, tuple[Log, ...]] = {}
         outputs: list[LogRef] = []
         for ch, cs in cfg.chi:
-            if ch.receiver == participant and cs.consumed:
-                consumed[ch] = cs.consumed
+            if ch.receiver == participant and cs.head:
+                consumed[ch] = cs.logs[: cs.head]
             if ch.sender == participant:
-                outputs.extend((ch, log) for log in cs.all_logs)
+                outputs.extend((ch, log) for log in cs.logs)
         outputs.sort(key=lambda ref: ref[1].timestamp)
         return consumed, tuple(outputs)
 
     def _replay_graph(self, participant: str, consumed, outputs):
         """All complete replays of a participant's recorded history.
 
-        Returns (complete, moves) where ``complete`` maps replay nodes to
-        whether a full replay is still possible from them, and ``moves``
-        lists (node, action, next) triples for reachable nodes.  A node is
+        Returns (channels, start, complete, moves, ends) where ``complete``
+        maps replay nodes to whether a full replay is still possible from
+        them, ``moves`` lists (node, action, next) triples for reachable
+        nodes, and ``ends`` holds the machine states of the final nodes,
+        where every full replay stops.  A node is
         (machine state, per-channel consumption index..., emission index).
         Inputs of one channel replay in queue order, outputs in timestamp
         order; an output step additionally requires the machine to be in
@@ -383,7 +382,8 @@ class CausalityAnalyzer:
                         seen.add(nxt)
                         queue.append(nxt)
 
-        result = (channels, start, complete, tuple(all_moves))
+        ends = frozenset(node[0] for node in complete if is_final(node))
+        result = (channels, start, complete, tuple(all_moves), ends)
         self._replays[key] = result
         return result
 
@@ -392,7 +392,7 @@ class CausalityAnalyzer:
         consumed, outputs = self._replay_setup(cfg, participant)
         if not consumed or not outputs:
             return []
-        channels, start, complete, moves = self._replay_graph(
+        channels, start, complete, moves, _ = self._replay_graph(
             participant, consumed, outputs
         )
         if not complete.get(start):
@@ -415,26 +415,8 @@ class CausalityAnalyzer:
 
     def replay_end_states(self, cfg: Configuration, participant: str) -> frozenset[int]:
         """Machine states a full replay of the recorded history can end in."""
-        consumed, outputs = self._replay_setup(cfg, participant)
-        channels, start, complete, moves = self._replay_graph(
-            participant, consumed, outputs
-        )
-        if not complete.get(start):
-            return frozenset()
-        n_ch = len(channels)
-
-        def is_final(node) -> bool:
-            return all(
-                node[1 + k] == len(consumed[channels[k]]) for k in range(n_ch)
-            ) and node[1 + n_ch] == len(outputs)
-
-        finals = set()
-        if is_final(start):
-            finals.add(start[0])
-        for _, _, nxt in moves:
-            if is_final(nxt):
-                finals.add(nxt[0])
-        return frozenset(finals)
+        *_, ends = self._replay_graph(participant, *self._replay_setup(cfg, participant))
+        return ends
 
 
 def audit_configuration(cfg: Configuration, system: System, analyzer: Optional[CausalityAnalyzer] = None) -> list[str]:

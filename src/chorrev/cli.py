@@ -255,11 +255,12 @@ class _Simulation:
         pre = self.cfg
         if t.event.polarity == "!":
             self.cfg = runtime.step_output(pre, self.system, a, t, self.scope, self.block)
-            log = self.cfg.channel_state(t.event.channel).pending[-1]
+            log = self.cfg.channel_state(t.event.channel).logs[-1]
             kind = "out"
         else:
             self.cfg = runtime.step_input(pre, self.system, a, t)
-            log = self.cfg.channel_state(t.event.channel).consumed[-1]
+            cs = self.cfg.channel_state(t.event.channel)
+            log = cs.logs[cs.head - 1]
             kind = "inp"
         entry = {
             "kind": kind,

@@ -66,7 +66,7 @@ def marker_count(cfg: Configuration, channel: Channel, cp: int) -> int:
     """How many continue markers of a loop the channel's history carries."""
     return sum(
         1
-        for log in cfg.channel_state(channel).all_logs
+        for log in cfg.channel_state(channel).logs
         if log.message == LOOP_START and log.cp == cp
     )
 
@@ -75,9 +75,9 @@ def forward_key(cfg: Configuration) -> tuple:
     """What a forward move reads of ``cfg``: the states, the book, and per
     channel the pending word and the counts of consumed (message, cp).
 
-    The round bound counts markers in both queues, hence the counts.  A
-    forward run's depth, one step per log plus one per consumed log, is a
-    function of the key too.
+    The round bound counts markers on both sides of the head, hence the
+    counts.  A forward run's depth, one step per log plus one per consumed
+    log, is a function of the key too.
     """
     return (
         cfg.sigma,
@@ -85,8 +85,8 @@ def forward_key(cfg: Configuration) -> tuple:
         tuple(
             (
                 ch,
-                tuple((log.message, log.cp) for log in cs.pending),
-                tuple(sorted(Counter((log.message, log.cp) for log in cs.consumed).items())),
+                tuple((log.message, log.cp) for log in cs.logs[cs.head :]),
+                tuple(sorted(Counter((log.message, log.cp) for log in cs.logs[: cs.head]).items())),
             )
             for ch, cs in cfg.chi
         ),

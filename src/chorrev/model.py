@@ -257,14 +257,6 @@ def control_points(g: Chor) -> list[tuple[int, Chor]]:
     return [(node.cp, node) for node in subterms(g) if not isinstance(node, Seq)]
 
 
-def node_at(g: Chor, cp: int) -> Chor:
-    """The subterm carrying control point ``cp`` (KeyError if absent)."""
-    for c, node in control_points(g):
-        if c == cp:
-            return node
-    raise KeyError(cp)
-
-
 def participants(g: Chor) -> frozenset[str]:
     """All participants: interaction endpoints and loop controllers."""
     out: set[str] = set()

@@ -41,14 +41,11 @@ from .model import (
     Interaction,
     Issue,
     Loop,
-    LOOP_END,
-    LOOP_START,
     MemberAtom,
     Par,
     Seq,
     ValidationReport,
     guard_atoms,
-    node_at,
     participants,
     subterms,
 )
@@ -256,23 +253,6 @@ def _opening_subjects(branches: Iterable[EventOrder]) -> set[str]:
     member.
     """
     return {e.subject for sub in branches for e in sub.minimal()}
-
-
-def event_for_log(g: Chor, cp: int, message: str) -> Event:
-    """The static event a runtime log entry refers to.
-
-    Message logs point at the send event of their interaction; loop marker
-    logs point at the loop's start or end gate.
-    """
-    node = node_at(g, cp)
-    if isinstance(node, Interaction):
-        return CommEvent(node.channel, "!", cp, node.message)
-    if isinstance(node, Loop):
-        if message == LOOP_START:
-            return GateEvent(cp, "loop_start", node.controller)
-        if message == LOOP_END:
-            return GateEvent(cp, "loop_end", node.controller)
-    raise KeyError(f"control point {cp} with message {message!r} names no event")
 
 
 # ---------------------------------------------------------------------------

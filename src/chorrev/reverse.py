@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .causality import CausalityAnalyzer, LogRef, all_log_refs
-from .machine import RCfsm
-from .model import Channel, Guard
+from .model import Guard
 from .order import CommEvent
 from .projection import System
 from .runtime import (
@@ -70,11 +69,12 @@ def rho(
 ) -> Configuration:
     """Remove a causally closed set of logs from the configuration.
 
-    Logs are peeled off in dependency order (most dependent first); each
-    removal rewinds its sender to the state stored in the log.  When
-    ``order`` is given it must list the targets in a legal removal order;
-    otherwise a deterministic legal order is chosen.  The result does not
-    depend on the choice.
+    Logs are peeled off in dependency order (most dependent first).  Each
+    one leaves from the end of its channel's logs, taking the head back
+    with it if the receiver had consumed it, and rewinds its sender to the
+    state stored in the log.  When ``order`` is given it must list the
+    targets in a legal removal order; otherwise a deterministic legal
+    order is chosen.  The result does not depend on the choice.
 
     After the removal pass, every participant that lost an already
     consumed input is restored by replaying its remaining history; the
@@ -96,7 +96,7 @@ def rho(
     sigma = cfg.sigma_dict()
     chi = cfg.chi_dict()
     book = cfg.book_dict()
-    removed_consumed: set[LogRef] = set()
+    rewound: set[str] = set()  # receivers that lose a consumed input
 
     while remaining:
         maximals = maximal_logs(remaining, relation)
@@ -110,22 +110,19 @@ def rho(
             ref = min(maximals, key=_ref_sort_key)
         ch, log = ref
         cs = chi[ch]
-        if cs.pending and cs.pending[-1] == log:
-            cs = ChannelState(cs.consumed, cs.pending[:-1])
-        elif not cs.pending and cs.consumed and cs.consumed[-1] == log:
-            cs = ChannelState(cs.consumed[:-1], ())
-            removed_consumed.add(ref)
-        else:
+        if cs.logs[-1] != log:
             raise ValueError(
                 f"cannot remove {log} from the middle of {ch}; the target set"
                 " is not causally closed"
             )
-        chi[ch] = cs
+        if cs.head == len(cs.logs):
+            rewound.add(ch.receiver)
+        chi[ch] = ChannelState(cs.logs[:-1], min(cs.head, len(cs.logs) - 1))
         sigma[ch.sender] = log.sender_state
         remaining.discard(ref)
 
     interim = Configuration.make(sigma, chi, book)
-    for p in sorted({ch.receiver for ch, _ in removed_consumed}):
+    for p in sorted(rewound):
         ends = analyzer.replay_end_states(interim, p)
         if len(ends) != 1:
             raise ValueError(
@@ -139,7 +136,7 @@ def _latest_anchor(
     cfg: Configuration, first: CommEvent, choice_state: int
 ) -> Optional[Log]:
     cs = cfg.channel_state(first.channel)
-    for log in reversed(cs.all_logs):
+    for log in reversed(cs.logs):
         if (
             log.message == first.message
             and log.cp == first.cp
@@ -147,11 +144,6 @@ def _latest_anchor(
         ):
             return log
     return None
-
-
-def _families_at(machine: RCfsm, state: int) -> tuple[tuple[int, CommEvent, Guard], ...]:
-    """The branch families decorating the transitions out of ``state``, deduplicated."""
-    return machine.families.get(state, ())
 
 
 def enabled_reversals(
@@ -170,7 +162,7 @@ def enabled_reversals(
     out: list[ReversalCandidate] = []
     rollback_cache: Optional[frozenset[LogRef]] = None
     for a in sorted(system.machines):
-        for q_hat, first, guard in _families_at(system.machines[a], cfg.state_of(a)):
+        for q_hat, first, guard in system.machines[a].families.get(cfg.state_of(a), ()):
             entry = cfg.book_entry(a, q_hat)
             if entry.exhausted:
                 continue
@@ -222,7 +214,7 @@ def step_reverse(
     tried = entry.tried | {(candidate.first_output, candidate.guard)}
     exhausted = all(
         (first, guard) in tried or eval_guard(guard, rolled, scope)
-        for q, first, guard in _families_at(system.machines[candidate.participant], q_hat)
+        for q, first, guard in system.machines[candidate.participant].families.get(q_hat, ())
         if q == q_hat
     )
     book[key] = BookEntry(tried, exhausted)

@@ -1,8 +1,8 @@
 """Forward execution of a projected system.
 
 A configuration records, for every participant, its current machine state;
-for every channel, two queues of message logs (already consumed by the
-receiver, and still pending); and a book of decision states, remembering
+for every channel, the sequence of message logs sent on it and how many of
+them the receiver has consumed; and a book of decision states, remembering
 which branch families were already tried there and whether the
 alternatives are exhausted.
 
@@ -10,8 +10,8 @@ A log carries the message, the state the sender was in when it sent it,
 the control point of the originating construct, and a timestamp that is
 local to the sender (its send counter across all of its channels).  Logs
 are never discarded by forward execution; consuming an input only moves
-the log from the pending queue to the consumed queue.  This is what makes
-rollback possible later.
+the channel's head index past its log.  This is what makes rollback
+possible later.
 
 Searches hash configurations far more often than they build them, so
 logs, channel states and configurations compute their hash once, at
@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from .machine import Branch, Decoration, Transition
 from .model import (
@@ -72,18 +72,28 @@ class Log:
 
 @dataclass(frozen=True)
 class ChannelState:
-    consumed: tuple[Log, ...] = ()
-    pending: tuple[Log, ...] = ()
+    """Every log sent on one channel, oldest first, and ``head``, the number
+    of them the receiver has consumed.
+
+    ``consumed`` and ``pending`` are the two sides of the head.
+    """
+
+    logs: tuple[Log, ...] = ()
+    head: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.consumed, self.pending)))
+        object.__setattr__(self, "_hash", hash((self.logs, self.head)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
-    def all_logs(self) -> tuple[Log, ...]:
-        return self.consumed + self.pending
+    def consumed(self) -> tuple[Log, ...]:
+        return self.logs[: self.head]
+
+    @property
+    def pending(self) -> tuple[Log, ...]:
+        return self.logs[self.head :]
 
 
 EMPTY_CHANNEL = ChannelState()
@@ -141,7 +151,7 @@ class Configuration:
             tuple(sorted(sigma.items())),
             tuple(
                 sorted(
-                    ((c, s) for c, s in chi.items() if s.consumed or s.pending),
+                    ((c, s) for c, s in chi.items() if s.logs),
                     key=lambda pair: pair[0],
                 )
             ),
@@ -190,7 +200,7 @@ def next_timestamp(cfg: Configuration, sender: str) -> int:
     latest = 0
     for ch, cs in cfg.chi:
         if ch.sender == sender:
-            for log in cs.all_logs:
+            for log in cs.logs:
                 latest = max(latest, log.timestamp)
     return latest + 1
 
@@ -199,17 +209,9 @@ def next_timestamp(cfg: Configuration, sender: str) -> int:
 # Guards
 
 
-def message_count(
-    source: "Configuration | dict[Channel, ChannelState]",
-    message: str,
-    channel: Channel,
-    scope: str = FULL,
-) -> int:
-    if isinstance(source, Configuration):
-        cs = source.channel_state(channel)
-    else:
-        cs = source.get(channel, EMPTY_CHANNEL)
-    logs = cs.pending if scope == PENDING else cs.all_logs
+def message_count(cfg: Configuration, message: str, channel: Channel, scope: str = FULL) -> int:
+    cs = cfg.channel_state(channel)
+    logs = cs.logs[cs.head :] if scope == PENDING else cs.logs
     return sum(1 for log in logs if log.message == message)
 
 
@@ -222,25 +224,21 @@ _OPS = {
 }
 
 
-def eval_guard(
-    g: Guard,
-    source: "Configuration | dict[Channel, ChannelState]",
-    scope: str = FULL,
-) -> bool:
+def eval_guard(g: Guard, cfg: Configuration, scope: str = FULL) -> bool:
     if isinstance(g, GTrue):
         return True
     if isinstance(g, GFalse):
         return False
     if isinstance(g, CountAtom):
-        return _OPS[g.op](message_count(source, g.message, g.channel, scope), g.bound)
+        return _OPS[g.op](message_count(cfg, g.message, g.channel, scope), g.bound)
     if isinstance(g, MemberAtom):
-        return message_count(source, g.message, g.channel, scope) >= 1
+        return message_count(cfg, g.message, g.channel, scope) >= 1
     if isinstance(g, Not):
-        return not eval_guard(g.inner, source, scope)
+        return not eval_guard(g.inner, cfg, scope)
     if isinstance(g, Or):
-        return eval_guard(g.left, source, scope) or eval_guard(g.right, source, scope)
+        return eval_guard(g.left, cfg, scope) or eval_guard(g.right, cfg, scope)
     if isinstance(g, And):
-        return eval_guard(g.left, source, scope) and eval_guard(g.right, source, scope)
+        return eval_guard(g.left, cfg, scope) and eval_guard(g.right, cfg, scope)
     raise TypeError(f"not a guard: {g!r}")
 
 
@@ -292,6 +290,19 @@ def output_blocked_by_guard(
     return not entry.exhausted and eval_guard(deco.guard, cfg, scope)
 
 
+def _refused(template: str, cfg: Configuration, participant: str, t: Transition) -> NotEnabled:
+    """The refusal of a step, its reason filled in.
+
+    The checks below return ``None`` when a step is enabled and otherwise
+    the template of the reason: the searches ask them about every
+    transition out of every state they visit, and only a step that raises
+    fills the template in.
+    """
+    cs = cfg.channel_state(t.event.channel)
+    head = cs.logs[cs.head] if cs.head < len(cs.logs) else None
+    return NotEnabled(template.format(participant=participant, t=t, head=head))
+
+
 def _check_output(
     cfg: Configuration,
     participant: str,
@@ -302,7 +313,7 @@ def _check_output(
     if t.event.polarity != "!":
         return "not an output transition"
     if cfg.state_of(participant) != t.src:
-        return f"{participant} is not in state {t.src}"
+        return "{participant} is not in state {t.src}"
     d = t.decoration
     if isinstance(d, Branch) and _tried_here(cfg.book_entry(participant, d.choice_state), d):
         return "this branch family was already tried here"
@@ -315,15 +326,15 @@ def _check_input(cfg: Configuration, participant: str, t: Transition) -> Optiona
     if t.event.polarity != "?":
         return "not an input transition"
     if cfg.state_of(participant) != t.src:
-        return f"{participant} is not in state {t.src}"
+        return "{participant} is not in state {t.src}"
     cs = cfg.channel_state(t.event.channel)
-    if not cs.pending:
-        return f"nothing pending on {t.event.channel}"
-    head = cs.pending[0]
+    if cs.head == len(cs.logs):
+        return "nothing pending on {t.event.channel}"
+    head = cs.logs[cs.head]
     if head.message != t.event.message or head.cp != t.event.cp:
         return (
-            f"the head of {t.event.channel} is {head}, which does not match"
-            f" {t.event.message}/{t.event.cp}"
+            "the head of {t.event.channel} is {head}, which does not match"
+            " {t.event.message}/{t.event.cp}"
         )
     return None
 
@@ -373,27 +384,27 @@ def step_output(
     scope: str = FULL,
     block_on_guard: bool = False,
 ) -> Configuration:
-    """Send a message: stamp a log and append it to the channel's pending queue."""
-    reason = _check_output(cfg, participant, t, scope, block_on_guard)
-    if reason is not None:
-        raise NotEnabled(reason)
+    """Send a message: stamp a log and append it to the channel's logs."""
+    refusal = _check_output(cfg, participant, t, scope, block_on_guard)
+    if refusal is not None:
+        raise _refused(refusal, cfg, participant, t)
     book = upd_out(cfg._book, participant, t.decoration)
     assert book is not None
     ev = t.event
     log = Log(ev.message, cfg.state_of(participant), ev.cp, next_timestamp(cfg, participant))
     cs = cfg.channel_state(ev.channel)
-    return _successor(cfg, participant, t, ChannelState(cs.consumed, cs.pending + (log,)), book)
+    return _successor(cfg, participant, t, ChannelState(cs.logs + (log,), cs.head), book)
 
 
 def step_input(
     cfg: Configuration, system: System, participant: str, t: Transition
 ) -> Configuration:
-    """Receive the head of the pending queue, moving its log to consumed."""
-    reason = _check_input(cfg, participant, t)
-    if reason is not None:
-        raise NotEnabled(reason)
+    """Receive the log at the channel's head, moving the head past it."""
+    refusal = _check_input(cfg, participant, t)
+    if refusal is not None:
+        raise _refused(refusal, cfg, participant, t)
     cs = cfg.channel_state(t.event.channel)
-    moved = ChannelState(cs.consumed + cs.pending[:1], cs.pending[1:])
+    moved = ChannelState(cs.logs, cs.head + 1)
     return _successor(cfg, participant, t, moved, upd_inp(cfg._book, participant, t.decoration))
 
 
@@ -466,6 +477,6 @@ def forget_config(cfg: Configuration) -> tuple:
     """
     words = []
     for ch, cs in cfg.chi:
-        if cs.pending:
-            words.append((ch, tuple((log.message, log.cp) for log in cs.pending)))
+        if cs.head < len(cs.logs):
+            words.append((ch, tuple((log.message, log.cp) for log in cs.logs[cs.head :])))
     return (cfg.sigma, tuple(words))

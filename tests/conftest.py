@@ -9,6 +9,7 @@ from chorrev.order import CommEvent
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import (
+    ChannelState,
     find_transition,
     initial_configuration,
     step_input,
@@ -34,6 +35,11 @@ def travel_chor(travel_source):
 @pytest.fixture(scope="session")
 def travel_system(travel_chor):
     return project_system(travel_chor)
+
+
+def queues(consumed=(), pending=()):
+    """The channel state whose head splits its logs into these two queues."""
+    return ChannelState(tuple(consumed) + tuple(pending), len(consumed))
 
 
 def drive(system, script, cfg=None):

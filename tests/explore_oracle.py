@@ -29,7 +29,7 @@ def successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Con
         if ev.message == LOOP_START:
             markers = sum(
                 1
-                for log in cfg.channel_state(ev.channel).all_logs
+                for log in cfg.channel_state(ev.channel).logs
                 if log.message == LOOP_START and log.cp == ev.cp
             )
             if markers >= bound.max_rounds:

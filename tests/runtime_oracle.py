@@ -1,30 +1,79 @@
-"""The forward steps through dicts and ``Configuration.make``, kept as a test oracle.
+"""The runtime as first written, over two queues per channel, kept as a test oracle.
 
-This is the first implementation of :func:`chorrev.runtime.step_output`
-and :func:`chorrev.runtime.step_input`: copy the three parts of the
-configuration into dicts, change them, and canonicalise the result with
-``Configuration.make``.  The package now builds a successor from the
-parent's tuples, replacing one state and one channel; the differential
-tests compare the two.
+A channel state used to be two queues, the logs its receiver had consumed
+and the logs still pending.  The package now keeps one log sequence per
+channel and a head index, builds a forward successor from the parent's
+tuples, replacing one state and one channel, and spells out a refusal
+only when a step raises.  This module keeps the first implementations:
+
+- the forward steps copy the three parts of the configuration into
+  dicts, change them, and canonicalise the result with
+  ``Configuration.make``, with the refusal texts built by the checks;
+- ``rho`` removes a log from the end of the pending queue, or from the
+  end of the consumed queue once nothing is pending.
+
+Channel states cross into the package's form only through ``queues``;
+the differential tests compare the two.
 """
 
 from __future__ import annotations
 
-from chorrev.machine import Transition
+from typing import Iterable, Optional
+
+from chorrev.causality import CausalityAnalyzer, LogRef, all_log_refs
+from chorrev.machine import Branch, Transition
 from chorrev.projection import System
+from chorrev.reverse import _ref_sort_key, maximal_logs
 from chorrev.runtime import (
     EMPTY_CHANNEL,
     FULL,
-    ChannelState,
     Configuration,
     Log,
     NotEnabled,
-    _check_input,
-    _check_output,
+    _tried_here,
     next_timestamp,
+    output_blocked_by_guard,
     upd_inp,
     upd_out,
 )
+
+from conftest import queues
+
+
+def _check_output(
+    cfg: Configuration,
+    participant: str,
+    t: Transition,
+    scope: str,
+    block_on_guard: bool,
+) -> Optional[str]:
+    if t.event.polarity != "!":
+        return "not an output transition"
+    if cfg.state_of(participant) != t.src:
+        return f"{participant} is not in state {t.src}"
+    d = t.decoration
+    if isinstance(d, Branch) and _tried_here(cfg.book_entry(participant, d.choice_state), d):
+        return "this branch family was already tried here"
+    if block_on_guard and output_blocked_by_guard(cfg, participant, d, scope):
+        return "the branch guard holds, the output is blocked"
+    return None
+
+
+def _check_input(cfg: Configuration, participant: str, t: Transition) -> Optional[str]:
+    if t.event.polarity != "?":
+        return "not an input transition"
+    if cfg.state_of(participant) != t.src:
+        return f"{participant} is not in state {t.src}"
+    cs = cfg.channel_state(t.event.channel)
+    if not cs.pending:
+        return f"nothing pending on {t.event.channel}"
+    head = cs.pending[0]
+    if head.message != t.event.message or head.cp != t.event.cp:
+        return (
+            f"the head of {t.event.channel} is {head}, which does not match"
+            f" {t.event.message}/{t.event.cp}"
+        )
+    return None
 
 
 def step_output(
@@ -45,7 +94,7 @@ def step_output(
     chi = cfg.chi_dict()
     log = Log(t.event.message, sigma[participant], t.event.cp, next_timestamp(cfg, participant))
     cs = chi.get(t.event.channel, EMPTY_CHANNEL)
-    chi[t.event.channel] = ChannelState(cs.consumed, cs.pending + (log,))
+    chi[t.event.channel] = queues(cs.consumed, cs.pending + (log,))
     sigma[participant] = t.dst
     return Configuration.make(sigma, chi, book)
 
@@ -61,7 +110,55 @@ def step_input(
     chi = cfg.chi_dict()
     cs = chi[t.event.channel]
     head = cs.pending[0]
-    chi[t.event.channel] = ChannelState(cs.consumed + (head,), cs.pending[1:])
+    chi[t.event.channel] = queues(cs.consumed + (head,), cs.pending[1:])
     sigma[participant] = t.dst
     book = upd_inp(cfg.book_dict(), participant, t.decoration)
+    return Configuration.make(sigma, chi, book)
+
+
+def rho(
+    cfg: Configuration,
+    system: System,
+    targets: Iterable[LogRef],
+    analyzer: Optional[CausalityAnalyzer] = None,
+) -> Configuration:
+    """Remove a causally closed set of logs, most dependent first, then
+    replay every receiver that lost a consumed input."""
+    analyzer = analyzer or CausalityAnalyzer(system)
+    relation = analyzer.relation(cfg)
+    remaining = set(targets)
+    if not remaining <= set(all_log_refs(cfg)):
+        raise ValueError("targets must be logs of the configuration")
+
+    sigma = cfg.sigma_dict()
+    chi = cfg.chi_dict()
+    book = cfg.book_dict()
+    removed_consumed: set[LogRef] = set()
+
+    while remaining:
+        ref = min(maximal_logs(remaining, relation), key=_ref_sort_key)
+        ch, log = ref
+        cs = chi[ch]
+        if cs.pending and cs.pending[-1] == log:
+            cs = queues(cs.consumed, cs.pending[:-1])
+        elif not cs.pending and cs.consumed and cs.consumed[-1] == log:
+            cs = queues(cs.consumed[:-1], ())
+            removed_consumed.add(ref)
+        else:
+            raise ValueError(
+                f"cannot remove {log} from the middle of {ch}; the target set"
+                " is not causally closed"
+            )
+        chi[ch] = cs
+        sigma[ch.sender] = log.sender_state
+        remaining.discard(ref)
+
+    interim = Configuration.make(sigma, chi, book)
+    for p in sorted({ch.receiver for ch, _ in removed_consumed}):
+        ends = analyzer.replay_end_states(interim, p)
+        if len(ends) != 1:
+            raise ValueError(
+                f"the history of {p} replays to {sorted(ends)}, not to one state"
+            )
+        (sigma[p],) = ends
     return Configuration.make(sigma, chi, book)

@@ -24,10 +24,10 @@ from chorrev.order import CommEvent, UndefinedSemantics, semantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.reverse import enabled_reversals, maximal_logs, rho, step_reverse
-from chorrev.runtime import BookEntry, ChannelState, Configuration, Log
+from chorrev.runtime import BookEntry, Configuration, Log
 
 import order_oracle
-from conftest import DAG, DATA, drive, random_decoration_inputs, random_pmachine
+from conftest import DAG, DATA, drive, queues, random_decoration_inputs, random_pmachine
 
 TB = Channel("T", "B")
 TD = Channel("T", "D")
@@ -131,7 +131,7 @@ def test_criterion_07_scripted_rollback_shapes(travel_system, replan_config):
         assert [log.message for log in bt.consumed] == ["fullPrice"]
 
         traveler_stamps = sorted(
-            log.timestamp for log in td.all_logs + tb.all_logs
+            log.timestamp for log in td.logs + tb.logs
         )
         assert traveler_stamps == [1, 2, 3, 4, 5, 6]
         assert [log.timestamp for log in bt.consumed] == [1]
@@ -143,8 +143,8 @@ def test_criterion_07_scripted_rollback_shapes(travel_system, replan_config):
         assert post == Configuration.make(
             {"T": 3, "B": 1, "D": 0},
             {
-                TD: ChannelState((), (Log(DAG, 0, 1, 1),)),
-                TB: ChannelState((Log(DAG, 2, 1, 2),), ()),
+                TD: queues((), (Log(DAG, 0, 1, 1),)),
+                TB: queues((Log(DAG, 2, 1, 2),), ()),
             },
             {("T", 3): BookEntry(frozenset({(dest, booked)}), True)},
         )
@@ -218,8 +218,8 @@ def test_criterion_09_loop_round_ordering_oracle():
             ("out", "A", 3, None, None),
         ]
         cfg = drive(system, script * 2)
-        b1, m1, b2, m2 = [(ab, log) for log in cfg.channel_state(ab).all_logs]
-        c1, y1, c2, y2 = [(ac, log) for log in cfg.channel_state(ac).all_logs]
+        b1, m1, b2, m2 = [(ab, log) for log in cfg.channel_state(ab).logs]
+        c1, y1, c2, y2 = [(ac, log) for log in cfg.channel_state(ac).logs]
 
         base = CausalityAnalyzer(system).base_relation(cfg)
         ch, so, lr = "channel-order", "sender-order", "loop-rounds"

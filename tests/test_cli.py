@@ -402,6 +402,41 @@ def test_simulate_dump_causality(runner, tmp_path):
     assert "†@1#1(T->D) << †@1#2(T->B)  via sender-order" in result.output
 
 
+# Recorded before a channel became one log sequence with a head index:
+# the stdout of a seeded run with two reversals, and the traces of that run
+# and of the replan schedule, whose rollback removes consumed logs.  They
+# run from the repository root, so the trace's "source" is the relative path.
+REPO = DATA.parent.parent
+TRAVEL_FROM_REPO = "tests/data/travel.rchor"
+
+
+def test_simulate_dump_causality_matches_the_recorded_output(runner, monkeypatch):
+    monkeypatch.chdir(REPO)
+    result = runner.invoke(
+        main, ["simulate", TRAVEL_FROM_REPO, "--auto", "200", "--seed", "11", "--dump-causality"]
+    )
+    assert result.exit_code == 0
+    golden = DATA / "simulate_travel_seed11_causality.txt"
+    assert result.stdout_bytes == golden.read_bytes()
+    assert result.output.count(" reverses branch ") == 2
+    assert result.output.count(" << ") == 192
+
+
+@pytest.mark.parametrize(
+    "run, golden",
+    [
+        (["--auto", "200", "--seed", "11"], "simulate_travel_seed11_trace.json"),
+        (["--schedule", "tests/data/travel_replan.schedule.json"], "simulate_travel_replan_trace.json"),
+    ],
+)
+def test_simulate_trace_matches_the_recorded_output(runner, monkeypatch, tmp_path, run, golden):
+    monkeypatch.chdir(REPO)
+    trace = tmp_path / "trace.json"
+    result = runner.invoke(main, ["simulate", TRAVEL_FROM_REPO, *run, "--trace", str(trace)])
+    assert result.exit_code == 0
+    assert trace.read_bytes() == (DATA / golden).read_bytes()
+
+
 def test_simulate_interactive_quits(runner):
     result = runner.invoke(main, ["simulate", TRAVEL, "--interactive"], input="q\n")
     assert result.exit_code == 0

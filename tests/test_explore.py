@@ -79,7 +79,7 @@ def test_round_cap_limits_both_routes():
     res = reachable(system, Bound(100, 2), with_reversals=False)
     assert not res.truncated
     seen_markers = max(
-        sum(1 for log in c.channel_state(AB).all_logs if log.message == DAG)
+        sum(1 for log in c.channel_state(AB).logs if log.message == DAG)
         for c in res.configs
     )
     assert seen_markers == 2

@@ -28,7 +28,6 @@ from chorrev.model import Channel, GTrue, Not
 from chorrev.order import CommEvent, UndefinedSemantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
-from chorrev.reverse import _families_at
 
 from conftest import DATA, random_decoration_inputs, random_pmachine
 from test_order_oracle import build, shapes
@@ -323,7 +322,7 @@ def assert_indexes_match_scans(m):
         assert out is not m.out_of(q)
         for e in events:
             assert m.step(q, e) == next((t for t in scan if t.event == e), None)
-        assert list(_families_at(m, q)) == scanned_families(m, q)
+        assert list(m.families.get(q, ())) == scanned_families(m, q)
 
 
 def machines_of(system):

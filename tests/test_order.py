@@ -1,11 +1,11 @@
 import pytest
 
-from chorrev.model import LOOP_END, LOOP_START, Channel
+from chorrev.causality import CausalityAnalyzer
+from chorrev.model import LOOP_END, LOOP_START, Channel, Chor, Interaction, Loop, control_points
 from chorrev.order import (
     CommEvent,
     GateEvent,
     UndefinedSemantics,
-    event_for_log,
     semantics,
     well_branched,
 )
@@ -120,12 +120,44 @@ def test_active_participant_travel(travel_chor):
     assert GateEvent(choice.cp, "choice", "T") in semantics(travel_chor).events
 
 
+def node_at(g: Chor, cp: int) -> Chor:
+    """The subterm carrying control point ``cp`` (KeyError if absent)."""
+    for c, node in control_points(g):
+        if c == cp:
+            return node
+    raise KeyError(cp)
+
+
+def event_for_log(g: Chor, cp: int, message: str):
+    """The static event a runtime log entry refers to, found by a tree walk.
+
+    Message logs point at the send event of their interaction; loop marker
+    logs point at the loop's start or end gate.
+    """
+    node = node_at(g, cp)
+    if isinstance(node, Interaction):
+        return CommEvent(node.channel, "!", cp, node.message)
+    if isinstance(node, Loop):
+        if message == LOOP_START:
+            return GateEvent(cp, "loop_start", node.controller)
+        if message == LOOP_END:
+            return GateEvent(cp, "loop_end", node.controller)
+    raise KeyError(f"control point {cp} with message {message!r} names no event")
+
+
 def test_event_for_log(travel_chor):
     assert event_for_log(travel_chor, 8, "dest") == ev("T", "B", "!", 8, "dest")
     assert event_for_log(travel_chor, 1, LOOP_START) == GateEvent(1, "loop_start", "T")
     assert event_for_log(travel_chor, 1, LOOP_END) == GateEvent(1, "loop_end", "T")
     with pytest.raises(KeyError):
         event_for_log(travel_chor, 3, "whatever")
+
+
+def test_the_analyzer_index_agrees_with_the_walk(travel_system):
+    index = CausalityAnalyzer(travel_system)._events
+    assert len(index) == 9  # seven messages and the two loop markers
+    for (cp, message), event in index.items():
+        assert event_for_log(travel_system.chor, cp, message) == event
 
 
 def test_choice_with_no_unique_decider():

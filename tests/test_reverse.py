@@ -17,7 +17,6 @@ from chorrev.reverse import (
 )
 from chorrev.runtime import (
     BookEntry,
-    ChannelState,
     Configuration,
     Log,
     NotEnabled,
@@ -26,7 +25,7 @@ from chorrev.runtime import (
     step_output,
 )
 
-from conftest import DAG, DDAG, REPLAN_PREFIX, drive
+from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues
 
 AB = Channel("A", "B")
 CD = Channel("C", "D")
@@ -55,8 +54,8 @@ def test_rho_of_the_booking_cone(travel_system, replan_config, dest_log):
     rolled = rho(replan_config, travel_system, effects, analyzer)
     assert rolled.sigma_dict() == {"T": 3, "B": 1, "D": 0}
     assert rolled.chi_dict() == {
-        TD: ChannelState((), (Log(DAG, 0, 1, 1),)),
-        TB: ChannelState((Log(DAG, 2, 1, 2),), ()),
+        TD: queues((), (Log(DAG, 0, 1, 1),)),
+        TB: queues((Log(DAG, 2, 1, 2),), ()),
     }
     # removal itself never touches the book
     assert rolled.book == replan_config.book == ()
@@ -139,7 +138,7 @@ def test_rho_refuses_a_history_that_does_not_replay():
     # B's consumed queue is doctored to hold n before m; once m goes, the
     # n that is left cannot be replayed from B's initial state
     n_log, m_log = Log("n", 1, 2, 1), Log("m", 0, 1, 2)
-    cfg = Configuration.make({"A": 2, "B": 2}, {AB: ChannelState((n_log, m_log), ())}, {})
+    cfg = Configuration.make({"A": 2, "B": 2}, {AB: queues((n_log, m_log), ())}, {})
     with pytest.raises(ValueError, match=r"history of B replays to \[\]"):
         rho(cfg, system, [(AB, m_log)])
 
@@ -160,8 +159,8 @@ def test_step_reverse_matches_the_worked_example(travel_system, replan_config, d
     assert post == Configuration.make(
         {"T": 3, "B": 1, "D": 0},
         {
-            TD: ChannelState((), (Log(DAG, 0, 1, 1),)),
-            TB: ChannelState((Log(DAG, 2, 1, 2),), ()),
+            TD: queues((), (Log(DAG, 0, 1, 1),)),
+            TB: queues((Log(DAG, 2, 1, 2),), ()),
         },
         {("T", 3): BookEntry(frozenset({(DEST, BOOKED)}), True)},
     )
@@ -214,7 +213,7 @@ def test_first_reversal_leaves_alternatives_open(retry_system):
     entry = post.book_entry("A", candidate.choice_state)
     assert {ev.message for ev, _ in entry.tried} == {"m"}
     assert entry.exhausted is False
-    assert post.channel_state(AB).all_logs == ()
+    assert post.channel_state(AB).logs == ()
     # the tried family is blocked, its alternative is not
     moves = {t.event.message for _, t in enabled_forward(post, retry_system)}
     assert moves == {"y"}
@@ -288,7 +287,7 @@ def test_exhausted_premise(retry_system):
 def test_anchor_premise_needs_the_decision_state(retry_system):
     cfg = drive(retry_system, [("out", "A", 2, None, None)])
     doctored = (Log("m", 99, 2, 1),)
-    broken = Configuration.make(cfg.sigma_dict(), {AB: ChannelState((), doctored)}, {})
+    broken = Configuration.make(cfg.sigma_dict(), {AB: queues((), doctored)}, {})
     assert enabled_reversals(broken, retry_system) == []
 
 
@@ -320,7 +319,7 @@ def test_anchor_premise_needs_an_ongoing_loop(looped_system):
     closed = Configuration.make(
         {"A": q_hat, "B": b_final},
         {
-            AB: ChannelState(
+            AB: queues(
                 (Log(DAG, 0, 1, 1), Log("m", q_hat, 3, 2), Log(DDAG, 99, 1, 3)),
                 (),
             )

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 
+from chorrev import runtime
+from chorrev.explore import Bound, reachable
 from chorrev.machine import Branch, Unit
 from chorrev.model import And, Channel, CountAtom, GFalse, GTrue, MemberAtom, Not, Or
 from chorrev.order import CommEvent
@@ -7,7 +11,7 @@ from chorrev.runtime import (
     FULL,
     PENDING,
     BookEntry,
-    ChannelState,
+    Configuration,
     Log,
     NotEnabled,
     enabled_forward,
@@ -24,7 +28,7 @@ from chorrev.runtime import (
     upd_out,
 )
 
-from conftest import DAG, DDAG, REPLAN_PREFIX, drive
+from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues
 
 TB = Channel("T", "B")
 TD = Channel("T", "D")
@@ -43,10 +47,10 @@ def test_timestamps_count_per_sender(travel_system):
     td = cfg.channel_state(TD)
     tb = cfg.channel_state(TB)
     # T's sends are numbered across both of its channels
-    t_stamps = sorted(l.timestamp for l in td.all_logs + tb.all_logs)
+    t_stamps = sorted(l.timestamp for l in td.logs + tb.logs)
     assert t_stamps == [1, 2, 3, 4, 5, 6]
     # B's counter is independent of T's
-    assert [l.timestamp for l in cfg.channel_state(BT).all_logs] == [1]
+    assert [l.timestamp for l in cfg.channel_state(BT).logs] == [1]
     assert next_timestamp(cfg, "T") == 7
     assert next_timestamp(cfg, "B") == 2
     assert next_timestamp(cfg, "D") == 1
@@ -92,6 +96,35 @@ def test_input_needs_something_pending(travel_system):
         step_input(cfg, travel_system, "B", t)
 
 
+def test_the_search_spells_out_no_refusal(travel_system, monkeypatch):
+    # The searches ask about every transition out of every state they
+    # visit; a refusal stays a fixed template there, and only a raising
+    # step fills it in.  Filled in, the search meets dozens of texts.
+    refusals = Counter()
+    for name in ("_check_output", "_check_input"):
+        check = getattr(runtime, name)
+
+        def counting(*args, check=check):
+            refusal = check(*args)
+            refusals[refusal] += 1
+            return refusal
+
+        monkeypatch.setattr(runtime, name, counting)
+
+    def spelled_out(*args):
+        raise AssertionError("a refusal was formatted inside the search")
+
+    monkeypatch.setattr(runtime, "_refused", spelled_out)
+    reachable(travel_system, Bound(200, 1), with_reversals=True)
+    assert set(refusals) == {
+        None,
+        "this branch family was already tried here",
+        "nothing pending on {t.event.channel}",
+        "the head of {t.event.channel} is {head}, which does not match"
+        " {t.event.message}/{t.event.cp}",
+    }
+
+
 def test_step_checks_source_state(travel_system):
     cfg = initial_configuration(travel_system)
     wrong = travel_system.machines["T"].out_of(3)[0]
@@ -134,18 +167,18 @@ def test_enabled_forward_mixes_participants(travel_system):
 # -- guards -----------------------------------------------------------------
 
 
-def chi_with(consumed=(), pending=()):
-    return {TD: ChannelState(tuple(consumed), tuple(pending))}
+def cfg_with(consumed=(), pending=()):
+    return Configuration.make({}, {TD: queues(consumed, pending)}, {})
 
 
 UPD = Log("upd", 10, 10, 3)
 
 
 def test_message_count_scopes():
-    chi = chi_with(consumed=[UPD], pending=[UPD])
-    assert message_count(chi, "upd", TD, FULL) == 2
-    assert message_count(chi, "upd", TD, PENDING) == 1
-    assert message_count(chi, "upd", TB) == 0
+    cfg = cfg_with(consumed=[UPD], pending=[UPD])
+    assert message_count(cfg, "upd", TD, FULL) == 2
+    assert message_count(cfg, "upd", TD, PENDING) == 1
+    assert message_count(cfg, "upd", TB) == 0
 
 
 def test_guard_scope_on_configurations(travel_system):
@@ -165,19 +198,19 @@ def test_guard_scope_on_configurations(travel_system):
     [("<", 2, True), ("<=", 1, True), ("==", 1, True), (">=", 2, False), (">", 0, True)],
 )
 def test_guard_operators(op, bound, expected):
-    chi = chi_with(consumed=[UPD])
-    assert eval_guard(CountAtom("upd", TD, op, bound), chi) is expected
+    cfg = cfg_with(consumed=[UPD])
+    assert eval_guard(CountAtom("upd", TD, op, bound), cfg) is expected
 
 
 def test_guard_connectives():
-    chi = chi_with(pending=[UPD])
+    cfg = cfg_with(pending=[UPD])
     has_upd = MemberAtom("upd", TD)
-    assert eval_guard(has_upd, chi)
-    assert not eval_guard(MemberAtom("ack", TD), chi)
-    assert not eval_guard(GFalse(), chi)
-    assert eval_guard(Not(GFalse()), chi)
-    assert eval_guard(Or(GFalse(), has_upd), chi)
-    assert not eval_guard(And(has_upd, Not(has_upd)), chi)
+    assert eval_guard(has_upd, cfg)
+    assert not eval_guard(MemberAtom("ack", TD), cfg)
+    assert not eval_guard(GFalse(), cfg)
+    assert eval_guard(Not(GFalse()), cfg)
+    assert eval_guard(Or(GFalse(), has_upd), cfg)
+    assert not eval_guard(And(has_upd, Not(has_upd)), cfg)
 
 
 # -- the decision book ------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The forward steps against the dict-based oracle in ``runtime_oracle``.
+"""The forward steps and ``rho`` against the two-queue oracle in ``runtime_oracle``.
 
 ``step_output`` and ``step_input`` build a successor from the parent's
 tuples and configurations hash once, at construction.  Both are exact
 when every move gives the configuration the oracle gives, with the same
 hash, and when equal configurations hash equal whichever route built
-them.
+them.  ``rho`` moves a channel's head back where the oracle moves a log
+between queues; both must remove the same logs to the same configuration,
+or refuse with the same text.
 """
 
 import dataclasses
@@ -15,14 +17,17 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import explore_oracle
 import runtime_oracle
 from chorrev import runtime
-from chorrev.causality import CausalityAnalyzer
+from chorrev.causality import CausalityAnalyzer, all_log_refs
 from chorrev.explore import Bound, reachable
 from chorrev.machine import ProjectionError, Unit
 from chorrev.model import Channel
 from chorrev.order import UndefinedSemantics
+from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.reverse import RollbackFailed, enabled_reversals, rho, step_reverse
 from chorrev.runtime import ChannelState, Configuration, Log, NotEnabled
+
+from conftest import DATA, queues
 
 from test_order_oracle import build, shapes
 
@@ -30,7 +35,7 @@ from test_order_oracle import build, shapes
 def outcome(step, *args):
     try:
         return step(*args)
-    except NotEnabled as exc:
+    except (NotEnabled, ValueError) as exc:
         return str(exc)
 
 
@@ -113,10 +118,64 @@ def test_generated_systems_step_like_the_oracle(shape, rounds, steps):
         assert_steps_match(cfg, system)
 
 
+def assert_rho_matches(cfg, system, analyzer, targets):
+    """``rho`` removes ``targets`` to the oracle's configuration, or refuses
+    with its text; returns the refusal text or ``None``."""
+    new = outcome(rho, cfg, system, targets, analyzer)
+    old = outcome(runtime_oracle.rho, cfg, system, targets, analyzer)
+    assert new == old
+    if isinstance(new, str):
+        return new
+    assert hash(new) == hash(old)
+    assert_canonical(new)
+    return None
+
+
+def test_travel_reversal_edges_roll_back_like_the_oracle(travel_system, travel_reversal_search):
+    analyzer = CausalityAnalyzer(travel_system)
+    edges = travel_reversal_search.reversal_edges
+    assert len(edges) == 168
+    for pre, cand, post in edges:
+        effects = analyzer.effects(pre, cand.anchor)
+        assert assert_rho_matches(pre, travel_system, analyzer, effects) is None
+        # The edge adds only the book entry of the reversed family.
+        assert post.chi == rho(pre, travel_system, effects, analyzer).chi
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(shapes, st.integers(1, 2), st.integers(0, 6))
+def test_generated_systems_roll_back_like_the_oracle(shape, rounds, steps):
+    # The effects of every log, not only of reversal anchors: removals of
+    # consumed logs and refused replays are compared too.
+    try:
+        system = project_system(build(shape))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    analyzer = CausalityAnalyzer(system)
+    for cfg in _reached_with_reversals(system, Bound(steps, rounds)):
+        for ref in all_log_refs(cfg):
+            assert_rho_matches(cfg, system, analyzer, analyzer.effects(cfg, ref))
+
+
+def test_a_refused_rollback_is_refused_like_the_oracle():
+    # A receiver that consumed the loop's exit marker after the rewound
+    # input keeps it; neither route can replay what is left.
+    system = project_system(
+        parse_choreography((DATA / "rollback_consumed_marker.rchor").read_text())
+    )
+    analyzer = CausalityAnalyzer(system)
+    refusals = set()
+    for cfg in explore_oracle.reachable(system, Bound(12, 1)).configs:
+        for cand in enabled_reversals(cfg, system, analyzer):
+            effects = analyzer.effects(cfg, cand.anchor)
+            refusals.add(assert_rho_matches(cfg, system, analyzer, effects))
+    assert refusals == {None, "the history of C replays to [], not to one state"}
+
+
 def _rebuilt(cfg):
     """``cfg`` from dicts of new channel, log and channel-state objects."""
     chi = {
-        Channel(ch.sender, ch.receiver): ChannelState(
+        Channel(ch.sender, ch.receiver): queues(
             tuple(dataclasses.replace(log) for log in cs.consumed),
             tuple(dataclasses.replace(log) for log in cs.pending),
         )
@@ -153,6 +212,10 @@ def test_the_hash_is_not_a_field(replan_config):
     assert tuple(f.name for f in dataclasses.fields(Configuration)) == names
     assert "_hash" not in repr(replan_config)
     assert hash(replan_config) == hash(tuple(getattr(replan_config, n) for n in names))
-    log = replan_config.chi[0][1].all_logs[0]
+    cs = replan_config.chi[0][1]
+    assert tuple(f.name for f in dataclasses.fields(ChannelState)) == ("logs", "head")
+    assert "_hash" not in repr(cs)
+    assert hash(cs) == hash((cs.logs, cs.head))
+    log = cs.logs[0]
     assert tuple(f.name for f in dataclasses.fields(Log)) == ("message", "sender_state", "cp", "timestamp")
     assert "_hash" not in repr(log)

@@ -244,14 +244,15 @@ def test_desugar_leaves_core_connectives(g):
     ),
 )
 def test_desugar_preserves_meaning(g, raw):
-    from chorrev.runtime import ChannelState, Log
+    from chorrev.runtime import ChannelState, Configuration, Log
 
     chi = {}
     for ch, msgs in raw:
         logs = tuple(Log(m, 0, 1, i + 1) for i, m in enumerate(msgs))
-        chi[ch] = ChannelState(logs[: len(logs) // 2], logs[len(logs) // 2 :])
-    assert eval_guard(g, chi) == eval_guard(desugar(g), chi)
-    assert eval_guard(g, chi, PENDING) == eval_guard(desugar(g), chi, PENDING)
+        chi[ch] = ChannelState(logs, len(logs) // 2)
+    cfg = Configuration.make({}, chi, {})
+    assert eval_guard(g, cfg) == eval_guard(desugar(g), cfg)
+    assert eval_guard(g, cfg, PENDING) == eval_guard(desugar(g), cfg, PENDING)
 
 
 def test_validate_accepts_travel(travel_chor):
