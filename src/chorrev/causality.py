@@ -20,6 +20,8 @@ ingredients and then closed under transitivity:
    machine could not have produced that send before that receive in any
    replay of its recorded history.
 
+The closure is kept once per history as, for each log, the set of logs
+that depend on it; ``effects`` and ``rollback_points`` read that mapping.
 The replay machinery of (4) is shared with rollback (to restore receiver
 states) and with the configuration audit.
 """
@@ -125,7 +127,7 @@ class CausalityAnalyzer:
             elif isinstance(e, GateEvent) and e.kind in _MARKERS:
                 self._events[e.cp, _MARKERS[e.kind]] = e
         self.loops = loops_of(system.chor)
-        self._relations: dict[tuple, frozenset[tuple[LogRef, LogRef]]] = {}
+        self._relations: dict[tuple, dict[LogRef, frozenset[LogRef]]] = {}
         self._bases: dict[tuple, dict[tuple[LogRef, LogRef], list[str]]] = {}
         self._replays: dict[tuple, frozenset[tuple[int, ...]]] = {}
         self._rollbacks: dict[tuple, frozenset[LogRef]] = {}
@@ -219,8 +221,9 @@ class CausalityAnalyzer:
         self._bases[cfg.chi] = edges
         return edges
 
-    def relation(self, cfg: Configuration) -> frozenset[tuple[LogRef, LogRef]]:
-        """The full dependency relation: reflexive-transitive closure."""
+    def relation(self, cfg: Configuration) -> dict[LogRef, frozenset[LogRef]]:
+        """The full dependency relation, reflexive and transitive: for each
+        log, the logs that depend on it, itself included."""
         cached = self._relations.get(cfg.chi)
         if cached is not None:
             return cached
@@ -228,7 +231,7 @@ class CausalityAnalyzer:
         succ: dict[LogRef, set[LogRef]] = {r: set() for r in refs}
         for (src, dst) in self.base_relation(cfg):
             succ[src].add(dst)
-        pairs: set[tuple[LogRef, LogRef]] = set()
+        closure: dict[LogRef, frozenset[LogRef]] = {}
         for start in refs:
             seen = {start}
             stack = [start]
@@ -237,18 +240,13 @@ class CausalityAnalyzer:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-            pairs.update((start, r) for r in seen)
-        rel = frozenset(pairs)
-        self._relations[cfg.chi] = rel
-        return rel
+            closure[start] = frozenset(seen)
+        self._relations[cfg.chi] = closure
+        return closure
 
-    def precedes(self, cfg: Configuration, first: LogRef, second: LogRef) -> bool:
-        return (first, second) in self.relation(cfg)
-
-    def effects(self, cfg: Configuration, ref: LogRef) -> set[LogRef]:
+    def effects(self, cfg: Configuration, ref: LogRef) -> frozenset[LogRef]:
         """Everything that must be undone together with ``ref`` (inclusive)."""
-        rel = self.relation(cfg)
-        return {other for other in all_log_refs(cfg) if (ref, other) in rel}
+        return self.relation(cfg)[ref]
 
     # -- rollback points ---------------------------------------------------
 
@@ -263,17 +261,14 @@ class CausalityAnalyzer:
         if cached is not None:
             return cached
         points: set[LogRef] = set()
-        for ref in all_log_refs(cfg):
-            _, log = ref
-            encl = self._outermost_loop(log.cp)
-            succs = self.effects(cfg, ref) - {ref}
+        for ref, dependants in self.relation(cfg).items():
+            encl = self._outermost_loop(ref[1].cp)
             if encl is None:
-                if not succs:
+                if len(dependants) == 1:
                     points.add(ref)
-                continue
-            if not ongoing(encl, cfg):
-                continue
-            if all(encl.contains_cp(other[1].cp) for other in succs):
+            elif ongoing(encl, cfg) and all(
+                encl.contains_cp(other[1].cp) for other in dependants
+            ):
                 points.add(ref)
         frozen = frozenset(points)
         self._rollbacks[cfg.chi] = frozen

@@ -56,9 +56,12 @@ def _verdict_style(verdict: str) -> dict:
 
 def _load(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+    except UnicodeDecodeError as exc:
+        click.echo(f"error: {path} is not UTF-8 text: {exc}", err=True)
         sys.exit(2)
     try:
         return parse_choreography(text)
@@ -245,10 +248,16 @@ class _Simulation:
         self.entries: list[dict] = []
         self.steps = 0
 
-    def moves(self):
+    def moves(self) -> list:
+        """Every enabled move, forward ones first: ``("fwd", (participant,
+        transition))`` or ``("rev", candidate)``."""
         forward = runtime.enabled_forward(self.cfg, self.system, self.scope, self.block)
         reversals = enabled_reversals(self.cfg, self.system, self.analyzer, self.scope)
-        return forward, reversals
+        return [("fwd", mv) for mv in forward] + [("rev", c) for c in reversals]
+
+    def apply(self, move) -> dict:
+        kind, item = move
+        return self.apply_forward(*item) if kind == "fwd" else self.apply_reversal(item)
 
     def apply_forward(self, a: str, t) -> dict:
         m = self.system.machines[a]
@@ -304,14 +313,10 @@ class _Simulation:
         return entry
 
     def random_step(self, rng: random.Random) -> Optional[dict]:
-        forward, reversals = self.moves()
-        pool: list = [("fwd", mv) for mv in forward] + [("rev", c) for c in reversals]
+        pool = self.moves()
         if not pool:
             return None
-        kind, item = pool[rng.randrange(len(pool))]
-        if kind == "fwd":
-            return self.apply_forward(*item)
-        return self.apply_reversal(item)
+        return self.apply(pool[rng.randrange(len(pool))])
 
 
 def _describe_entry(entry: dict) -> str:
@@ -369,6 +374,8 @@ def _directive_problem(d, system: System) -> Optional[str]:
             return f"missing {key!r}"
         if key in d and (not isinstance(d[key], int) or isinstance(d[key], bool)):
             return f"{key!r} must be an integer"
+    if d.get("steps", 0) < 0:
+        return "'steps' must not be negative"
     if kind != "auto":
         who = d.get("participant")
         if who is None:
@@ -441,8 +448,7 @@ def _state_line(sim: _Simulation) -> str:
 
 def _interactive_loop(sim: _Simulation, max_steps: int) -> None:
     while sim.steps < max_steps:
-        forward, reversals = sim.moves()
-        pool: list = [("fwd", mv) for mv in forward] + [("rev", c) for c in reversals]
+        pool = sim.moves()
         if not pool:
             _echo("no moves available; the run is over")
             return
@@ -465,12 +471,11 @@ def _interactive_loop(sim: _Simulation, max_steps: int) -> None:
         if str(answer).strip().lower() in ("q", "quit", ""):
             return
         try:
-            index = int(answer)
-            kind, item = pool[index]
+            move = pool[int(answer)]
         except (ValueError, IndexError):
             _echo("not a listed move", fg="yellow")
             continue
-        entry = sim.apply_forward(*item) if kind == "fwd" else sim.apply_reversal(item)
+        entry = sim.apply(move)
         _echo("  " + _describe_entry(entry))
 
 
@@ -497,9 +502,9 @@ def _dump_causality(sim: _Simulation) -> None:
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--interactive", is_flag=True)
-@click.option("--auto", type=int, help="run this many random steps")
+@click.option("--auto", type=click.IntRange(min=0), help="run this many random steps")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-steps", type=int, default=1000, show_default=True)
+@click.option("--max-steps", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False))
 @click.option("--guard-scope", type=click.Choice(["pending", "full"]), default="full", show_default=True)
 @click.option("--block-on-guard", is_flag=True, help="hold revertible outputs while their guard holds")

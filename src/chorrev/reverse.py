@@ -6,10 +6,11 @@ decorated branch families, provided that family's guard now holds, the
 decision state's alternatives are not exhausted, and the family's first
 output is still anchored in the recorded history at a point the system can
 rewind to.  Everything that causally depends on that first output is then
-removed, senders rewind to the states recorded in the removed logs,
-receivers of removed inputs are restored by replaying what is left of
-their history, and the decision state's book is updated so the same
-family is not immediately retried.
+removed: a causally closed set of logs is the end of each channel's logs,
+so the rollback cuts those ends off in one step.  Senders rewind to the
+states recorded in the removed logs, receivers of removed inputs are
+restored by replaying what is left of their history, and the decision
+state's book is updated so the same family is not immediately retried.
 """
 
 from __future__ import annotations
@@ -45,81 +46,58 @@ class RollbackFailed(Exception):
     """An enabled reversal whose rollback cannot be carried out."""
 
 
-def _ref_sort_key(ref: LogRef):
-    ch, log = ref
-    return (ch.sender, ch.receiver, log.timestamp, log.cp, log.message)
-
-
-def maximal_logs(
-    targets: Iterable[LogRef], relation: frozenset[tuple[LogRef, LogRef]]
-) -> set[LogRef]:
-    """Targets on which no other target causally depends."""
-    pool = set(targets)
-    return {
-        r for r in pool if not any(r != o and (r, o) in relation for o in pool)
-    }
-
-
 def rho(
     cfg: Configuration,
     system: System,
     targets: Iterable[LogRef],
     analyzer: Optional[CausalityAnalyzer] = None,
-    order: Optional[list[LogRef]] = None,
 ) -> Configuration:
     """Remove a causally closed set of logs from the configuration.
 
-    Logs are peeled off in dependency order (most dependent first).  Each
-    one leaves from the end of its channel's logs, taking the head back
-    with it if the receiver had consumed it, and rewinds its sender to the
-    state stored in the log.  When ``order`` is given it must list the
-    targets in a legal removal order; otherwise a deterministic legal
-    order is chosen.  The result does not depend on the choice.
+    On every channel the targets must be the last of its logs; they are
+    cut off in one step, and the head moves back to the cut if the
+    receiver had consumed any of them.  Each sender rewinds to the state
+    stored in its earliest removed log.  Removing the logs one at a time,
+    most dependent first, gives the same configuration in every legal
+    order, and this one cut is that configuration.
 
-    After the removal pass, every participant that lost an already
-    consumed input is restored by replaying its remaining history; the
-    replayed state is authoritative because the literal sender rewind
-    cannot account for inputs the receiver keeps.  A history that does not
-    replay to exactly one state raises :class:`ValueError`.
+    Then every participant that lost an already consumed input is restored
+    by replaying its remaining history; the replayed state is
+    authoritative because the literal sender rewind cannot account for
+    inputs the receiver keeps.  A history that does not replay to exactly
+    one state raises :class:`ValueError`.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
-    relation = analyzer.relation(cfg)
-    remaining = set(targets)
-    if not remaining <= set(all_log_refs(cfg)):
+    targets = set(targets)
+    if not targets <= set(all_log_refs(cfg)):
         raise ValueError("targets must be logs of the configuration")
-    sequence = list(order) if order is not None else None
-    if sequence is not None and (
-        len(sequence) != len(remaining) or set(sequence) != remaining
-    ):
-        raise ValueError("order must enumerate exactly the target logs")
 
     sigma = cfg.sigma_dict()
     chi = cfg.chi_dict()
     book = cfg.book_dict()
     rewound: set[str] = set()  # receivers that lose a consumed input
+    earliest: dict[str, Log] = {}  # each sender's first removed log
 
-    while remaining:
-        maximals = maximal_logs(remaining, relation)
-        if sequence is not None:
-            ref = sequence.pop(0)
-            if ref not in maximals:
-                raise ValueError(
-                    f"illegal removal order: {ref[1]} still has dependants"
-                )
-        else:
-            ref = min(maximals, key=_ref_sort_key)
-        ch, log = ref
-        cs = chi[ch]
-        if cs.logs[-1] != log:
+    for ch, cs in cfg.chi:
+        kept = len(cs.logs)
+        while kept and (ch, cs.logs[kept - 1]) in targets:
+            kept -= 1
+        stray = [log for log in cs.logs[:kept] if (ch, log) in targets]
+        if stray:
             raise ValueError(
-                f"cannot remove {log} from the middle of {ch}; the target set"
+                f"cannot remove {stray[-1]} from the middle of {ch}; the target set"
                 " is not causally closed"
             )
-        if cs.head == len(cs.logs):
+        if kept == len(cs.logs):
+            continue
+        if kept < cs.head:
             rewound.add(ch.receiver)
-        chi[ch] = ChannelState(cs.logs[:-1], min(cs.head, len(cs.logs) - 1))
-        sigma[ch.sender] = log.sender_state
-        remaining.discard(ref)
+        chi[ch] = ChannelState(cs.logs[:kept], min(cs.head, kept))
+        first = cs.logs[kept]
+        if ch.sender not in earliest or first.timestamp < earliest[ch.sender].timestamp:
+            earliest[ch.sender] = first
+    for sender, log in earliest.items():
+        sigma[sender] = log.sender_state
 
     interim = Configuration.make(sigma, chi, book)
     for p in sorted(rewound):

@@ -9,8 +9,9 @@ only when a step raises.  This module keeps the first implementations:
 - the forward steps copy the three parts of the configuration into
   dicts, change them, and canonicalise the result with
   ``Configuration.make``, with the refusal texts built by the checks;
-- ``rho`` removes a log from the end of the pending queue, or from the
-  end of the consumed queue once nothing is pending.
+- ``rho`` removes one log at a time, most dependent first (or in a
+  given legal order), from the end of the pending queue, or from the end
+  of the consumed queue once nothing is pending.
 
 Channel states cross into the package's form only through ``queues``;
 the differential tests compare the two.
@@ -23,7 +24,6 @@ from typing import Iterable, Optional
 from chorrev.causality import CausalityAnalyzer, LogRef, all_log_refs
 from chorrev.machine import Branch, Transition
 from chorrev.projection import System
-from chorrev.reverse import _ref_sort_key, maximal_logs
 from chorrev.runtime import (
     EMPTY_CHANNEL,
     FULL,
@@ -116,19 +116,42 @@ def step_input(
     return Configuration.make(sigma, chi, book)
 
 
+def _ref_sort_key(ref: LogRef):
+    ch, log = ref
+    return (ch.sender, ch.receiver, log.timestamp, log.cp, log.message)
+
+
+def maximal_logs(
+    targets: Iterable[LogRef], relation: dict[LogRef, frozenset[LogRef]]
+) -> set[LogRef]:
+    """Targets on which no other target causally depends."""
+    pool = set(targets)
+    return {r for r in pool if not any(r != o and o in relation[r] for o in pool)}
+
+
 def rho(
     cfg: Configuration,
     system: System,
     targets: Iterable[LogRef],
     analyzer: Optional[CausalityAnalyzer] = None,
+    order: Optional[list[LogRef]] = None,
 ) -> Configuration:
     """Remove a causally closed set of logs, most dependent first, then
-    replay every receiver that lost a consumed input."""
+    replay every receiver that lost a consumed input.
+
+    When ``order`` is given it must list the targets in a legal removal
+    order; otherwise a deterministic legal order is chosen.
+    """
     analyzer = analyzer or CausalityAnalyzer(system)
     relation = analyzer.relation(cfg)
     remaining = set(targets)
     if not remaining <= set(all_log_refs(cfg)):
         raise ValueError("targets must be logs of the configuration")
+    sequence = list(order) if order is not None else None
+    if sequence is not None and (
+        len(sequence) != len(remaining) or set(sequence) != remaining
+    ):
+        raise ValueError("order must enumerate exactly the target logs")
 
     sigma = cfg.sigma_dict()
     chi = cfg.chi_dict()
@@ -136,7 +159,15 @@ def rho(
     removed_consumed: set[LogRef] = set()
 
     while remaining:
-        ref = min(maximal_logs(remaining, relation), key=_ref_sort_key)
+        maximals = maximal_logs(remaining, relation)
+        if sequence is not None:
+            ref = sequence.pop(0)
+            if ref not in maximals:
+                raise ValueError(
+                    f"illegal removal order: {ref[1]} still has dependants"
+                )
+        else:
+            ref = min(maximals, key=_ref_sort_key)
         ch, log = ref
         cs = chi[ch]
         if cs.pending and cs.pending[-1] == log:

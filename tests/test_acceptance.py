@@ -23,10 +23,11 @@ from chorrev.model import Channel, CountAtom, Interaction, Loop, Seq, validate
 from chorrev.order import CommEvent, UndefinedSemantics, semantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
-from chorrev.reverse import enabled_reversals, maximal_logs, rho, step_reverse
+from chorrev.reverse import enabled_reversals, rho, step_reverse
 from chorrev.runtime import BookEntry, Configuration, Log
 
 import order_oracle
+import runtime_oracle
 from conftest import DAG, DATA, drive, queues, random_decoration_inputs, random_pmachine
 
 TB = Channel("T", "B")
@@ -152,26 +153,32 @@ def test_criterion_07_scripted_rollback_shapes(travel_system, replan_config):
 
 
 def _removal_outcomes(source, script):
-    """Run rho under every permutation of the whole log set.
+    """Run the one-log-at-a-time oracle rho under every permutation of the
+    whole log set.
 
     Returns (legal outcomes, illegal count) after checking the fixture is
-    small and has at least two incomparable maximal logs.
+    small and has at least two incomparable maximal logs, and that every
+    legal outcome is the package's one-cut rho.
     """
     system = project_system(parse_choreography(source))
     cfg = drive(system, script)
     targets = list(all_log_refs(cfg))
     assert len(targets) <= 6
     analyzer = CausalityAnalyzer(system)
-    maximals = maximal_logs(targets, analyzer.relation(cfg))
+    maximals = runtime_oracle.maximal_logs(targets, analyzer.relation(cfg))
     assert len(maximals) >= 2
 
     outcomes, illegal = [], 0
     for perm in itertools.permutations(targets):
         try:
-            outcomes.append(rho(cfg, system, targets, analyzer, order=list(perm)))
+            outcomes.append(
+                runtime_oracle.rho(cfg, system, targets, analyzer, order=list(perm))
+            )
         except ValueError:
             illegal += 1
     assert len(outcomes) + illegal == math.factorial(len(targets))
+    cut = rho(cfg, system, targets, analyzer)
+    assert all(outcome == cut for outcome in outcomes)
     return outcomes, illegal
 
 

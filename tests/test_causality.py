@@ -117,10 +117,13 @@ def test_relation_is_reflexive_transitive(loop_system, loop_run):
     rel = analyzer.relation(loop_run)
     b1, _, _, m2 = refs(loop_run, AB)
     _, _, _, y2 = refs(loop_run, AC)
-    assert (b1, b1) in rel
-    assert (b1, y2) in rel
-    assert analyzer.precedes(loop_run, b1, m2)
-    assert not analyzer.precedes(loop_run, m2, b1)
+    assert set(rel) == set(all_log_refs(loop_run))
+    assert all(ref in dependants for ref, dependants in rel.items())
+    assert b1 in rel[b1]
+    assert y2 in rel[b1]
+    assert m2 in rel[b1]
+    assert b1 not in rel[m2]
+    assert analyzer.effects(loop_run, b1) is rel[b1]
 
 
 def test_rollback_points_inside_an_ongoing_loop(loop_system, loop_run):
@@ -234,6 +237,23 @@ def test_every_log_of_the_run_is_a_rollback_point(travel_system, replan_config):
     points = analyzer.rollback_points(replan_config)
     assert points == set(all_log_refs(replan_config))
     assert len(points) == 7
+
+
+def test_a_loop_log_with_a_dependant_after_the_loop_is_no_rollback_point():
+    # The end marker is still in flight, so the loop is ongoing, but the
+    # send after the loop depends on every log of it.
+    system = project_system(parse_choreography("loop @ A { A -> B : m } ; A -> C : z"))
+    cfg = drive(
+        system,
+        [
+            ("out", "A", 1, None, DAG),
+            ("out", "A", 2, None, None),
+            ("out", "A", 1, None, DDAG),
+            ("out", "A", 3, None, None),
+        ],
+    )
+    (z_ref,) = refs(cfg, AC)
+    assert CausalityAnalyzer(system).rollback_points(cfg) == {z_ref}
 
 
 def test_rollback_points_are_kept_per_history(travel_system):

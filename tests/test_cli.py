@@ -132,6 +132,17 @@ def test_long_chain_exits_zero(runner, tmp_path, text, command):
     assert "Traceback" not in result.output
 
 
+def test_input_that_is_not_utf8_exits_two_without_a_traceback(runner, tmp_path):
+    path = tmp_path / "latin.rchor"
+    path.write_bytes(b"A -> B : m\xff")
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert "not UTF-8 text" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_missing_file_exits_two(runner):
     result = runner.invoke(main, ["check", "nowhere.rchor"])
     assert result.exit_code == 2
@@ -326,6 +337,25 @@ def test_simulate_malformed_directive_exits_two_before_any_step(runner, tmp_path
     assert "directive 2" in result.output
     assert problem in result.output
     assert "T sends" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, problem",
+    [
+        (["--auto", "-3"], "-3 is not in the range x>=0"),
+        (["--auto", "5", "--max-steps", "-2"], "-2 is not in the range x>=0"),
+        (["--schedule", "SCHEDULE"], "'steps' must not be negative"),
+    ],
+    ids=["auto", "max-steps", "auto-directive"],
+)
+def test_simulate_negative_step_counts_exit_two(runner, tmp_path, args, problem):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps([FIRST_SEND, {"kind": "auto", "steps": -1}]))
+    args = [str(path) if arg == "SCHEDULE" else arg for arg in args]
+    result = runner.invoke(main, ["simulate", TRAVEL, *args])
+    assert result.exit_code == 2
+    assert problem in result.output
+    assert "finished after" not in result.output
 
 
 def test_simulate_runs_the_first_send_alone(runner, tmp_path):
