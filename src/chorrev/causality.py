@@ -20,10 +20,12 @@ ingredients and then closed under transitivity:
    machine could not have produced that send before that receive in any
    replay of its recorded history.
 
-The closure is kept once per history as, for each log, the set of logs
-that depend on it; ``effects`` and ``rollback_points`` read that mapping.
-The replay machinery of (4) is shared with rollback (to restore receiver
-states) and with the configuration audit.
+The closure is the one form of the relation kept per history: for each
+log, the set of logs that depend on it; ``effects`` and
+``rollback_points`` read that mapping.  The tagged edges it is built from
+are computed on each call and dropped.  The replay machinery of (4) is
+shared with rollback (to restore receiver states) and with the
+configuration audit.
 """
 
 from __future__ import annotations
@@ -127,8 +129,12 @@ class CausalityAnalyzer:
             elif isinstance(e, GateEvent) and e.kind in _MARKERS:
                 self._events[e.cp, _MARKERS[e.kind]] = e
         self.loops = loops_of(system.chor)
+        # The outermost loop around each control point: an enclosing loop
+        # has the larger body, so it is written last.
+        self._outermost: dict[int, LoopRef] = {}
+        for L in sorted(self.loops, key=lambda L: len(L.body_cps)):
+            self._outermost.update(dict.fromkeys(L.body_cps | {L.cp}, L))
         self._relations: dict[tuple, dict[LogRef, frozenset[LogRef]]] = {}
-        self._bases: dict[tuple, dict[tuple[LogRef, LogRef], list[str]]] = {}
         self._replays: dict[tuple, frozenset[tuple[int, ...]]] = {}
         self._rollbacks: dict[tuple, frozenset[LogRef]] = {}
 
@@ -142,19 +148,10 @@ class CausalityAnalyzer:
             return None
         return min(common, key=lambda L: len(L.body_cps))
 
-    def _outermost_loop(self, cp: int) -> Optional[LoopRef]:
-        enclosing = [L for L in self.loops if L.contains_cp(cp)]
-        if not enclosing:
-            return None
-        return max(enclosing, key=lambda L: len(L.body_cps))
-
     # -- the relation ----------------------------------------------------
 
     def base_relation(self, cfg: Configuration) -> dict[tuple[LogRef, LogRef], list[str]]:
         """The asserted dependency edges with the clauses that produced them."""
-        cached = self._bases.get(cfg.chi)
-        if cached is not None:
-            return cached
         edges: dict[tuple[LogRef, LogRef], list[str]] = {}
 
         def add(src: LogRef, dst: LogRef, why: str) -> None:
@@ -217,13 +214,14 @@ class CausalityAnalyzer:
         for participant in self.system.machines:
             for pair in self._forced_pairs(cfg, participant):
                 add(pair[0], pair[1], "replay-order")
-
-        self._bases[cfg.chi] = edges
         return edges
 
     def relation(self, cfg: Configuration) -> dict[LogRef, frozenset[LogRef]]:
         """The full dependency relation, reflexive and transitive: for each
-        log, the logs that depend on it, itself included."""
+        log, the logs that depend on it, itself included.
+
+        Cached per history; the tagged edges of :meth:`base_relation` are
+        built on a miss and dropped."""
         cached = self._relations.get(cfg.chi)
         if cached is not None:
             return cached
@@ -261,12 +259,16 @@ class CausalityAnalyzer:
         if cached is not None:
             return cached
         points: set[LogRef] = set()
+        live: dict[int, bool] = {}  # ``ongoing`` of each loop, asked once
         for ref, dependants in self.relation(cfg).items():
-            encl = self._outermost_loop(ref[1].cp)
+            encl = self._outermost.get(ref[1].cp)
             if encl is None:
                 if len(dependants) == 1:
                     points.add(ref)
-            elif ongoing(encl, cfg) and all(
+                continue
+            if encl.cp not in live:
+                live[encl.cp] = ongoing(encl, cfg)
+            if live[encl.cp] and all(
                 encl.contains_cp(other[1].cp) for other in dependants
             ):
                 points.add(ref)

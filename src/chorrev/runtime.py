@@ -15,16 +15,18 @@ possible later.
 
 Searches hash configurations far more often than they build them, so
 logs, channel states and configurations compute their hash once, at
-construction.  A forward step builds its successor from the parent's
-tuples: it replaces the mover's state and one channel, and shares every
-other channel and, unless the book rule changes it, the book.
+construction.  A configuration is its three sorted tuples and that hash,
+nothing more: its lookups scan the tuples, which hold one slot per
+participant, channel or open decision.  A forward step builds its
+successor from the parent's tuples: it replaces the mover's state and
+one channel, and shares every other channel and, unless the move commits
+out of a branch, the book.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -108,16 +110,6 @@ class BookEntry:
 EMPTY_ENTRY = BookEntry()
 
 
-def _canonical_book(book: dict[tuple[str, int], BookEntry]) -> tuple[tuple[str, int, BookEntry], ...]:
-    """The book part of :meth:`Configuration.make`: sorted, without empty entries."""
-    return tuple(
-        sorted(
-            ((a, q, e) for (a, q), e in book.items() if e != EMPTY_ENTRY),
-            key=lambda triple: (triple[0], triple[1]),
-        )
-    )
-
-
 @dataclass(frozen=True)
 class Configuration:
     """An immutable, canonically ordered snapshot of the whole system.
@@ -127,6 +119,8 @@ class Configuration:
     entry.  :meth:`make` canonicalises dict input; the forward steps keep
     the order themselves, sharing the parts of the parent they leave
     alone.  The hash is computed once, at construction; it is not a field.
+    There are no dict views: the lookups scan the tuples, and the
+    ``*_dict`` methods build a fresh dict on each call.
     """
 
     sigma: tuple[tuple[str, int], ...]
@@ -155,38 +149,41 @@ class Configuration:
                     key=lambda pair: pair[0],
                 )
             ),
-            _canonical_book(book),
+            tuple(
+                sorted(
+                    ((a, q, e) for (a, q), e in book.items() if e != EMPTY_ENTRY),
+                    key=lambda triple: (triple[0], triple[1]),
+                )
+            ),
         )
 
-    @cached_property
-    def _sigma(self) -> dict[str, int]:
-        return dict(self.sigma)
-
-    @cached_property
-    def _chi(self) -> dict[Channel, ChannelState]:
-        return dict(self.chi)
-
-    @cached_property
-    def _book(self) -> dict[tuple[str, int], BookEntry]:
-        return {(a, q): e for a, q, e in self.book}
-
     def state_of(self, participant: str) -> int:
-        return self._sigma[participant]
+        for a, q in self.sigma:
+            if a == participant:
+                return q
+        raise KeyError(participant)
 
     def channel_state(self, channel: Channel) -> ChannelState:
-        return self._chi.get(channel, EMPTY_CHANNEL)
+        # Comparing endpoints spares a dataclass ``__eq__`` call per slot.
+        for ch, cs in self.chi:
+            if ch.sender == channel.sender and ch.receiver == channel.receiver:
+                return cs
+        return EMPTY_CHANNEL
 
     def book_entry(self, participant: str, state: int) -> BookEntry:
-        return self._book.get((participant, state), EMPTY_ENTRY)
+        for a, q, e in self.book:
+            if a == participant and q == state:
+                return e
+        return EMPTY_ENTRY
 
     def sigma_dict(self) -> dict[str, int]:
-        return dict(self._sigma)
+        return dict(self.sigma)
 
     def chi_dict(self) -> dict[Channel, ChannelState]:
-        return dict(self._chi)
+        return dict(self.chi)
 
     def book_dict(self) -> dict[tuple[str, int], BookEntry]:
-        return dict(self._book)
+        return {(a, q): e for a, q, e in self.book}
 
 
 def initial_configuration(system: System) -> Configuration:
@@ -243,41 +240,13 @@ def eval_guard(g: Guard, cfg: Configuration, scope: str = FULL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Book updates
+# Steps
 
 
 def _tried_here(entry: BookEntry, deco: Branch) -> bool:
     """Is the family of ``deco`` barred: tried at its decision state, whose
     book entry is ``entry``, while alternatives remain?"""
     return (deco.first_output, deco.guard) in entry.tried and not entry.exhausted
-
-
-def upd_inp(
-    book: dict[tuple[str, int], BookEntry], participant: str, deco: Decoration
-) -> dict[tuple[str, int], BookEntry]:
-    """Book update for an input: committing out of a branch clears its entry.
-
-    ``book`` is never mutated; when nothing changes it is returned itself.
-    """
-    if isinstance(deco, Branch) and deco.committed:
-        book = dict(book)
-        book.pop((participant, deco.choice_state), None)
-    return book
-
-
-def upd_out(
-    book: dict[tuple[str, int], BookEntry], participant: str, deco: Decoration
-) -> Optional[dict[tuple[str, int], BookEntry]]:
-    """Book update for an output; ``None`` when the family is barred."""
-    if isinstance(deco, Branch) and _tried_here(
-        book.get((participant, deco.choice_state), EMPTY_ENTRY), deco
-    ):
-        return None
-    return upd_inp(book, participant, deco)
-
-
-# ---------------------------------------------------------------------------
-# Steps
 
 
 def output_blocked_by_guard(
@@ -357,22 +326,25 @@ def _with_channel(
 
 
 def _successor(
-    cfg: Configuration,
-    participant: str,
-    t: Transition,
-    cs: ChannelState,
-    book: dict[tuple[str, int], BookEntry],
+    cfg: Configuration, participant: str, t: Transition, cs: ChannelState
 ) -> Configuration:
     """``cfg`` after ``participant`` took ``t``, leaving ``cs`` on its channel.
 
     Only the mover's state and the one channel are new; the other slots
-    are the parent's, and so is the book when the book rule returned it
-    unchanged.
+    are the parent's.  So is the book, except under the book rule: a move
+    that commits out of a branch clears the entry of its decision state.
+    Filtering the sorted book keeps it sorted and free of empty entries.
     """
+    book = cfg.book
+    d = t.decoration
+    if isinstance(d, Branch) and d.committed:
+        book = tuple(
+            e for e in book if e[0] != participant or e[1] != d.choice_state
+        )
     return Configuration(
         _with_state(cfg.sigma, participant, t.dst),
         _with_channel(cfg.chi, t.event.channel, cs),
-        cfg.book if book is cfg._book else _canonical_book(book),
+        book,
     )
 
 
@@ -388,12 +360,10 @@ def step_output(
     refusal = _check_output(cfg, participant, t, scope, block_on_guard)
     if refusal is not None:
         raise _refused(refusal, cfg, participant, t)
-    book = upd_out(cfg._book, participant, t.decoration)
-    assert book is not None
     ev = t.event
     log = Log(ev.message, cfg.state_of(participant), ev.cp, next_timestamp(cfg, participant))
     cs = cfg.channel_state(ev.channel)
-    return _successor(cfg, participant, t, ChannelState(cs.logs + (log,), cs.head), book)
+    return _successor(cfg, participant, t, ChannelState(cs.logs + (log,), cs.head))
 
 
 def step_input(
@@ -404,8 +374,7 @@ def step_input(
     if refusal is not None:
         raise _refused(refusal, cfg, participant, t)
     cs = cfg.channel_state(t.event.channel)
-    moved = ChannelState(cs.logs, cs.head + 1)
-    return _successor(cfg, participant, t, moved, upd_inp(cfg._book, participant, t.decoration))
+    return _successor(cfg, participant, t, ChannelState(cs.logs, cs.head + 1))
 
 
 def enabled_forward(

@@ -7,8 +7,9 @@ tuples, replacing one state and one channel, and spells out a refusal
 only when a step raises.  This module keeps the first implementations:
 
 - the forward steps copy the three parts of the configuration into
-  dicts, change them, and canonicalise the result with
-  ``Configuration.make``, with the refusal texts built by the checks;
+  dicts, change them (the book through ``upd_out``/``upd_inp``), and
+  canonicalise the result with ``Configuration.make``, with the refusal
+  texts built by the checks;
 - ``rho`` removes one log at a time, most dependent first (or in a
   given legal order), from the end of the pending queue, or from the end
   of the consumed queue once nothing is pending.
@@ -22,22 +23,46 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from chorrev.causality import CausalityAnalyzer, LogRef, all_log_refs
-from chorrev.machine import Branch, Transition
+from chorrev.machine import Branch, Decoration, Transition
 from chorrev.projection import System
 from chorrev.runtime import (
     EMPTY_CHANNEL,
+    EMPTY_ENTRY,
     FULL,
+    BookEntry,
     Configuration,
     Log,
     NotEnabled,
     _tried_here,
     next_timestamp,
     output_blocked_by_guard,
-    upd_inp,
-    upd_out,
 )
 
 from conftest import queues
+
+
+def upd_inp(
+    book: dict[tuple[str, int], BookEntry], participant: str, deco: Decoration
+) -> dict[tuple[str, int], BookEntry]:
+    """Book update for an input: committing out of a branch clears its entry.
+
+    ``book`` is never mutated; when nothing changes it is returned itself.
+    """
+    if isinstance(deco, Branch) and deco.committed:
+        book = dict(book)
+        book.pop((participant, deco.choice_state), None)
+    return book
+
+
+def upd_out(
+    book: dict[tuple[str, int], BookEntry], participant: str, deco: Decoration
+) -> Optional[dict[tuple[str, int], BookEntry]]:
+    """Book update for an output; ``None`` when the family is barred."""
+    if isinstance(deco, Branch) and _tried_here(
+        book.get((participant, deco.choice_state), EMPTY_ENTRY), deco
+    ):
+        return None
+    return upd_inp(book, participant, deco)
 
 
 def _check_output(

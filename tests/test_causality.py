@@ -268,6 +268,33 @@ def test_rollback_points_are_kept_per_history(travel_system):
         assert points == CausalityAnalyzer(travel_system).rollback_points(cfg)
 
 
+def test_rollback_points_ask_each_loop_once(travel_system, monkeypatch):
+    # Whether a loop is ongoing depends on the history, not on the log
+    # asking, so one computation of the rollback points asks it at most
+    # once per loop.
+    asked = 0
+    misses = 0
+    is_ongoing = causality.ongoing
+    compute = CausalityAnalyzer.rollback_points
+
+    def counting_ongoing(loop, cfg):
+        nonlocal asked
+        asked += 1
+        return is_ongoing(loop, cfg)
+
+    def counting_misses(self, cfg):
+        nonlocal misses
+        misses += cfg.chi not in self._rollbacks
+        return compute(self, cfg)
+
+    monkeypatch.setattr(causality, "ongoing", counting_ongoing)
+    monkeypatch.setattr(CausalityAnalyzer, "rollback_points", counting_misses)
+    results = run_checks(travel_system, Bound(200, 1))
+    assert all(r.passed for r in results)
+    assert misses > 0 and asked > 0
+    assert asked <= len(loops_of(travel_system.chor)) * misses
+
+
 # -- replay and audit ---------------------------------------------------------
 
 

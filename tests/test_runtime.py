@@ -8,6 +8,8 @@ from chorrev.machine import Branch, Unit
 from chorrev.model import And, Channel, CountAtom, GFalse, GTrue, MemberAtom, Not, Or
 from chorrev.order import CommEvent
 from chorrev.runtime import (
+    EMPTY_CHANNEL,
+    EMPTY_ENTRY,
     FULL,
     PENDING,
     BookEntry,
@@ -24,11 +26,10 @@ from chorrev.runtime import (
     output_blocked_by_guard,
     step_input,
     step_output,
-    upd_inp,
-    upd_out,
 )
 
 from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues
+from runtime_oracle import upd_inp, upd_out
 
 TB = Channel("T", "B")
 TD = Channel("T", "D")
@@ -278,6 +279,53 @@ def test_block_on_guard_mode(travel_system):
     step_output(cfg, travel_system, "T", flight)
     dest = find_transition(cfg, travel_system, "T", "!", 8)
     step_output(cfg, travel_system, "T", dest, block_on_guard=True)
+
+
+@pytest.fixture(scope="module")
+def travel_reversal_search(travel_system):
+    return reachable(travel_system, Bound(200, 1), with_reversals=True)
+
+
+def test_a_configuration_is_its_tuples_and_hash(travel_reversal_search):
+    # No lookup leaves a cached view behind on a searched configuration.
+    assert len(travel_reversal_search.configs) == 907
+    for cfg in travel_reversal_search.configs:
+        assert sorted(vars(cfg)) == ["_hash", "book", "chi", "sigma"]
+
+
+def test_lookups_agree_with_the_dicts(travel_system, travel_reversal_search):
+    for cfg in travel_reversal_search.configs:
+        sigma, chi, book = cfg.sigma_dict(), cfg.chi_dict(), cfg.book_dict()
+        assert all(cfg.state_of(a) == q for a, q in sigma.items())
+        assert all(cfg.channel_state(Channel(*ch.endpoints())) is cs for ch, cs in chi.items())
+        assert all(cfg.book_entry(a, q) is e for (a, q), e in book.items())
+    cfg = initial_configuration(travel_system)
+    with pytest.raises(KeyError):
+        cfg.state_of("nobody")
+    assert cfg.channel_state(TB) is EMPTY_CHANNEL
+    assert cfg.book_entry("T", 3) is EMPTY_ENTRY
+
+
+def test_only_a_commit_changes_the_book(travel_system, travel_reversal_search):
+    # A move that commits out of a branch drops exactly its decision
+    # state's entry; every other move shares the parent's book.
+    dropped = 0
+    for cfg in travel_reversal_search.configs:
+        for a, t in enabled_forward(cfg, travel_system):
+            step = step_output if t.event.polarity == "!" else step_input
+            succ = step(cfg, travel_system, a, t)
+            d = t.decoration
+            if isinstance(d, Branch) and d.committed:
+                key = (a, d.choice_state)
+                book = cfg.book_dict()
+                dropped += book.pop(key, None) is not None
+                assert succ.book_dict() == book
+                # Another decision state of the same participant keeps its entry.
+                other = Configuration_with_book(cfg, {**book, (a, -1): TRIED})
+                assert step(other, travel_system, a, t).book_entry(a, -1) is TRIED
+            else:
+                assert succ.book is cfg.book
+    assert dropped > 0
 
 
 # -- directive resolution ---------------------------------------------------
