@@ -20,17 +20,20 @@ ingredients and then closed under transitivity:
    machine could not have produced that send before that receive in any
    replay of its recorded history.
 
-The closure is the one form of the relation kept per history: for each
-log, the set of logs that depend on it; ``effects`` and
-``rollback_points`` read that mapping.  The tagged edges it is built from
-are computed on each call and dropped.  The replay machinery of (4) is
-shared with rollback (to restore receiver states) and with the
-configuration audit.
+Each fact is derived once per history: (1) and (2) in one walk over each
+sender's logs, (3) once per pair of events with each log's round read
+once per loop, and (4) from one count per input channel and output.  The
+closure, one bit mask per log closed Warshall-style, is the one form of
+the relation cached per history; ``effects`` and ``rollback_points`` read
+it, and the tagged edges are dropped after each call.  The replay
+machinery of (4) is shared with rollback (to restore receiver states)
+and with the configuration audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .model import Channel, Chor, LOOP_END, LOOP_START, Loop, control_points, subterms
@@ -68,45 +71,39 @@ def loops_of(g: Chor) -> list[LoopRef]:
     return out
 
 
-def round_of(idx: int, loop: LoopRef, channel_logs: tuple[Log, ...]) -> Optional[int]:
-    """The iteration of ``loop`` that the log at position ``idx`` of one
-    channel's logs belongs to.
+def marker_rounds(loop: LoopRef, logs: tuple[Log, ...]) -> list[Optional[int]]:
+    """The iteration of ``loop`` that each of one channel's logs belongs to.
 
     Rounds are measured by the loop's markers on that channel: a log after
     k end markers, or after k+1 start markers, is in round k.  The round
-    is undefined when no marker of the loop appears at or before the log.
+    is None when no marker of the loop appears at or before the log, so a
+    channel that never carries the loop's markers has no rounds at all.
     """
-    ends_before = sum(
-        1
-        for l in channel_logs[:idx]
-        if l.cp == loop.cp and l.message == LOOP_END
-    )
-    starts_at_or_before = sum(
-        1
-        for l in channel_logs[: idx + 1]
-        if l.cp == loop.cp and l.message == LOOP_START
-    )
-    if ends_before == 0 and starts_at_or_before == 0:
-        return None
-    return max(ends_before, starts_at_or_before - 1)
+    rounds: list[Optional[int]] = []
+    starts = ends = 0
+    for log in logs:
+        marker = log.message if log.cp == loop.cp else None
+        starts += marker == LOOP_START
+        rounds.append(max(ends, starts - 1) if starts or ends else None)
+        ends += marker == LOOP_END
+    return rounds
 
 
 def ongoing(loop: LoopRef, cfg: Configuration) -> bool:
     """Is the loop still running somewhere in the recorded history?
 
-    True while some channel saw a start marker with no end marker after
-    it, or an end marker is still in flight.
+    It is on a channel whose last marker of the loop is a start, or where
+    an end marker sits at or after the head, still in flight.  Each
+    channel is read once.
     """
     for _, cs in cfg.chi:
-        logs = cs.logs
-        for i, log in enumerate(logs):
-            if log.cp == loop.cp and log.message == LOOP_START:
-                if not any(
-                    later.cp == loop.cp and later.message == LOOP_END
-                    for later in logs[i + 1 :]
-                ):
+        last = None
+        for i, log in enumerate(cs.logs):
+            if log.cp == loop.cp and log.message in (LOOP_START, LOOP_END):
+                if log.message == LOOP_END and i >= cs.head:
                     return True
-        if any(l.cp == loop.cp and l.message == LOOP_END for l in logs[cs.head :]):
+                last = log.message
+        if last == LOOP_START:
             return True
     return False
 
@@ -136,7 +133,6 @@ class CausalityAnalyzer:
             self._outermost.update(dict.fromkeys(L.body_cps | {L.cp}, L))
         self._relations: dict[tuple, dict[LogRef, frozenset[LogRef]]] = {}
         self._replays: dict[tuple, frozenset[tuple[int, ...]]] = {}
-        self._rollbacks: dict[tuple, frozenset[LogRef]] = {}
 
     # -- static helpers ------------------------------------------------
 
@@ -151,94 +147,94 @@ class CausalityAnalyzer:
     # -- the relation ----------------------------------------------------
 
     def base_relation(self, cfg: Configuration) -> dict[tuple[LogRef, LogRef], list[str]]:
-        """The asserted dependency edges with the clauses that produced them."""
+        """The asserted dependency edges with the clauses that produced them,
+        each pair's tags in clause order."""
         edges: dict[tuple[LogRef, LogRef], list[str]] = {}
-
-        def add(src: LogRef, dst: LogRef, why: str) -> None:
-            edges.setdefault((src, dst), []).append(why)
-
         refs = all_log_refs(cfg)
-        logs_on: dict[Channel, tuple[Log, ...]] = {ch: cs.logs for ch, cs in cfg.chi}
-        # The position of each of ``refs`` in its channel's logs.
-        where = [i for _, cs in cfg.chi for i in range(len(cs.logs))]
 
-        # (1) queue order per channel
-        for ch, logs in logs_on.items():
-            for i in range(len(logs)):
-                for j in range(i + 1, len(logs)):
-                    add((ch, logs[i]), (ch, logs[j]), "channel-order")
+        def add(src: int, dst: int, why: str) -> None:
+            edges.setdefault((refs[src], refs[dst]), []).append(why)
 
-        # (2) the sender's program order across its channels
-        for i, (ch1, l1) in enumerate(refs):
-            for ch2, l2 in refs[i + 1 :]:
-                if ch1 is not ch2 and ch1.sender == ch2.sender and ch1 != ch2:
-                    if l1.timestamp < l2.timestamp:
-                        add((ch1, l1), (ch2, l2), "sender-order")
-                    elif l2.timestamp < l1.timestamp:
-                        add((ch2, l2), (ch1, l1), "sender-order")
+        # The channel of each of ``refs``, as its index in ``cfg.chi``.
+        chan = [c for c, (_, cs) in enumerate(cfg.chi) for _ in cs.logs]
 
-        # (3) static order, refined by loop rounds
-        events = [self._events[log.cp, log.message] for _, log in refs]
-        for i, (ch1, _) in enumerate(refs):
-            e1 = events[i]
-            for j, e2 in enumerate(events[i + 1 :], i + 1):
-                if e1 is e2 or ch1 == refs[j][0]:
+        # (1) and (2): the logs of each sender, channel by channel
+        sent: dict[str, list[int]] = {}
+        for k, (ch, _) in enumerate(refs):
+            sent.setdefault(ch.sender, []).append(k)
+        for ks in sent.values():
+            for i, a in enumerate(ks):
+                for b in ks[i + 1 :]:
+                    if chan[a] == chan[b]:
+                        add(a, b, "channel-order")
+                    elif refs[a][1].timestamp < refs[b][1].timestamp:
+                        add(a, b, "sender-order")
+                    elif refs[b][1].timestamp < refs[a][1].timestamp:
+                        add(b, a, "sender-order")
+
+        # (3) static order, refined by loop rounds.  The order and the
+        # innermost common loop are asked once per pair of events, and the
+        # round of each log once per loop.
+        rounds: dict[int, list[Optional[int]]] = {}
+        by_event: dict[Event, list[int]] = {}
+        for k, (_, log) in enumerate(refs):
+            by_event.setdefault(self._events[log.cp, log.message], []).append(k)
+        for e1, firsts in by_event.items():
+            for e2, seconds in by_event.items():
+                if e1 is e2 or not self.order.leq(e1, e2):
                     continue
-                if self.order.leq(e1, e2):
-                    a, b = i, j
-                elif self.order.leq(e2, e1):
-                    a, b = j, i
-                else:
-                    continue
-                first, second = refs[a], refs[b]
                 loop = self._innermost_common_loop(
-                    first[1].cp, second[1].cp
+                    refs[firsts[0]][1].cp, refs[seconds[0]][1].cp
                 )
-                if loop is None:
-                    add(first, second, "static-order")
-                    continue
-                sep1 = any(l.cp == loop.cp for l in logs_on[first[0]])
-                sep2 = any(l.cp == loop.cp for l in logs_on[second[0]])
-                if not (sep1 and sep2):
-                    continue
-                n = round_of(where[a], loop, logs_on[first[0]])
-                m = round_of(where[b], loop, logs_on[second[0]])
-                if n is None or m is None:
-                    continue
-                if n <= m:
-                    add(first, second, "loop-rounds")
-                else:
-                    add(second, first, "loop-rounds")
+                if loop is not None and loop.cp not in rounds:
+                    rounds[loop.cp] = [
+                        r for _, cs in cfg.chi for r in marker_rounds(loop, cs.logs)
+                    ]
+                rank = rounds[loop.cp] if loop is not None else None
+                for a in firsts:
+                    for b in seconds:
+                        if chan[a] == chan[b]:
+                            continue
+                        if rank is None:
+                            add(a, b, "static-order")
+                        elif rank[a] is None or rank[b] is None:
+                            continue
+                        elif rank[a] <= rank[b]:
+                            add(a, b, "loop-rounds")
+                        else:
+                            add(b, a, "loop-rounds")
 
         # (4) forced receive-before-send order at each participant
         for participant in self.system.machines:
             for pair in self._forced_pairs(cfg, participant):
-                add(pair[0], pair[1], "replay-order")
+                edges.setdefault(pair, []).append("replay-order")
         return edges
 
     def relation(self, cfg: Configuration) -> dict[LogRef, frozenset[LogRef]]:
         """The full dependency relation, reflexive and transitive: for each
         log, the logs that depend on it, itself included.
 
-        Cached per history; the tagged edges of :meth:`base_relation` are
-        built on a miss and dropped."""
+        Cached per history.  On a miss, each log gets a bit mask over the
+        positions of :func:`all_log_refs` from the edges of
+        :meth:`base_relation`; the masks are closed Warshall-style, which
+        terminates on cycles."""
         cached = self._relations.get(cfg.chi)
         if cached is not None:
             return cached
         refs = all_log_refs(cfg)
-        succ: dict[LogRef, set[LogRef]] = {r: set() for r in refs}
-        for (src, dst) in self.base_relation(cfg):
-            succ[src].add(dst)
-        closure: dict[LogRef, frozenset[LogRef]] = {}
-        for start in refs:
-            seen = {start}
-            stack = [start]
-            while stack:
-                for nxt in succ[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            closure[start] = frozenset(seen)
+        index = {ref: i for i, ref in enumerate(refs)}
+        reach = [1 << i for i in range(len(refs))]
+        for src, dst in self.base_relation(cfg):
+            reach[index[src]] |= 1 << index[dst]
+        for k, via in enumerate(reach):
+            for i, row in enumerate(reach):
+                if row >> k & 1:
+                    reach[i] = row | via
+        # bin() lists the bits highest first; reversed, bit i lines up with refs[i].
+        closure = {
+            ref: frozenset(compress(refs, map(int, bin(mask)[:1:-1])))
+            for ref, mask in zip(refs, reach)
+        }
         self._relations[cfg.chi] = closure
         return closure
 
@@ -254,27 +250,26 @@ class CausalityAnalyzer:
         A log outside every loop qualifies only if nothing depends on it.
         A log inside a loop qualifies while its outermost loop is still
         ongoing and everything depending on it belongs to that same loop.
+        Each call reads the cached :meth:`relation`, caches nothing itself
+        and asks :func:`ongoing` at most once per loop.
         """
-        cached = self._rollbacks.get(cfg.chi)
-        if cached is not None:
-            return cached
-        points: set[LogRef] = set()
-        live: dict[int, bool] = {}  # ``ongoing`` of each loop, asked once
-        for ref, dependants in self.relation(cfg).items():
+        rel = self.relation(cfg)
+        # The logs of each outermost loop, or none while it is not ongoing.
+        inside: dict[int, frozenset[LogRef]] = {}
+        points = []
+        for ref, dependants in rel.items():
             encl = self._outermost.get(ref[1].cp)
             if encl is None:
                 if len(dependants) == 1:
-                    points.add(ref)
+                    points.append(ref)
                 continue
-            if encl.cp not in live:
-                live[encl.cp] = ongoing(encl, cfg)
-            if live[encl.cp] and all(
-                encl.contains_cp(other[1].cp) for other in dependants
-            ):
-                points.add(ref)
-        frozen = frozenset(points)
-        self._rollbacks[cfg.chi] = frozen
-        return frozen
+            if encl.cp not in inside:
+                inside[encl.cp] = frozenset(
+                    other for other in rel if encl.contains_cp(other[1].cp)
+                ) if ongoing(encl, cfg) else frozenset()
+            if dependants <= inside[encl.cp]:
+                points.append(ref)
+        return frozenset(points)
 
     # -- replay ------------------------------------------------------------
 
@@ -394,21 +389,22 @@ class CausalityAnalyzer:
         )
         if not complete.get(start):
             return []
-        unforced: set[tuple[int, int, int]] = set()  # (channel idx, input idx, output idx)
+        # For each input channel and output, the fewest inputs of the
+        # channel consumed at a complete replay node that emits the output:
+        # the inputs below that count precede the output in every replay.
+        fewest = [[len(consumed[ch])] * len(outputs) for ch in channels]
         for node, action, _ in moves:
-            if action[0] != "out":
-                continue
-            j = action[1]
-            for k in range(len(channels)):
-                for i in range(node[1 + k], len(consumed[channels[k]])):
-                    unforced.add((k, i, j))
-        pairs = []
-        for k, ch in enumerate(channels):
-            for i, log in enumerate(consumed[ch]):
-                for j, (och, olog) in enumerate(outputs):
-                    if (k, i, j) not in unforced:
-                        pairs.append(((ch, log), (och, olog)))
-        return pairs
+            if action[0] == "out":
+                j = action[1]
+                for k, row in enumerate(fewest):
+                    row[j] = min(row[j], node[1 + k])
+        return [
+            ((ch, log), outputs[j])
+            for k, ch in enumerate(channels)
+            for i, log in enumerate(consumed[ch])
+            for j in range(len(outputs))
+            if i < fewest[k][j]
+        ]
 
     def replay_end_states(self, cfg: Configuration, participant: str) -> frozenset[int]:
         """Machine states a full replay of the recorded history can end in."""

@@ -1,0 +1,103 @@
+"""The one-pass causality builder against the per-pair one in ``causality_oracle``.
+
+Both must give the same tagged edges, each pair's tags in clause order,
+the same relation and effects, the same rollback points and the same
+answer from ``ongoing`` for every loop.  The inputs are the histories of
+travel's searches with reversals, long seeded travel histories, and the
+generated systems of ``test_runtime_oracle``.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+import causality_oracle
+from chorrev import causality, runtime
+from chorrev.causality import CausalityAnalyzer, all_log_refs
+from chorrev.explore import Bound, reachable
+from chorrev.machine import ProjectionError
+from chorrev.model import LOOP_END
+from chorrev.order import UndefinedSemantics
+from chorrev.projection import project_system
+
+from test_order_oracle import build, shapes
+from test_runtime_oracle import _reached_with_reversals
+
+
+def assert_same_causality(system, cfgs):
+    new = CausalityAnalyzer(system)
+    old = causality_oracle.OracleAnalyzer(system)
+    for cfg in cfgs:
+        assert new.base_relation(cfg) == old.base_relation(cfg)
+        relation = new.relation(cfg)
+        assert relation == old.relation(cfg)
+        assert list(relation) == all_log_refs(cfg)
+        for ref in relation:
+            assert new.effects(cfg, ref) == old.effects(cfg, ref)
+        assert new.rollback_points(cfg) == old.rollback_points(cfg)
+        for loop in new.loops:
+            assert causality.ongoing(loop, cfg) == causality_oracle.ongoing(loop, cfg)
+
+
+def one_per_history(cfgs):
+    return list({cfg.chi: cfg for cfg in cfgs}.values())
+
+
+class RecordingAnalyzer(CausalityAnalyzer):
+    """An analyzer that keeps one configuration per history it relates."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.asked = {}
+
+    def relation(self, cfg):
+        self.asked.setdefault(cfg.chi, cfg)
+        return super().relation(cfg)
+
+
+def test_every_history_of_the_one_round_search(travel_system):
+    searched = reachable(travel_system, Bound(200, 1), with_reversals=True)
+    histories = one_per_history(searched.configs)
+    assert len(searched.configs) == 907
+    assert_same_causality(travel_system, histories)
+
+
+def test_the_histories_the_two_round_search_analyses(travel_system):
+    analyzer = RecordingAnalyzer(travel_system)
+    reachable(travel_system, Bound(200, 2), with_reversals=True, analyzer=analyzer)
+    assert len(analyzer.asked) == 744
+    assert_same_causality(travel_system, analyzer.asked.values())
+
+
+def seeded_history(system, logs, seed):
+    """A forward walk that never leaves a loop, stopped at ``logs`` logs."""
+    rng = random.Random(seed)
+    cfg = runtime.initial_configuration(system)
+    while len(all_log_refs(cfg)) < logs:
+        moves = [
+            (a, t)
+            for a, t in runtime.enabled_forward(cfg, system)
+            if not (t.event.polarity == "!" and t.event.message == LOOP_END)
+        ]
+        a, t = moves[rng.randrange(len(moves))]
+        step = runtime.step_output if t.event.polarity == "!" else runtime.step_input
+        cfg = step(cfg, system, a, t)
+    return cfg
+
+
+@pytest.mark.parametrize("logs", [57, 113, 225])
+def test_long_travel_histories(travel_system, logs):
+    cfg = seeded_history(travel_system, logs, seed=logs)
+    assert len(all_log_refs(cfg)) == logs
+    assert_same_causality(travel_system, [cfg])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(shapes, st.integers(1, 2), st.integers(0, 6))
+def test_generated_systems(shape, rounds, steps):
+    try:
+        system = project_system(build(shape))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    assert_same_causality(system, one_per_history(_reached_with_reversals(system, Bound(steps, rounds))))

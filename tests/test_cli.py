@@ -452,6 +452,22 @@ def test_simulate_dump_causality_matches_the_recorded_output(runner, monkeypatch
     assert result.output.count(" << ") == 192
 
 
+def test_simulate_dump_with_static_order_matches_the_recorded_output(runner, monkeypatch):
+    # Interactions before a loop give static-order edges, which travel,
+    # all of whose body is a loop, never has; this run shows all five tags.
+    monkeypatch.chdir(REPO)
+    result = runner.invoke(
+        main,
+        ["simulate", "tests/data/static_order_loop.rchor", "--auto", "40", "--seed", "2", "--dump-causality"],
+    )
+    assert result.exit_code == 0
+    golden = DATA / "simulate_static_order_seed2_causality.txt"
+    assert result.stdout_bytes == golden.read_bytes()
+    assert result.output.count(" reverses branch ") == 4
+    for tag in ("channel-order", "sender-order", "static-order", "loop-rounds", "replay-order"):
+        assert tag in result.output
+
+
 @pytest.mark.parametrize(
     "run, golden",
     [

@@ -58,7 +58,7 @@ def test_small_systems_match_the_full_search(source, bound):
 
 # The full search grows with the interleavings of a par's sends on one
 # channel; at most 7 steps keep each example well under a second.
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, print_blob=True)
 @given(shapes, st.integers(1, 2), st.integers(0, 7))
 def test_generated_systems_match_the_full_search(shape, rounds, steps):
     try:
