@@ -25,9 +25,11 @@ sender's logs, (3) once per pair of events with each log's round read
 once per loop, and (4) from one count per input channel and output.  The
 closure, one bit mask per log closed Warshall-style, is the one form of
 the relation cached per history; ``effects`` and ``rollback_points`` read
-it, and the tagged edges are dropped after each call.  The replay
-machinery of (4) is shared with rollback (to restore receiver states)
-and with the configuration audit.
+it, and the tagged edges are dropped after each call.  The replay of (4)
+is shared with rollback (to restore receiver states) and with the
+configuration audit: one iterative pass over the replay nodes, layered by
+move count, finds the end states and clause 4's counts, and only those
+are cached per participant and history, never the graph.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class CausalityAnalyzer:
         for L in sorted(self.loops, key=lambda L: len(L.body_cps)):
             self._outermost.update(dict.fromkeys(L.body_cps | {L.cp}, L))
         self._relations: dict[tuple, dict[LogRef, frozenset[LogRef]]] = {}
-        self._replays: dict[tuple, frozenset[tuple[int, ...]]] = {}
+        self._replays: dict[tuple, tuple[list[list[int]], frozenset[int]]] = {}
 
     # -- static helpers ------------------------------------------------
 
@@ -274,142 +276,97 @@ class CausalityAnalyzer:
     # -- replay ------------------------------------------------------------
 
     def _replay_setup(self, cfg: Configuration, participant: str):
-        consumed: dict[Channel, tuple[Log, ...]] = {}
+        """The participant's consumed inputs, one (channel, logs) pair per
+        channel in channel order, and its outputs in timestamp order."""
+        consumed: list[tuple[Channel, tuple[Log, ...]]] = []
         outputs: list[LogRef] = []
         for ch, cs in cfg.chi:
             if ch.receiver == participant and cs.head:
-                consumed[ch] = cs.logs[: cs.head]
+                consumed.append((ch, cs.logs[: cs.head]))
             if ch.sender == participant:
                 outputs.extend((ch, log) for log in cs.logs)
         outputs.sort(key=lambda ref: ref[1].timestamp)
-        return consumed, tuple(outputs)
+        return tuple(consumed), tuple(outputs)
 
-    def _replay_graph(self, participant: str, consumed, outputs):
-        """All complete replays of a participant's recorded history.
+    def _replay(self, participant: str, consumed, outputs):
+        """What every complete replay of a participant's history shows.
 
-        Returns (channels, start, complete, moves, ends) where ``complete``
-        maps replay nodes to whether a full replay is still possible from
-        them, ``moves`` lists (node, action, next) triples for reachable
-        nodes, and ``ends`` holds the machine states of the final nodes,
-        where every full replay stops.  A node is
-        (machine state, per-channel consumption index..., emission index).
-        Inputs of one channel replay in queue order, outputs in timestamp
-        order; an output step additionally requires the machine to be in
-        the state the log recorded.
+        A replay node is (machine state, per-channel consumption index...,
+        emission index).  Inputs of one channel replay in queue order,
+        outputs in timestamp order, and an output also needs the machine in
+        the state its log recorded.  Every move raises one index by one, so
+        the nodes fall into layers by move count and the last layer holds
+        exactly the final nodes.  One forward pass builds the layers, asking
+        each node's moves once; one backward pass marks the nodes that can
+        complete and, at each output move into such a node, lowers
+        ``fewest[k][j]``: the fewest inputs of channel ``k`` consumed at a
+        complete node that emits output ``j``.
+
+        Returns ``(fewest, ends)``, ``ends`` being the machine states of the
+        final nodes, empty when no replay completes.  Only these are cached,
+        keyed by the participant and its history; the layers are dropped.
         """
-        machine = self.system.machines[participant]
-        channels = sorted(consumed)
-        key = (
-            participant,
-            tuple((ch, consumed[ch]) for ch in channels),
-            outputs,
-        )
+        key = (participant, consumed, outputs)
         cached = self._replays.get(key)
         if cached is not None:
             return cached
-
-        start = (machine.initial,) + (0,) * len(channels) + (0,)
-        n_ch = len(channels)
-
-        def moves(node):
-            state = node[0]
-            out = []
-            for k in range(n_ch):
-                i = node[1 + k]
-                queue = consumed[channels[k]]
-                if i < len(queue):
-                    log = queue[i]
-                    ev = CommEvent(channels[k], "?", log.cp, log.message)
-                    t = machine.step(state, ev)
-                    if t is not None:
-                        nxt = (
-                            (t.dst,)
-                            + node[1 : 1 + k]
-                            + (i + 1,)
-                            + node[2 + k : ]
-                        )
-                        out.append((("inp", channels[k], i), nxt))
-            j = node[1 + n_ch]
-            if j < len(outputs):
-                ch, log = outputs[j]
-                if state == log.sender_state:
-                    ev = CommEvent(ch, "!", log.cp, log.message)
-                    t = machine.step(state, ev)
-                    if t is not None:
-                        nxt = (t.dst,) + node[1:-1] + (j + 1,)
-                        out.append((("out", j), nxt))
-            return out
-
-        complete: dict[tuple, bool] = {}
-        all_moves: list[tuple] = []
-
-        def is_final(node) -> bool:
-            return all(
-                node[1 + k] == len(consumed[channels[k]]) for k in range(n_ch)
-            ) and node[1 + n_ch] == len(outputs)
-
-        def can_complete(node) -> bool:
-            if node in complete:
-                return complete[node]
-            if is_final(node):
-                complete[node] = True
-                return True
-            complete[node] = False
-            ok = False
-            for action, nxt in moves(node):
-                if can_complete(nxt):
-                    ok = True
-            complete[node] = ok
-            return ok
-
-        can_complete(start)
-        seen = {start}
-        queue = [start]
-        while queue:
-            node = queue.pop()
-            for action, nxt in moves(node):
-                if complete.get(nxt):
-                    all_moves.append((node, action, nxt))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-
-        ends = frozenset(node[0] for node in complete if is_final(node))
-        result = (channels, start, complete, tuple(all_moves), ends)
+        machine = self.system.machines[participant]
+        # Each layer is a list of (node, [(output index or None, next node)]).
+        layers = [[((machine.initial,) + (0,) * (len(consumed) + 1), [])]]
+        for _ in range(sum(len(logs) for _, logs in consumed) + len(outputs)):
+            reached: dict[tuple, list] = {}
+            for node, moves in layers[-1]:
+                state = node[0]
+                for k, (ch, logs) in enumerate(consumed):
+                    i = node[1 + k]
+                    if i < len(logs):
+                        t = machine.step(state, CommEvent(ch, "?", logs[i].cp, logs[i].message))
+                        if t is not None:
+                            moves.append((None, (t.dst,) + node[1 : 1 + k] + (i + 1,) + node[2 + k :]))
+                j = node[-1]
+                if j < len(outputs):
+                    ch, log = outputs[j]
+                    if state == log.sender_state:
+                        t = machine.step(state, CommEvent(ch, "!", log.cp, log.message))
+                        if t is not None:
+                            moves.append((j, (t.dst,) + node[1:-1] + (j + 1,)))
+                for _, nxt in moves:
+                    reached.setdefault(nxt, [])
+            layers.append(list(reached.items()))
+        complete = {node for node, _ in layers[-1]}
+        fewest = [[len(logs)] * len(outputs) for _, logs in consumed]
+        for layer in reversed(layers[:-1]):
+            for node, moves in layer:
+                for j, nxt in moves:
+                    if nxt in complete:
+                        complete.add(node)
+                        if j is not None:
+                            for k, row in enumerate(fewest):
+                                row[j] = min(row[j], node[1 + k])
+        result = (fewest, frozenset(node[0] for node, _ in layers[-1]))
         self._replays[key] = result
         return result
 
     def _forced_pairs(self, cfg: Configuration, participant: str):
-        """Input/output log pairs ordered the same way in every replay."""
+        """Input/output log pairs ordered the same way in every replay: the
+        inputs of a channel below ``fewest`` for an output precede it."""
         consumed, outputs = self._replay_setup(cfg, participant)
         if not consumed or not outputs:
             return []
-        channels, start, complete, moves, _ = self._replay_graph(
-            participant, consumed, outputs
-        )
-        if not complete.get(start):
+        fewest, ends = self._replay(participant, consumed, outputs)
+        if not ends:
             return []
-        # For each input channel and output, the fewest inputs of the
-        # channel consumed at a complete replay node that emits the output:
-        # the inputs below that count precede the output in every replay.
-        fewest = [[len(consumed[ch])] * len(outputs) for ch in channels]
-        for node, action, _ in moves:
-            if action[0] == "out":
-                j = action[1]
-                for k, row in enumerate(fewest):
-                    row[j] = min(row[j], node[1 + k])
         return [
             ((ch, log), outputs[j])
-            for k, ch in enumerate(channels)
-            for i, log in enumerate(consumed[ch])
+            for (ch, logs), row in zip(consumed, fewest)
+            for i, log in enumerate(logs)
             for j in range(len(outputs))
-            if i < fewest[k][j]
+            if i < row[j]
         ]
 
     def replay_end_states(self, cfg: Configuration, participant: str) -> frozenset[int]:
         """Machine states a full replay of the recorded history can end in."""
-        *_, ends = self._replay_graph(participant, *self._replay_setup(cfg, participant))
-        return ends
+        return self._replay(participant, *self._replay_setup(cfg, participant))[1]
 
 
 def audit_configuration(cfg: Configuration, system: System, analyzer: Optional[CausalityAnalyzer] = None) -> list[str]:

@@ -182,7 +182,7 @@ def project(file, participant, dot_dir):
         os.makedirs(dot_dir, exist_ok=True)
         for a in targets:
             path = Path(dot_dir) / f"{a}.dot"
-            path.write_text(to_dot(system.machines[a]))
+            path.write_text(to_dot(system.machines[a]), encoding="utf-8")
             _echo(f"wrote {path}")
     sys.exit(0)
 
@@ -391,7 +391,7 @@ def _directive_problem(d, system: System) -> Optional[str]:
 def _load_schedule(path: str, system: System) -> list:
     """Read a schedule and check every directive before any of them runs."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         directives = raw.get("entries") if isinstance(raw, dict) else raw
         if not isinstance(directives, list):
             raise ValueError('expected a list of directives or {"entries": [...]}')
@@ -558,7 +558,7 @@ def simulate(file, schedule_path, interactive, auto, seed, max_steps, trace_path
             "entries": sim.entries,
             "final": _config_json(sim.cfg, system),
         }
-        Path(trace_path).write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n")
+        Path(trace_path).write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         _echo(f"wrote {trace_path}")
     sys.exit(3 if truncated else 0)
 

@@ -117,7 +117,11 @@ _TOKEN_SPEC = [
     (",", r","),
     ("!", r"!"),
 ]
-_TOKEN_RE = [(kind, re.compile(rx)) for kind, rx in _TOKEN_SPEC]
+# One alternation of the patterns above, each in its own group.  ``|``
+# takes the leftmost alternative that matches, as trying them in turn did,
+# and ``lastindex`` names the group, hence the kind.
+_TOKEN_RE = re.compile("|".join(f"({rx})" for _, rx in _TOKEN_SPEC))
+_KINDS = [kind for kind, _ in _TOKEN_SPEC]
 
 
 def tokenize(text: str) -> list[Token]:
@@ -126,12 +130,10 @@ def tokenize(text: str) -> list[Token]:
     line = 1
     col = 1
     while pos < len(text):
-        for kind, rx in _TOKEN_RE:
-            m = rx.match(text, pos)
-            if m:
-                break
-        else:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col, text)
+        kind = _KINDS[m.lastindex - 1]
         lexeme = m.group()
         if kind == "id" and lexeme in KEYWORDS:
             kind = lexeme

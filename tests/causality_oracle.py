@@ -5,10 +5,12 @@ It is kept as a test-only oracle.  Each clause is asserted pair by pair:
 channel carries a loop's markers is asked again for each pair.  The
 closure runs one depth-first search per log, clause 4 collects every
 unforced (channel, input, output) triple, and ``ongoing`` rescans a
-channel for an end marker after each start marker.  Nothing is cached
-but the closure per history.  ``test_causality_oracle`` requires the
-same tagged edges, relation, effects, rollback points and ``ongoing``
-from both builders.
+channel for an end marker after each start marker.  The replay graph is
+built by a recursive depth-first search for the nodes that can complete,
+then a second walk that asks every node's moves again; it is cached whole
+per history, as is the closure.  ``test_causality_oracle`` requires the
+same tagged edges, relation, effects, rollback points, ``ongoing``,
+forced pairs and replay end states from both builders.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Optional
 
 from chorrev.causality import CausalityAnalyzer, LogRef, LoopRef, all_log_refs
 from chorrev.model import Channel, LOOP_END, LOOP_START
+from chorrev.order import CommEvent
 from chorrev.runtime import Configuration, Log
 
 
@@ -56,13 +59,13 @@ def ongoing(loop: LoopRef, cfg: Configuration) -> bool:
 
 
 class OracleAnalyzer(CausalityAnalyzer):
-    """The analyzer with the per-pair builder in place of the one-pass one.
-
-    The replay graph, which both builders share, is inherited."""
+    """The analyzer with the per-pair builder in place of the one-pass one,
+    and the recursive replay graph in place of the layered replay."""
 
     def __init__(self, system):
         super().__init__(system)
         self._closures: dict[tuple, dict[LogRef, frozenset[LogRef]]] = {}
+        self._graphs: dict[tuple, tuple] = {}
 
     def _innermost_common_loop(self, cp1: int, cp2: int) -> Optional[LoopRef]:
         common = [
@@ -172,6 +175,112 @@ class OracleAnalyzer(CausalityAnalyzer):
                 points.add(ref)
         return frozenset(points)
 
+    def _replay_setup(self, cfg: Configuration, participant: str):
+        consumed: dict[Channel, tuple[Log, ...]] = {}
+        outputs: list[LogRef] = []
+        for ch, cs in cfg.chi:
+            if ch.receiver == participant and cs.head:
+                consumed[ch] = cs.logs[: cs.head]
+            if ch.sender == participant:
+                outputs.extend((ch, log) for log in cs.logs)
+        outputs.sort(key=lambda ref: ref[1].timestamp)
+        return consumed, tuple(outputs)
+
+    def _replay_graph(self, participant: str, consumed, outputs):
+        """All complete replays of a participant's recorded history.
+
+        Returns (channels, start, complete, moves, ends) where ``complete``
+        maps replay nodes to whether a full replay is still possible from
+        them, ``moves`` lists (node, action, next) triples for reachable
+        nodes, and ``ends`` holds the machine states of the final nodes,
+        where every full replay stops.  A node is
+        (machine state, per-channel consumption index..., emission index).
+        Inputs of one channel replay in queue order, outputs in timestamp
+        order; an output step additionally requires the machine to be in
+        the state the log recorded.
+        """
+        machine = self.system.machines[participant]
+        channels = sorted(consumed)
+        key = (
+            participant,
+            tuple((ch, consumed[ch]) for ch in channels),
+            outputs,
+        )
+        cached = self._graphs.get(key)
+        if cached is not None:
+            return cached
+
+        start = (machine.initial,) + (0,) * len(channels) + (0,)
+        n_ch = len(channels)
+
+        def moves(node):
+            state = node[0]
+            out = []
+            for k in range(n_ch):
+                i = node[1 + k]
+                queue = consumed[channels[k]]
+                if i < len(queue):
+                    log = queue[i]
+                    ev = CommEvent(channels[k], "?", log.cp, log.message)
+                    t = machine.step(state, ev)
+                    if t is not None:
+                        nxt = (
+                            (t.dst,)
+                            + node[1 : 1 + k]
+                            + (i + 1,)
+                            + node[2 + k : ]
+                        )
+                        out.append((("inp", channels[k], i), nxt))
+            j = node[1 + n_ch]
+            if j < len(outputs):
+                ch, log = outputs[j]
+                if state == log.sender_state:
+                    ev = CommEvent(ch, "!", log.cp, log.message)
+                    t = machine.step(state, ev)
+                    if t is not None:
+                        nxt = (t.dst,) + node[1:-1] + (j + 1,)
+                        out.append((("out", j), nxt))
+            return out
+
+        complete: dict[tuple, bool] = {}
+        all_moves: list[tuple] = []
+
+        def is_final(node) -> bool:
+            return all(
+                node[1 + k] == len(consumed[channels[k]]) for k in range(n_ch)
+            ) and node[1 + n_ch] == len(outputs)
+
+        def can_complete(node) -> bool:
+            if node in complete:
+                return complete[node]
+            if is_final(node):
+                complete[node] = True
+                return True
+            complete[node] = False
+            ok = False
+            for action, nxt in moves(node):
+                if can_complete(nxt):
+                    ok = True
+            complete[node] = ok
+            return ok
+
+        can_complete(start)
+        seen = {start}
+        queue = [start]
+        while queue:
+            node = queue.pop()
+            for action, nxt in moves(node):
+                if complete.get(nxt):
+                    all_moves.append((node, action, nxt))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+
+        ends = frozenset(node[0] for node in complete if is_final(node))
+        result = (channels, start, complete, tuple(all_moves), ends)
+        self._graphs[key] = result
+        return result
+
     def _forced_pairs(self, cfg: Configuration, participant: str):
         consumed, outputs = self._replay_setup(cfg, participant)
         if not consumed or not outputs:
@@ -196,3 +305,8 @@ class OracleAnalyzer(CausalityAnalyzer):
                     if (k, i, j) not in unforced:
                         pairs.append(((ch, log), (och, olog)))
         return pairs
+
+    def replay_end_states(self, cfg: Configuration, participant: str) -> frozenset[int]:
+        """Machine states a full replay of the recorded history can end in."""
+        *_, ends = self._replay_graph(participant, *self._replay_setup(cfg, participant))
+        return ends

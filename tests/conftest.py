@@ -1,15 +1,18 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from chorrev import machine
-from chorrev.model import Channel, GTrue, Not
+from chorrev.causality import all_log_refs
+from chorrev.model import LOOP_END, Channel, GTrue, Not
 from chorrev.order import CommEvent
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import (
     ChannelState,
+    enabled_forward,
     find_transition,
     initial_configuration,
     step_input,
@@ -87,6 +90,22 @@ def schedule_path():
 def dest_log(replan_config):
     tb = replan_config.channel_state(Channel("T", "B"))
     return tb.consumed[1]
+
+
+def seeded_history(system, logs, seed):
+    """A forward walk that never leaves a loop, stopped at ``logs`` logs."""
+    rng = random.Random(seed)
+    cfg = initial_configuration(system)
+    while len(all_log_refs(cfg)) < logs:
+        moves = [
+            (a, t)
+            for a, t in enabled_forward(cfg, system)
+            if not (t.event.polarity == "!" and t.event.message == LOOP_END)
+        ]
+        a, t = moves[rng.randrange(len(moves))]
+        step = step_output if t.event.polarity == "!" else step_input
+        cfg = step(cfg, system, a, t)
+    return cfg
 
 
 def load_json(path):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from chorrev import causality, model, order
@@ -16,7 +18,7 @@ from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import Configuration, Log
 
-from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues
+from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues, seeded_history
 
 AB = Channel("A", "B")
 AC = Channel("A", "C")
@@ -326,6 +328,38 @@ def test_audit_flags_impossible_history(travel_system, replan_config):
     broken = Configuration.make(replan_config.sigma_dict(), chi, replan_config.book_dict())
     problems = audit_configuration(broken, travel_system)
     assert any("cannot be replayed at all" in p for p in problems)
+
+
+def test_an_impossible_history_forces_no_pairs(travel_system, replan_config):
+    # With no complete replay every count stays at its maximum; the pairs
+    # would all read as forced if the empty end states were not checked.
+    chi = replan_config.chi_dict()
+    tb = chi[TB]
+    chi[TB] = queues((tb.consumed[1], tb.consumed[0], tb.consumed[2]), tb.pending)
+    broken = Configuration.make(replan_config.sigma_dict(), chi, replan_config.book_dict())
+    analyzer = CausalityAnalyzer(travel_system)
+    assert analyzer.replay_end_states(broken, "B") == frozenset()
+    assert analyzer._forced_pairs(broken, "B") == []
+    assert analyzer._forced_pairs(replan_config, "B") != []
+
+
+def test_a_thousand_log_history_replays_without_recursion(travel_system):
+    # A forward walk that never sends the loop's end marker keeps growing
+    # one history; its replay must not nest a call per log.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        cfg = seeded_history(travel_system, 1000, seed=1)
+        analyzer = CausalityAnalyzer(travel_system)
+        for participant in travel_system.machines:
+            ends = analyzer.replay_end_states(cfg, participant)
+            assert ends == frozenset({cfg.state_of(participant)})
+        assert audit_configuration(cfg, travel_system, analyzer) == []
+        pairs = {p: analyzer._forced_pairs(cfg, p) for p in travel_system.machines}
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(all_log_refs(cfg)) == 1000
+    assert pairs["B"] and pairs["T"]
 
 
 def test_logs_find_their_events_without_a_tree_walk_each(travel_system, monkeypatch):

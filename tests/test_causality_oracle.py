@@ -1,26 +1,25 @@
 """The one-pass causality builder against the per-pair one in ``causality_oracle``.
 
 Both must give the same tagged edges, each pair's tags in clause order,
-the same relation and effects, the same rollback points and the same
-answer from ``ongoing`` for every loop.  The inputs are the histories of
-travel's searches with reversals, long seeded travel histories, and the
-generated systems of ``test_runtime_oracle``.
+the same relation and effects, the same rollback points, the same
+answer from ``ongoing`` for every loop, and for every participant the
+same forced pairs, in order, and the same replay end states.  The inputs
+are the histories of travel's searches with reversals, long seeded
+travel histories, and the generated systems of ``test_runtime_oracle``.
 """
-
-import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import causality_oracle
-from chorrev import causality, runtime
+from chorrev import causality
 from chorrev.causality import CausalityAnalyzer, all_log_refs
 from chorrev.explore import Bound, reachable
 from chorrev.machine import ProjectionError
-from chorrev.model import LOOP_END
 from chorrev.order import UndefinedSemantics
 from chorrev.projection import project_system
 
+from conftest import seeded_history
 from test_order_oracle import build, shapes
 from test_runtime_oracle import _reached_with_reversals
 
@@ -38,6 +37,9 @@ def assert_same_causality(system, cfgs):
         assert new.rollback_points(cfg) == old.rollback_points(cfg)
         for loop in new.loops:
             assert causality.ongoing(loop, cfg) == causality_oracle.ongoing(loop, cfg)
+        for participant in system.machines:
+            assert new._forced_pairs(cfg, participant) == old._forced_pairs(cfg, participant)
+            assert new.replay_end_states(cfg, participant) == old.replay_end_states(cfg, participant)
 
 
 def one_per_history(cfgs):
@@ -68,22 +70,6 @@ def test_the_histories_the_two_round_search_analyses(travel_system):
     reachable(travel_system, Bound(200, 2), with_reversals=True, analyzer=analyzer)
     assert len(analyzer.asked) == 744
     assert_same_causality(travel_system, analyzer.asked.values())
-
-
-def seeded_history(system, logs, seed):
-    """A forward walk that never leaves a loop, stopped at ``logs`` logs."""
-    rng = random.Random(seed)
-    cfg = runtime.initial_configuration(system)
-    while len(all_log_refs(cfg)) < logs:
-        moves = [
-            (a, t)
-            for a, t in runtime.enabled_forward(cfg, system)
-            if not (t.event.polarity == "!" and t.event.message == LOOP_END)
-        ]
-        a, t = moves[rng.randrange(len(moves))]
-        step = runtime.step_output if t.event.polarity == "!" else runtime.step_input
-        cfg = step(cfg, system, a, t)
-    return cfg
 
 
 @pytest.mark.parametrize("logs", [57, 113, 225])

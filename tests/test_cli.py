@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -481,6 +484,31 @@ def test_simulate_trace_matches_the_recorded_output(runner, monkeypatch, tmp_pat
     result = runner.invoke(main, ["simulate", TRAVEL_FROM_REPO, *run, "--trace", str(trace)])
     assert result.exit_code == 0
     assert trace.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # The schedule holds a dagger and so do the dot files: under the C
+    # locale with no UTF-8 mode they are still read and written as UTF-8.
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": str(REPO / "src"),
+    }
+
+    def chorrev(*args):
+        run = subprocess.run(
+            [sys.executable, "-m", "chorrev.cli", *args], cwd=REPO, env=env, capture_output=True
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+
+    trace = tmp_path / "replan.json"
+    chorrev("simulate", TRAVEL_FROM_REPO, "--schedule", "tests/data/travel_replan.schedule.json", "--trace", str(trace))
+    assert trace.read_bytes() == (DATA / "simulate_travel_replan_trace.json").read_bytes()
+    chorrev("project", TRAVEL_FROM_REPO, "--dot", str(tmp_path / "dot"))
+    for a in ("B", "D", "T"):
+        assert (tmp_path / "dot" / f"{a}.dot").read_bytes() == (DATA / f"project_travel_{a}.dot").read_bytes()
 
 
 def test_simulate_interactive_quits(runner):

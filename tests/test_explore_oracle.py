@@ -9,7 +9,7 @@ equal successor keys; then the forgetful images, ``truncated`` and
 from collections import defaultdict
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import explore_oracle
 from chorrev.explore import Bound, forward_key, reachable
@@ -57,8 +57,14 @@ def test_small_systems_match_the_full_search(source, bound):
 
 
 # The full search grows with the interleavings of a par's sends on one
-# channel; at most 7 steps keep each example well under a second.
-@settings(max_examples=120, deadline=None, print_blob=True)
+# channel; at most 7 steps keep each example well under a second.  About
+# 70 % of the shapes do not project, which can trip the filter health check.
+@settings(
+    max_examples=120,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
 @given(shapes, st.integers(1, 2), st.integers(0, 7))
 def test_generated_systems_match_the_full_search(shape, rounds, steps):
     try:
