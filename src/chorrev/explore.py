@@ -7,12 +7,13 @@ over the forgetful image of the machines: plain states and pending
 words, nothing else.  The checks compare the two; sharing the stepping
 logic between them would make the comparison circular.
 
-Without reversals, ``reachable`` keeps one configuration per forward
-class: configurations with the same ``forward_key`` (states, book,
-pending words and consumed counts) enable the same moves to the same
-classes, so soundness and completeness, which read only forgetful
-images, run on the classes.  With reversals it keeps every
-configuration, because a rollback reads the timestamps.
+``reachable`` keeps one configuration per forward class: configurations
+with the same ``forward_key`` (states, book, pending words and consumed
+counts) enable the same moves to the same classes, so soundness and
+completeness, which read only forgetful images, run on the classes.  With
+reversals it keeps every configuration of a live class, one from which
+forward moves can reach a reversal, because a rollback reads the
+timestamps; no reversal ever reads the history of a dead class.
 
 Exploration is bounded in two ways: a cap on the number of transitions
 (breadth-first depth) and a cap on loop rounds, enforced by refusing to
@@ -22,9 +23,8 @@ maximum number of them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import reverse, runtime
 from .causality import CausalityAnalyzer, audit_configuration
@@ -73,11 +73,11 @@ def marker_count(cfg: Configuration, channel: Channel, cp: int) -> int:
 
 def forward_key(cfg: Configuration) -> tuple:
     """What a forward move reads of ``cfg``: the states, the book, and per
-    channel the pending word and the counts of consumed (message, cp).
+    channel the pending word and the multiset of consumed (message, cp).
 
     The round bound counts markers on both sides of the head, hence the
-    counts.  A forward run's depth, one step per log plus one per consumed
-    log, is a function of the key too.
+    multiset, kept sorted.  A forward run's depth, one step per log plus
+    one per consumed log, is a function of the key too.
     """
     return (
         cfg.sigma,
@@ -86,7 +86,7 @@ def forward_key(cfg: Configuration) -> tuple:
             (
                 ch,
                 tuple((log.message, log.cp) for log in cs.logs[cs.head :]),
-                tuple(sorted(Counter((log.message, log.cp) for log in cs.logs[: cs.head]).items())),
+                tuple(sorted((log.message, log.cp) for log in cs.logs[: cs.head])),
             )
             for ch, cs in cfg.chi
         ),
@@ -104,6 +104,56 @@ def _forward_successors(cfg: Configuration, system: System, bound: Bound) -> Ite
             yield runtime.step_input(cfg, system, a, t)
 
 
+def _depth(cfg: Configuration) -> int:
+    """The forward steps that build ``cfg``: one per log and one per
+    consumed log.  A reversal only removes logs, so no run reaches ``cfg``
+    in fewer steps."""
+    return sum(len(cs.logs) + cs.head for _, cs in cfg.chi)
+
+
+def liveness(system: System, bound: Bound) -> Callable[[Configuration, tuple], bool]:
+    """Whether a forward class is live: some forward run from it, within
+    the bound, reaches a class where a family passes
+    :func:`~chorrev.reverse.reversible_families` (a hot class).
+
+    The returned predicate takes a configuration and its ``forward_key``
+    and memoises the answer per class.  Hotness and depth read only the
+    key, and so do forward moves, so any member of a class answers for all
+    of them.  A hot class deeper than the step bound counts for nothing,
+    as no run within the bound reaches it (see :func:`_depth`).  The class
+    graph is acyclic, since every forward move adds one to the depth, so
+    one iterative post-order pass decides a class and every class below it.
+    """
+    memo: dict[tuple, bool] = {}
+    children: dict[tuple, list[tuple]] = {}
+
+    def live(cfg: Configuration, key: tuple) -> bool:
+        stack = [(cfg, key)]
+        while stack:
+            c, k = stack[-1]
+            if k in memo:
+                stack.pop()
+            elif k in children:
+                stack.pop()
+                memo[k] = any(memo[b] for b in children.pop(k))
+            elif _depth(c) > bound.max_steps:
+                stack.pop()
+                memo[k] = False
+            elif any(reverse.reversible_families(c, system)):
+                stack.pop()
+                memo[k] = True
+            else:
+                below = children[k] = []
+                for succ in _forward_successors(c, system, bound):
+                    b = forward_key(succ)
+                    below.append(b)
+                    if b not in memo:
+                        stack.append((succ, b))
+        return memo[key]
+
+    return live
+
+
 def reachable(
     system: System,
     bound: Bound,
@@ -112,15 +162,34 @@ def reachable(
 ) -> ExplorationResult:
     """Breadth-first reachability of the instrumented semantics.
 
-    Without reversals ``configs`` holds one configuration per
-    ``forward_key``; ``truncated`` and ``steps_explored`` are those of the
-    search over every configuration.  With reversals every configuration
-    is kept, and a failed rollback raises
-    :class:`~chorrev.reverse.RollbackFailed`.
+    A configuration is kept whole when its forward class is live (see
+    :func:`liveness`) and otherwise as one configuration per
+    ``forward_key``.  Without reversals no class counts as live, so
+    ``configs`` holds one configuration per class; soundness and
+    completeness read only forgetful images, which a class shares.
+
+    With reversals the search is exact where a reversal can read history.
+    A forward step into a live class starts in a live class, and a reversal
+    within the bound starts in a hot class within the bound, which is live.  So every path to a reversal's
+    source runs through live classes, which the search keeps as it would
+    keep every configuration: the same sources at the same depth and in the
+    same frontier order.  Every reversal edge, in order, and the first
+    :class:`~chorrev.reverse.RollbackFailed` are those of the search that
+    keeps every configuration.  A dead class's configurations enable no
+    reversal and lead only to dead classes, where a forward move reads
+    nothing but the key.
+
+    ``truncated`` says that the last frontier, at the step bound, has a
+    successor not yet met or an enabled reversal, whose edge goes unchecked.
     """
     if with_reversals and analyzer is None:
         analyzer = CausalityAnalyzer(system)
-    key = (lambda cfg: cfg) if with_reversals else forward_key
+    live = liveness(system, bound) if with_reversals else (lambda cfg, k: False)
+
+    def key(cfg: Configuration):
+        k = forward_key(cfg)
+        return cfg if live(cfg, k) else k
+
     init = runtime.initial_configuration(system)
     seen = {key(init): init}
     frontier = [init]
@@ -133,7 +202,9 @@ def reachable(
                 key(succ) not in seen
                 for cfg in frontier
                 for succ in _forward_successors(cfg, system, bound)
-            )
+            ) or (with_reversals and any(
+                reverse.enabled_reversals(cfg, system, analyzer) for cfg in frontier
+            ))
             break
         layer: list[Configuration] = []
         for cfg in frontier:
@@ -146,8 +217,9 @@ def reachable(
                 for cand in reverse.enabled_reversals(cfg, system, analyzer):
                     succ = reverse.step_reverse(cfg, system, cand, analyzer)
                     edges.append((cfg, cand, succ))
-                    if succ not in seen:
-                        seen[succ] = succ
+                    k = key(succ)
+                    if k not in seen:
+                        seen[k] = succ
                         layer.append(succ)
         frontier = layer
         depth += 1

@@ -16,7 +16,7 @@ state's book is updated so the same family is not immediately retried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .causality import CausalityAnalyzer, LogRef, all_log_refs
 from .model import Guard
@@ -124,6 +124,22 @@ def _latest_anchor(
     return None
 
 
+def reversible_families(
+    cfg: Configuration, system: System, scope: str = FULL
+) -> Iterator[tuple[str, int, CommEvent, Guard]]:
+    """The history-free half of the reversal test, in a deterministic order.
+
+    Yields ``(participant, decision state, first output, guard)`` for each
+    branch family of a participant's current state whose alternatives are
+    not exhausted and whose guard holds.  This reads only the states, the
+    book and message counts, never a timestamp or a sender state.
+    """
+    for a in sorted(system.machines):
+        for q_hat, first, guard in system.machines[a].families.get(cfg.state_of(a), ()):
+            if not cfg.book_entry(a, q_hat).exhausted and eval_guard(guard, cfg, scope):
+                yield a, q_hat, first, guard
+
+
 def enabled_reversals(
     cfg: Configuration,
     system: System,
@@ -133,28 +149,22 @@ def enabled_reversals(
     """All reversals available in ``cfg``, in a deterministic order.
 
     A participant can reverse a branch family of its current state when
-    the family's alternatives are not exhausted, its guard holds, and the
-    family's first output is recorded at a point history can rewind to.
+    the family passes :func:`reversible_families` and its first output is
+    recorded at a point history can rewind to.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
     out: list[ReversalCandidate] = []
     rollback_cache: Optional[frozenset[LogRef]] = None
-    for a in sorted(system.machines):
-        for q_hat, first, guard in system.machines[a].families.get(cfg.state_of(a), ()):
-            entry = cfg.book_entry(a, q_hat)
-            if entry.exhausted:
-                continue
-            if not eval_guard(guard, cfg, scope):
-                continue
-            anchor_log = _latest_anchor(cfg, first, q_hat)
-            if anchor_log is None:
-                continue
-            anchor = (first.channel, anchor_log)
-            if rollback_cache is None:
-                rollback_cache = analyzer.rollback_points(cfg)
-            if anchor not in rollback_cache:
-                continue
-            out.append(ReversalCandidate(a, q_hat, first, guard, anchor))
+    for a, q_hat, first, guard in reversible_families(cfg, system, scope):
+        anchor_log = _latest_anchor(cfg, first, q_hat)
+        if anchor_log is None:
+            continue
+        anchor = (first.channel, anchor_log)
+        if rollback_cache is None:
+            rollback_cache = analyzer.rollback_points(cfg)
+        if anchor not in rollback_cache:
+            continue
+        out.append(ReversalCandidate(a, q_hat, first, guard, anchor))
     return out
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import causality_oracle
+import explore_oracle
 from chorrev import causality
 from chorrev.causality import CausalityAnalyzer, all_log_refs
 from chorrev.explore import Bound, reachable
@@ -59,7 +60,7 @@ class RecordingAnalyzer(CausalityAnalyzer):
 
 
 def test_every_history_of_the_one_round_search(travel_system):
-    searched = reachable(travel_system, Bound(200, 1), with_reversals=True)
+    searched = explore_oracle.reachable_with_reversals(travel_system, Bound(200, 1))
     histories = one_per_history(searched.configs)
     assert len(searched.configs) == 907
     assert_same_causality(travel_system, histories)

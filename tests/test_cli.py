@@ -563,7 +563,8 @@ def test_explore_json_matches_the_recorded_output(runner, check):
 
 
 def test_explore_json_at_two_rounds_matches_the_recorded_output(runner):
-    # 532 forward classes, 33,299 configurations and 808 reversal edges.
+    # 532 forward classes; with reversals 2,590 configurations (1,979 in
+    # live classes, one for each of 611 dead ones) and 808 reversal edges.
     result = runner.invoke(
         main, ["explore", TRAVEL, "--bound", "steps=200,rounds=2", "--json"]
     )
@@ -578,6 +579,21 @@ def test_explore_truncation_exits_three(runner):
     )
     assert result.exit_code == 3
     assert "inconclusive" in result.output
+
+
+def test_explore_is_inconclusive_while_reversals_wait_at_the_last_frontier(runner):
+    # At 19 steps the last frontier still enables reversals: 4 edges are
+    # checked within the bound, 8 when the search runs out.
+    result = runner.invoke(
+        main,
+        ["explore", str(DATA / "static_order_loop.rchor"), "--bound", "steps=19,rounds=1",
+         "--check", "causal-consistency"],
+    )
+    assert result.exit_code == 3
+    assert result.output == (
+        "causal-consistency: inconclusive\n"
+        "  4 reversal edges, all consistent (state space not exhausted at this bound)\n"
+    )
 
 
 @pytest.mark.parametrize("steps", [12, 16])

@@ -1,24 +1,33 @@
-"""The forward search on classes against the full search in ``explore_oracle``.
+"""The searches on classes against the full searches in ``explore_oracle``.
 
 ``reachable`` without reversals keeps one configuration per
 ``forward_key``.  That is exact when configurations with equal keys have
 equal successor keys; then the forgetful images, ``truncated`` and
 ``steps_explored`` are those of the search over every configuration.
+
+With reversals it keeps whole configurations only in live classes, those
+from which a forward run can reach a reversal.  The reversal edges, in
+order, and the text of a failed rollback must be those of the search that
+keeps every configuration, and so must every configuration of a live class.
 """
 
+import itertools
 from collections import defaultdict
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import explore_oracle
-from chorrev.explore import Bound, forward_key, reachable
+from chorrev.explore import Bound, forward_key, liveness, reachable
 from chorrev.machine import ProjectionError
+from chorrev.model import Channel, Choice, ChoiceBranch, CountAtom, Interaction, Loop, Seq
 from chorrev.order import UndefinedSemantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
+from chorrev.reverse import RollbackFailed
 from chorrev.runtime import forget_config
 
+from conftest import DATA
 from test_order_oracle import build, shapes
 
 RETRY = """
@@ -83,3 +92,113 @@ def test_equal_keys_have_equal_successor_keys(travel_system):
         )
     assert len(successor_keys) == 121
     assert all(len(sets) == 1 for sets in successor_keys.values())
+
+
+def outcome(search, *args, **kwargs):
+    """The search's result, or the text of the rollback it could not carry out."""
+    try:
+        return search(*args, **kwargs)
+    except RollbackFailed as exc:
+        return str(exc)
+
+
+def assert_same_search_with_reversals(system, bound):
+    full = outcome(explore_oracle.reachable_with_reversals, system, bound)
+    kept = outcome(reachable, system, bound, with_reversals=True)
+    if isinstance(full, str) or isinstance(kept, str):
+        assert kept == full
+        return full, kept
+    assert kept.reversal_edges == full.reversal_edges
+    assert (kept.truncated, kept.steps_explored) == (full.truncated, full.steps_explored)
+    assert {forward_key(c) for c in kept.configs} == {forward_key(c) for c in full.configs}
+    assert {forget_config(c) for c in kept.configs} == {forget_config(c) for c in full.configs}
+    live = liveness(system, bound)
+    whole = {c for c in full.configs if live(c, forward_key(c))}
+    assert {c for c in kept.configs if live(c, forward_key(c))} == whole
+    dead = {forward_key(c) for c in kept.configs if c not in whole}
+    assert len(kept.configs) == len(whole) + len(dead)
+    return full, kept
+
+
+@pytest.mark.parametrize("steps", [*range(36), 200])
+def test_travel_one_round_with_reversals_matches_the_full_search(travel_system, steps):
+    assert_same_search_with_reversals(travel_system, Bound(steps, 1))
+
+
+def test_travel_two_rounds_with_reversals_keeps_live_classes_whole(travel_system):
+    full, kept = assert_same_search_with_reversals(travel_system, Bound(200, 2))
+    assert (len(full.configs), len(kept.configs), len(kept.reversal_edges)) == (33299, 2590, 808)
+
+
+@pytest.mark.parametrize("source", ["A -> B : m", RETRY, "loop @ A { A -> B : m }"])
+@pytest.mark.parametrize("bound", [Bound(0, 1), Bound(1, 1), Bound(3, 2), Bound(30, 1), Bound(30, 2)])
+def test_small_systems_with_reversals_match_the_full_search(source, bound):
+    assert_same_search_with_reversals(project_system(parse_choreography(source)), bound)
+
+
+@pytest.mark.parametrize("name", ["static_order_loop", "rollback_consumed_marker"])
+def test_looped_choices_with_reversals_match_the_full_search(name):
+    system = project_system(parse_choreography((DATA / f"{name}.rchor").read_text()))
+    refusals = set()
+    for steps in range(36):
+        full, _ = assert_same_search_with_reversals(system, Bound(steps, 1))
+        if isinstance(full, str):
+            refusals.add(full)
+    # Only the consumed marker's search meets a rollback that fails.
+    assert len(refusals) == (name == "rollback_consumed_marker")
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(shapes, st.integers(1, 2), st.integers(0, 7))
+def test_generated_systems_with_reversals_match_the_full_search(shape, rounds, steps):
+    try:
+        system = project_system(build(shape))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    assert_same_search_with_reversals(system, Bound(steps, rounds))
+
+
+def retry_after(prefix, decider, receiver, looped):
+    """The term of ``prefix`` followed by a choice the decider can reverse.
+
+    Each branch sends a first message and waits for a reply, so the decider
+    stays inside the branch, and its guard holds once that message is sent:
+    the shape of ``RETRY``, which ``shapes`` alone almost never produces.
+    """
+    cps = itertools.count(1)
+    loop_cp = next(cps) if looped else None
+    head = build(prefix, cps)
+    choice_cp = next(cps)
+
+    def branch(message, reply):
+        body = Seq((
+            Interaction(decider, receiver, message, next(cps)),
+            Interaction(receiver, decider, reply, next(cps)),
+        ))
+        return ChoiceBranch(body, CountAtom(message, Channel(decider, receiver), ">=", 1))
+
+    term = Seq((head, Choice((branch("p", "r"), branch("q", "s")), choice_cp)))
+    return Loop(decider, term, loop_cp) if looped else term
+
+
+pairs = st.tuples(st.sampled_from("ABCD"), st.sampled_from("ABCD")).filter(lambda p: p[0] != p[1])
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(shapes, pairs, st.booleans(), st.integers(1, 2), st.integers(0, 8))
+def test_generated_retries_match_the_full_search(prefix, pair, looped, rounds, steps):
+    try:
+        system = project_system(retry_after(prefix, *pair, looped))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    assert_same_search_with_reversals(system, Bound(steps, rounds))

@@ -28,6 +28,7 @@ from chorrev.runtime import (
     step_output,
 )
 
+import explore_oracle
 from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues
 from runtime_oracle import upd_inp, upd_out
 
@@ -283,7 +284,8 @@ def test_block_on_guard_mode(travel_system):
 
 @pytest.fixture(scope="module")
 def travel_reversal_search(travel_system):
-    return reachable(travel_system, Bound(200, 1), with_reversals=True)
+    # Every configuration of the search, not only those of live classes.
+    return explore_oracle.reachable_with_reversals(travel_system, Bound(200, 1))
 
 
 def test_a_configuration_is_its_tuples_and_hash(travel_reversal_search):

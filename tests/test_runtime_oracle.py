@@ -18,7 +18,7 @@ import explore_oracle
 import runtime_oracle
 from chorrev import runtime
 from chorrev.causality import CausalityAnalyzer, all_log_refs
-from chorrev.explore import Bound, reachable
+from chorrev.explore import Bound
 from chorrev.machine import ProjectionError, Unit
 from chorrev.model import Channel
 from chorrev.order import UndefinedSemantics
@@ -84,7 +84,8 @@ def assert_steps_match(cfg, system):
 
 @pytest.fixture(scope="module")
 def travel_reversal_search(travel_system):
-    return reachable(travel_system, Bound(200, 1), with_reversals=True)
+    # Every configuration of the search, not only those of live classes.
+    return explore_oracle.reachable_with_reversals(travel_system, Bound(200, 1))
 
 
 def test_travel_reversal_search_steps_match_the_oracle(travel_system, travel_reversal_search):
