@@ -19,12 +19,10 @@ from .explore import (
 from .machine import (
     Branch,
     DeterminizationConflict,
-    PMachine,
     ProjectionError,
     RCfsm,
     Transition,
     Unit,
-    decorate,
     finalize,
     forget_machine,
     to_dot,
@@ -94,7 +92,6 @@ __all__ = [
     "Log",
     "Loop",
     "NotEnabled",
-    "PMachine",
     "Par",
     "ParseError",
     "ProjectionError",
@@ -109,7 +106,6 @@ __all__ = [
     "all_log_refs",
     "audit_configuration",
     "control_points",
-    "decorate",
     "enabled_forward",
     "enabled_reversals",
     "eval_guard",

@@ -13,7 +13,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -70,12 +70,21 @@ def _load(path: str):
         sys.exit(2)
 
 
+def _too_deep() -> NoReturn:
+    """Exit as the parser does on input nested too deeply: validation, the
+    event order and projection recurse deeper per level than the parser."""
+    click.echo(str(ParseError("input nested too deeply")), err=True)
+    sys.exit(2)
+
+
 def _project(g) -> System:
     try:
         return project_system(g)
     except (ProjectionError, UndefinedSemantics) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    except RecursionError:
+        _too_deep()
 
 
 def _parse_channel(text: str) -> Channel:
@@ -98,15 +107,18 @@ def main():
 def check(file, as_json):
     """Validate a choreography: well-formedness and well-branchedness."""
     g = _load(file)
-    issues = list(validate(g).issues)
-    semantics_error = None
-    if not issues:
-        try:
-            semantics(g)
-        except UndefinedSemantics as exc:
-            semantics_error = str(exc)
-        if semantics_error is None:
-            issues = list(well_branched(g).issues)
+    try:
+        issues = list(validate(g).issues)
+        semantics_error = None
+        if not issues:
+            try:
+                semantics(g)
+            except UndefinedSemantics as exc:
+                semantics_error = str(exc)
+            if semantics_error is None:
+                issues = list(well_branched(g).issues)
+    except RecursionError:
+        _too_deep()
     ok = not issues and semantics_error is None
     if as_json:
         payload = {

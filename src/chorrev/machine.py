@@ -8,16 +8,14 @@ may be undone.  That decoration is one :class:`Branch`; its ``committed``
 flag is set on the transitions that leave the branch for good and clear
 (the branch is ``ongoing``) while it may still be rolled back.
 
-Machines are built with a small algebra (sequencing, merging of
-alternatives, parallel product) over pre-machines that carry an explicit
-interface state, and are then determinized, minimized and renumbered into
-their presentation form.
+Projection writes a participant's transitions from an initial state to
+an exit state (see :mod:`chorrev.projection`); :func:`finalize` then
+determinizes, minimizes and renumbers them into their presentation form.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -93,199 +91,6 @@ class Transition:
         return f"{self.src} --{self.event}{deco}--> {self.dst}"
 
 
-class StateAlloc:
-    """Hands out fresh state identifiers; shared across one projection."""
-
-    def __init__(self, start: int = 0):
-        self._counter = itertools.count(start)
-
-    def fresh(self) -> int:
-        return next(self._counter)
-
-
-# ---------------------------------------------------------------------------
-# Pre-machines and their algebra
-
-
-@dataclass(frozen=True)
-class PMachine:
-    """A machine under construction, with a distinguished interface state.
-
-    The interface state is where subsequent behavior will be attached;
-    gluing machines together renames interface and initial states into one
-    another rather than adding silent transitions.
-    """
-
-    owner: str
-    states: frozenset[int]
-    initial: int
-    interface: int
-    transitions: frozenset[Transition]
-
-    def out_of(self, state: int) -> list[Transition]:
-        return sorted(
-            (t for t in self.transitions if t.src == state),
-            key=lambda t: label_key(t.event, t.decoration),
-        )
-
-
-def empty_machine(owner: str, alloc: StateAlloc) -> PMachine:
-    q = alloc.fresh()
-    return PMachine(owner, frozenset({q}), q, q, frozenset())
-
-
-def single_event(owner: str, event: CommEvent, alloc: StateAlloc) -> PMachine:
-    q0 = alloc.fresh()
-    qe = alloc.fresh()
-    return PMachine(
-        owner,
-        frozenset({q0, qe}),
-        q0,
-        qe,
-        frozenset({Transition(q0, event, UNIT, qe)}),
-    )
-
-
-def _sub_state(mapping: dict[int, int], s: int) -> int:
-    return mapping.get(s, s)
-
-
-def _sub_decoration(mapping: dict[int, int], d: Decoration) -> Decoration:
-    if isinstance(d, Branch):
-        return dataclasses.replace(d, choice_state=_sub_state(mapping, d.choice_state))
-    return d
-
-
-def substitute(m: PMachine, mapping: dict[int, int]) -> PMachine:
-    """Rename states of ``m``, in transitions and inside decorations alike."""
-    return PMachine(
-        m.owner,
-        frozenset(_sub_state(mapping, s) for s in m.states),
-        _sub_state(mapping, m.initial),
-        _sub_state(mapping, m.interface),
-        frozenset(
-            Transition(
-                _sub_state(mapping, t.src),
-                t.event,
-                _sub_decoration(mapping, t.decoration),
-                _sub_state(mapping, t.dst),
-            )
-            for t in m.transitions
-        ),
-    )
-
-
-def seq_machines(*machines: PMachine) -> PMachine:
-    """Run each machine to its interface, then continue as the next one."""
-    if len({m.owner for m in machines}) > 1:
-        raise ProjectionError("cannot sequence machines of different participants")
-    # An empty machine's initial state is its interface: glue from the right.
-    glue: dict[int, int] = {}
-    for m, nxt in reversed(list(zip(machines, machines[1:]))):
-        glue[m.interface] = glue.get(nxt.initial, nxt.initial)
-    whole = PMachine(
-        machines[0].owner,
-        frozenset().union(*(m.states for m in machines)),
-        machines[0].initial,
-        machines[-1].interface,
-        frozenset().union(*(m.transitions for m in machines)),
-    )
-    return substitute(whole, glue)
-
-
-def join_machines(machines: list[PMachine]) -> PMachine:
-    """Merge alternative machines by sharing their initial and interface."""
-    if not machines:
-        raise ValueError("nothing to join")
-    base = machines[0]
-    states = set(base.states)
-    transitions = set(base.transitions)
-    for m in machines[1:]:
-        if m.owner != base.owner:
-            raise ProjectionError("cannot join machines of different participants")
-        renamed = substitute(m, {m.initial: base.initial, m.interface: base.interface})
-        states |= renamed.states
-        transitions |= renamed.transitions
-    return PMachine(base.owner, frozenset(states), base.initial, base.interface, frozenset(transitions))
-
-
-def product_machines(m1: PMachine, m2: PMachine, alloc: StateAlloc) -> PMachine:
-    """Interleave two independent machines of the same participant."""
-    if m1.owner != m2.owner:
-        raise ProjectionError("cannot interleave machines of different participants")
-    for m in (m1, m2):
-        if any(not isinstance(t.decoration, Unit) for t in m.transitions):
-            raise ProjectionError(
-                "cannot interleave machines that already carry branch decorations"
-            )
-    ids: dict[tuple[int, int], int] = {}
-    for s1 in sorted(m1.states):
-        for s2 in sorted(m2.states):
-            ids[(s1, s2)] = alloc.fresh()
-    transitions: set[Transition] = set()
-    for (s1, s2), src in ids.items():
-        for t in m1.transitions:
-            if t.src == s1:
-                transitions.add(Transition(src, t.event, t.decoration, ids[(t.dst, s2)]))
-        for t in m2.transitions:
-            if t.src == s2:
-                transitions.add(Transition(src, t.event, t.decoration, ids[(s1, t.dst)]))
-    return PMachine(
-        m1.owner,
-        frozenset(ids.values()),
-        ids[(m1.initial, m2.initial)],
-        ids[(m1.interface, m2.interface)],
-        frozenset(transitions),
-    )
-
-
-def decorate(m: PMachine, guard: Guard, families: dict[CommEvent, Optional[CommEvent]]) -> PMachine:
-    """Mark every transition of a branch machine with its reversal data.
-
-    ``families`` maps each event of the machine to the first output that
-    identifies its branch family.  Transitions entering the interface become
-    committed, all others ongoing.  The machine must not carry decorations
-    yet (a nested choice decided by the same participant has no meaningful
-    two-level decoration).
-    """
-    if any(not isinstance(t.decoration, Unit) for t in m.transitions):
-        raise ProjectionError(
-            f"machine of {m.owner} is already decorated; nested choices decided by"
-            " the same participant cannot be projected"
-        )
-    q_hat = m.initial
-    transitions = set()
-    for t in m.transitions:
-        first = families.get(t.event)
-        if first is None:
-            raise ProjectionError(
-                f"no anchoring output for {t.event} in a branch of {m.owner}"
-            )
-        deco = Branch(q_hat, first, guard, t.dst == m.interface)
-        transitions.add(Transition(t.src, t.event, deco, t.dst))
-    return PMachine(m.owner, m.states, m.initial, m.interface, frozenset(transitions))
-
-
-def forget_machine(m: "PMachine | RCfsm") -> "PMachine | RCfsm":
-    """Erase decorations, keeping everything else as it is."""
-    if isinstance(m, PMachine):
-        return PMachine(
-            m.owner,
-            m.states,
-            m.initial,
-            m.interface,
-            frozenset(Transition(t.src, t.event, UNIT, t.dst) for t in m.transitions),
-        )
-    return RCfsm(
-        m.owner,
-        m.states,
-        m.initial,
-        tuple(Transition(t.src, t.event, UNIT, t.dst) for t in m.transitions),
-        m.finals,
-        dict(m.aliases),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Presentation machines
 
@@ -357,8 +162,23 @@ class RCfsm:
         return self._by_label.get((state, event))
 
 
-def finalize(m: PMachine) -> RCfsm:
-    """Determinize, minimize and renumber a pre-machine.
+def forget_machine(m: RCfsm) -> RCfsm:
+    """Erase decorations, keeping everything else as it is."""
+    return RCfsm(
+        m.owner,
+        m.states,
+        m.initial,
+        tuple(Transition(t.src, t.event, UNIT, t.dst) for t in m.transitions),
+        m.finals,
+        dict(m.aliases),
+    )
+
+
+def finalize(
+    owner: str, initial: int, exit: int, transitions: Iterable[Transition]
+) -> RCfsm:
+    """Determinize, minimize and renumber the machine of ``owner`` that
+    runs ``transitions`` from ``initial`` and accepts in ``exit``.
 
     Decoration references to choice states are carried through both
     constructions; if a referenced state ends up in several subset states,
@@ -367,13 +187,13 @@ def finalize(m: PMachine) -> RCfsm:
     """
     by_src: dict[int, dict[tuple, set[int]]] = {}
     labels_of: dict[int, dict[tuple, tuple[CommEvent, Decoration]]] = {}
-    for t in m.transitions:
+    for t in transitions:
         key = label_key(t.event, t.decoration)
         by_src.setdefault(t.src, {}).setdefault(key, set()).add(t.dst)
         labels_of.setdefault(t.src, {})[key] = (t.event, t.decoration)
 
     # Subset construction from the initial state.
-    start = frozenset({m.initial})
+    start = frozenset({initial})
     subset_ids: dict[frozenset[int], int] = {start: 0}
     order: list[frozenset[int]] = [start]
     sub_trans: dict[int, list[tuple[tuple, CommEvent, Decoration, int]]] = {}
@@ -401,7 +221,7 @@ def finalize(m: PMachine) -> RCfsm:
         sub_trans[cur_id] = rows
 
     n = len(order)
-    accepting = {i for i, subset in enumerate(order) if m.interface in subset}
+    accepting = {i for i, subset in enumerate(order) if exit in subset}
 
     # Partition refinement.
     block = [0 if i in accepting else 1 for i in range(n)]
@@ -428,11 +248,11 @@ def finalize(m: PMachine) -> RCfsm:
         classes = class_of_pstate.get(q)
         if classes is None:
             raise ProjectionError(
-                f"decoration of {m.owner} references unreachable state {q}"
+                f"decoration of {owner} references unreachable state {q}"
             )
         if len(classes) > 1:
             raise ProjectionError(
-                f"decoration of {m.owner} references state {q}, which was split"
+                f"decoration of {owner} references state {q}, which was split"
                 " during determinization"
             )
         return next(iter(classes))
@@ -463,13 +283,13 @@ def finalize(m: PMachine) -> RCfsm:
         cls = remap_choice_state(d.choice_state)
         if cls not in numbering:
             raise ProjectionError(
-                f"decoration of {m.owner} references a state outside the reachable part"
+                f"decoration of {owner} references a state outside the reachable part"
             )
         new_q = numbering[cls]
         prior = choice_state_targets.get(new_q)
         if prior is not None and prior != d.choice_state:
             raise ProjectionError(
-                f"two distinct choice states of {m.owner} were merged into one"
+                f"two distinct choice states of {owner} were merged into one"
             )
         choice_state_targets[new_q] = d.choice_state
         return dataclasses.replace(d, choice_state=new_q)
@@ -496,15 +316,15 @@ def finalize(m: PMachine) -> RCfsm:
         marker = (t.src, event_key(t.event))
         if marker in seen and seen[marker] != t:
             raise DeterminizationConflict(
-                f"machine of {m.owner} has two different transitions for"
+                f"machine of {owner} has two different transitions for"
                 f" {t.event} from state {t.src}"
             )
         seen[marker] = t
 
     count = len(numbering)
-    aliases = {i: f"q{i}{m.owner}" for i in range(count)}
+    aliases = {i: f"q{i}{owner}" for i in range(count)}
     return RCfsm(
-        m.owner,
+        owner,
         tuple(range(count)),
         0,
         tuple(transitions),

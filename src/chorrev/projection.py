@@ -1,10 +1,14 @@
 """Projection of a choreography onto each participant's machine.
 
-Interactions project to a single send or receive, sequencing glues
-machines together, parallel branches interleave, and a choice merges the
-alternative branch machines on a shared decision state.  The deciding
-participant's branch transitions are decorated so they can later be rolled
-back; everyone else's machines stay plain.
+Each construct's transitions are written once, into one list per
+participant, from the state the construct is entered in to the exit state
+it returns.  An interaction projects to a single send or receive, each
+part of a sequence is entered where the part before it exits, parallel
+branches are written apart and interleaved, and every branch of a choice
+runs from the choice's entry to one shared exit, with no silent moves.
+The deciding participant's branch transitions are decorated so they can
+later be rolled back; everyone else's machines stay plain.  The list is
+then determinized and minimized by :func:`machine.finalize`.
 
 A loop controlled by ``a`` is wired explicitly: ``a`` announces each
 iteration by sending a start marker to every other participant of the body
@@ -14,24 +18,11 @@ marker.  The other body participants mirror this with marker receives.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .machine import (
-    PMachine,
-    ProjectionError,
-    RCfsm,
-    StateAlloc,
-    decorate,
-    empty_machine,
-    finalize,
-    forget_machine,
-    join_machines,
-    product_machines,
-    seq_machines,
-    single_event,
-    substitute,
-)
+from .machine import UNIT, Branch, ProjectionError, RCfsm, Transition, finalize
 from .model import (
     Channel,
     Choice,
@@ -81,10 +72,12 @@ def project(g: Chor, participant: str, decorated: bool = True) -> RCfsm:
     Raises :class:`UndefinedSemantics` if the event order of ``g`` does
     not exist.
     """
-    pm = _project(g, participant, StateAlloc(), _deciders(semantics(g)))
+    w = _Writer(_deciders(semantics(g)))
+    exit = _project(g, participant, 0, w)
+    transitions = w.transitions
     if not decorated:
-        pm = forget_machine(pm)
-    return finalize(pm)
+        transitions = [Transition(t.src, t.event, UNIT, t.dst) for t in transitions]
+    return finalize(participant, 0, exit, transitions)
 
 
 def project_system(g: Chor) -> System:
@@ -101,33 +94,50 @@ def project_system(g: Chor) -> System:
     wb = well_branched(g)
     if not wb.ok:
         raise ProjectionError(f"choreography is not well branched:\n{wb}")
-    alloc = StateAlloc()
     deciders = _deciders(order)
     machines: dict[str, RCfsm] = {}
     for a in sorted(participants(g)):
-        machines[a] = finalize(_project(g, a, alloc, deciders))
+        w = _Writer(deciders)
+        machines[a] = finalize(a, 0, _project(g, a, 0, w), w.transitions)
     channels = sorted(
         {t.event.channel for m in machines.values() for t in m.transitions}
     )
     return System(g, machines, tuple(channels), order)
 
 
-def _project(g: Chor, a: str, alloc: StateAlloc, deciders: dict[int, str]) -> PMachine:
+class _Writer:
+    """The transitions of one participant, in the order ``_project`` writes
+    them.  State 0 is the initial state, and ``states`` hands out the others.
+    """
+
+    def __init__(self, deciders: dict[int, str]):
+        self.deciders = deciders
+        self.transitions: list[Transition] = []
+        self.states = itertools.count(1)
+
+
+def _project(g: Chor, a: str, src: int, w: _Writer) -> int:
+    """Append ``a``'s transitions for ``g`` from state ``src``; return its exit state.
+
+    Each part of a sequence starts where the part before it exits.  A term
+    that ``a`` takes no part in writes nothing and exits at ``src``.
+    """
     if isinstance(g, Interaction):
-        if a == g.sender:
-            return single_event(a, CommEvent(g.channel, "!", g.cp, g.message), alloc)
-        if a == g.receiver:
-            return single_event(a, CommEvent(g.channel, "?", g.cp, g.message), alloc)
-        return empty_machine(a, alloc)
+        polarity = "!" if a == g.sender else "?" if a == g.receiver else None
+        if polarity is None:
+            return src
+        dst = next(w.states)
+        event = CommEvent(g.channel, polarity, g.cp, g.message)
+        w.transitions.append(Transition(src, event, UNIT, dst))
+        return dst
 
     if isinstance(g, Seq):
-        return seq_machines(*(_project(part, a, alloc, deciders) for part in g.parts))
+        for part in g.parts:
+            src = _project(part, a, src, w)
+        return src
 
     if isinstance(g, Par):
-        machine = _project(g.branches[0], a, alloc, deciders)
-        for branch in g.branches[1:]:
-            machine = product_machines(machine, _project(branch, a, alloc, deciders), alloc)
-        return machine
+        return _interleave(g, a, src, w)
 
     if isinstance(g, Loop):
         members = participants(g.body)
@@ -139,54 +149,114 @@ def _project(g: Chor, a: str, alloc: StateAlloc, deciders: dict[int, str]) -> PM
                 )
             starts = [CommEvent(Channel(a, b), "!", g.cp, LOOP_START) for b in others]
             ends = [CommEvent(Channel(a, b), "!", g.cp, LOOP_END) for b in others]
-            entry = _multi_event(a, starts, alloc)
-            again = _multi_event(a, starts, alloc)
-            leave = _multi_event(a, ends, alloc)
         elif a in members:
             ch = Channel(g.controller, a)
-            entry = single_event(a, CommEvent(ch, "?", g.cp, LOOP_START), alloc)
-            again = single_event(a, CommEvent(ch, "?", g.cp, LOOP_START), alloc)
-            leave = single_event(a, CommEvent(ch, "?", g.cp, LOOP_END), alloc)
+            starts = [CommEvent(ch, "?", g.cp, LOOP_START)]
+            ends = [CommEvent(ch, "?", g.cp, LOOP_END)]
         else:
-            return empty_machine(a, alloc)
-        body = _project(g.body, a, alloc, deciders)
-        again = substitute(again, {again.initial: body.interface, again.interface: body.initial})
-        leave = substitute(leave, {leave.initial: body.interface})
-        combined = PMachine(
-            a,
-            body.states | again.states | leave.states,
-            body.initial,
-            leave.interface,
-            body.transitions | again.transitions | leave.transitions,
-        )
-        return seq_machines(entry, combined)
+            return src
+        # The start markers into the body, the body, the start markers of
+        # the next round back to the body's entry, and the end markers.
+        b = _markers(w, src, starts)
+        e = _project(g.body, a, b, w)
+        _markers(w, e, starts, b)
+        return _markers(w, e, ends)
 
     if isinstance(g, Choice):
-        if a == deciders[g.cp]:
-            branch_machines = []
-            for br in g.branches:
-                bm = _project(br.body, a, alloc, deciders)
-                families = _family_map(br.body, a, None)
-                branch_machines.append(decorate(bm, br.guard, families))
-            return join_machines(branch_machines)
+        return _choose(g, a, src, w)
+
+    raise TypeError(f"not a choreography term: {g!r}")
+
+
+def _markers(w: _Writer, src: int, events: list[CommEvent], dst: Optional[int] = None) -> int:
+    """Write ``events`` in every order, from ``src`` to ``dst`` or a fresh state.
+
+    ``ids[mask]`` is the state once the events of ``mask``'s bits are written.
+    """
+    full = (1 << len(events)) - 1
+    ids = [src] + [next(w.states) for _ in range(full - 1)]
+    ids.append(next(w.states) if dst is None else dst)
+    for mask in range(full):
+        for i, e in enumerate(events):
+            if not mask >> i & 1:
+                w.transitions.append(Transition(ids[mask], e, UNIT, ids[mask | 1 << i]))
+    return ids[full]
+
+
+def _choose(g: Choice, a: str, src: int, w: _Writer) -> int:
+    """Write every branch from ``src`` to one exit, the first branch's.
+
+    The decider's transitions of a branch are decorated once the branch is
+    written: the choice state is ``src``, and a transition whose target is
+    the exit commits the branch.
+    """
+    decider = a == w.deciders[g.cp]
+    if not decider:
         occurs = [a in participants(br.body) for br in g.branches]
         if not any(occurs):
-            return empty_machine(a, alloc)
+            return src
         if not all(occurs):
             raise ProjectionError(
                 f"{a} takes part in some but not all branches of the choice"
                 f" at control point {g.cp}"
             )
-        return join_machines([_project(br.body, a, alloc, deciders) for br in g.branches])
+    exit = None
+    for br in g.branches:
+        start = len(w.transitions)
+        end = _project(br.body, a, src, w)
+        exit = end if exit is None else exit
+        written = w.transitions[start:]
+        if decider:
+            if any(isinstance(t.decoration, Branch) for t in written):
+                raise ProjectionError(
+                    f"machine of {a} is already decorated; nested choices decided by"
+                    " the same participant cannot be projected"
+                )
+            families = _family_map(br.body, a, None)
+        elif end == exit:
+            continue
+        for i, t in enumerate(written, start):
+            dst = exit if t.dst == end else t.dst
+            deco = t.decoration
+            if decider:
+                first = families.get(t.event)
+                if first is None:
+                    raise ProjectionError(f"no anchoring output for {t.event} in a branch of {a}")
+                deco = Branch(src, first, br.guard, dst == exit)
+            w.transitions[i] = Transition(t.src, t.event, deco, dst)
+    return exit
 
-    raise TypeError(f"not a choreography term: {g!r}")
 
+def _interleave(g: Par, a: str, src: int, w: _Writer) -> int:
+    """Write the product of ``g``'s branches, each written apart first.
 
-def _multi_event(owner: str, events: list[CommEvent], alloc: StateAlloc) -> PMachine:
-    machine = single_event(owner, events[0], alloc)
-    for e in events[1:]:
-        machine = product_machines(machine, single_event(owner, e, alloc), alloc)
-    return machine
+    The branches' states are fresh, so one index by source state serves all.
+    """
+    start = len(w.transitions)
+    ends = []
+    for branch in g.branches:
+        first = next(w.states)
+        ends.append((first, _project(branch, a, first, w)))
+        if len(ends) > 1 and any(isinstance(t.decoration, Branch) for t in w.transitions[start:]):
+            raise ProjectionError(
+                "cannot interleave machines that already carry branch decorations"
+            )
+    out: dict[int, list[Transition]] = {}
+    for t in w.transitions[start:]:
+        out.setdefault(t.src, []).append(t)
+    del w.transitions[start:]
+    initial, final = zip(*ends)
+    ids = {initial: src}
+    queue = [initial]
+    for state in queue:
+        for i, q in enumerate(state):
+            for t in out.get(q, ()):
+                nxt = state[:i] + (t.dst,) + state[i + 1:]
+                if nxt not in ids:
+                    ids[nxt] = next(w.states)
+                    queue.append(nxt)
+                w.transitions.append(Transition(ids[state], t.event, UNIT, ids[nxt]))
+    return ids[final]
 
 
 def _family_map(

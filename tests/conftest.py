@@ -1,12 +1,25 @@
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from chorrev import machine
+import projection_oracle
 from chorrev.causality import all_log_refs
-from chorrev.model import LOOP_END, Channel, GTrue, Not
+from chorrev.model import (
+    LOOP_END,
+    Channel,
+    Choice,
+    ChoiceBranch,
+    CountAtom,
+    GTrue,
+    Interaction,
+    Loop,
+    Not,
+    Par,
+    Seq,
+)
 from chorrev.order import CommEvent
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
@@ -113,8 +126,8 @@ def load_json(path):
 
 
 def random_pmachine(rng, owner="A", depth=3):
-    """A small random pre-machine built through the public algebra."""
-    alloc = machine.StateAlloc()
+    """A small random pre-machine built through the oracle's algebra."""
+    alloc = projection_oracle.StateAlloc()
     peers = ["B", "C", "D"]
 
     def leaf():
@@ -125,7 +138,7 @@ def random_pmachine(rng, owner="A", depth=3):
             event = CommEvent(Channel(owner, peer), "!", cp, msg)
         else:
             event = CommEvent(Channel(peer, owner), "?", cp, msg)
-        return machine.single_event(owner, event, alloc)
+        return projection_oracle.single_event(owner, event, alloc)
 
     def build(d):
         if d == 0 or rng.random() < 0.35:
@@ -133,10 +146,10 @@ def random_pmachine(rng, owner="A", depth=3):
         op = rng.choice(["seq", "join", "prod"])
         left, right = build(d - 1), build(d - 1)
         if op == "seq":
-            return machine.seq_machines(left, right)
+            return projection_oracle.seq_machines(left, right)
         if op == "join":
-            return machine.join_machines([left, right])
-        return machine.product_machines(left, right, alloc)
+            return projection_oracle.join_machines([left, right])
+        return projection_oracle.product_machines(left, right, alloc)
 
     return build(depth)
 
@@ -147,3 +160,43 @@ def random_decoration_inputs(rng, m, owner="A"):
     families = {t.event: anchor for t in m.transitions}
     guard = GTrue() if rng.random() < 0.5 else Not(GTrue())
     return guard, families
+
+
+def build(shape, cps=None):
+    """A choreography term of ``shape`` with fresh control points in preorder."""
+    cps = itertools.count(1) if cps is None else cps
+    kind = shape[0]
+    if kind == "inter":
+        return Interaction(shape[1], shape[2], shape[3], next(cps))
+    if kind == "seq":
+        return Seq(tuple(build(part, cps) for part in shape[1]))
+    cp = next(cps)
+    if kind == "par":
+        return Par(tuple(build(b, cps) for b in shape[1]), cp)
+    if kind == "loop":
+        return Loop(shape[1], build(shape[2], cps), cp)
+    return Choice(tuple(ChoiceBranch(build(b, cps), GTrue()) for b in shape[1]), cp)
+
+
+def retry_after(prefix, decider, receiver, looped):
+    """The term of ``prefix`` followed by a choice the decider can reverse.
+
+    Each branch sends a first message and waits for a reply, so the decider
+    stays inside the branch, and its guard holds once that message is sent:
+    the shape of ``test_explore_oracle.RETRY``, which
+    ``test_order_oracle.shapes`` alone almost never produces.
+    """
+    cps = itertools.count(1)
+    loop_cp = next(cps) if looped else None
+    head = build(prefix, cps)
+    choice_cp = next(cps)
+
+    def branch(message, reply):
+        body = Seq((
+            Interaction(decider, receiver, message, next(cps)),
+            Interaction(receiver, decider, reply, next(cps)),
+        ))
+        return ChoiceBranch(body, CountAtom(message, Channel(decider, receiver), ">=", 1))
+
+    term = Seq((head, Choice((branch("p", "r"), branch("q", "s")), choice_cp)))
+    return Loop(decider, term, loop_cp) if looped else term

@@ -9,20 +9,17 @@ travel histories, and the generated systems of ``test_runtime_oracle``.
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import causality_oracle
 import explore_oracle
 from chorrev import causality
 from chorrev.causality import CausalityAnalyzer, all_log_refs
 from chorrev.explore import Bound, reachable
-from chorrev.machine import ProjectionError
-from chorrev.order import UndefinedSemantics
-from chorrev.projection import project_system
 
 from conftest import seeded_history
-from test_order_oracle import build, shapes
-from test_runtime_oracle import _reached_with_reversals
+from test_order_oracle import shapes
+from test_runtime_oracle import generated_searches, retries
 
 
 def assert_same_causality(system, cfgs):
@@ -81,10 +78,7 @@ def test_long_travel_histories(travel_system, logs):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(shapes, st.integers(1, 2), st.integers(0, 6))
-def test_generated_systems(shape, rounds, steps):
-    try:
-        system = project_system(build(shape))
-    except (ProjectionError, UndefinedSemantics):
-        assume(False)
-    assert_same_causality(system, one_per_history(_reached_with_reversals(system, Bound(steps, rounds))))
+@given(shapes, retries, st.integers(1, 2), st.integers(0, 6))
+def test_generated_systems(shape, retry, rounds, steps):
+    for system, cfgs in generated_searches(shape, retry, rounds, steps):
+        assert_same_causality(system, one_per_history(cfgs))

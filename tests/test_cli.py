@@ -118,6 +118,34 @@ def test_deep_input_exits_two_without_a_traceback(runner, tmp_path, text):
     assert "Traceback" not in result.output
 
 
+def nested(levels, inner, outer):
+    """``inner`` wrapped ``levels`` times by the ``{}`` of ``outer``."""
+    for _ in range(levels):
+        inner = outer.format(inner)
+    return inner
+
+
+# Accepted by the parser, but deeper than validation, the event order and
+# projection can recurse.
+@pytest.mark.parametrize("command", ["check", "project", "explore"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        nested(250, "A -> B : x", "loop @A {{ A -> B : x ; {} }}"),
+        nested(200, "A -> B : m", "choice {{ {{ A -> B : x ; {} }} unless tt + {{ A -> B : y }} unless tt }}"),
+        nested(360, "A -> B : m", "(A -> B : m ; {})"),
+    ],
+    ids=["loops", "choices", "parenthesised-chains"],
+)
+def test_deep_terms_the_parser_accepts_exit_two_without_a_traceback(runner, tmp_path, text, command):
+    path = write(tmp_path, "deep.rchor", text)
+    args = [command, path] + (["--bound", "steps=5,rounds=1"] if command == "explore" else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "parse error: input nested too deeply\n"
+
+
 @pytest.mark.parametrize("command", ["check", "project"])
 @pytest.mark.parametrize(
     "text",
@@ -176,6 +204,26 @@ def test_project_dot_matches_the_recorded_files(runner, tmp_path):
     for a in ("B", "D", "T"):
         golden = DATA / f"project_travel_{a}.dot"
         assert (tmp_path / f"{a}.dot").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["static_order_loop", "rollback_consumed_marker"])
+def test_project_of_looped_choices_matches_the_recorded_output(runner, name):
+    result = runner.invoke(main, ["project", str(DATA / f"{name}.rchor")])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / f"project_{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["static_order_loop", "rollback_consumed_marker"])
+def test_project_dot_of_looped_choices_matches_the_recorded_files(runner, tmp_path, name):
+    result = runner.invoke(main, ["project", str(DATA / f"{name}.rchor"), "--dot", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stdout_bytes.startswith((DATA / f"project_{name}.txt").read_bytes())
+    goldens = sorted(DATA.glob(f"project_{name}_*.dot"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        g.name.removeprefix(f"project_{name}_") for g in goldens
+    ]
+    for golden in goldens:
+        assert (tmp_path / golden.name.removeprefix(f"project_{name}_")).read_bytes() == golden.read_bytes()
 
 
 def test_project_single_participant(runner):

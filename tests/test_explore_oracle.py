@@ -11,7 +11,6 @@ order, and the text of a failed rollback must be those of the search that
 keeps every configuration, and so must every configuration of a live class.
 """
 
-import itertools
 from collections import defaultdict
 
 import pytest
@@ -20,15 +19,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import explore_oracle
 from chorrev.explore import Bound, forward_key, liveness, reachable
 from chorrev.machine import ProjectionError
-from chorrev.model import Channel, Choice, ChoiceBranch, CountAtom, Interaction, Loop, Seq
 from chorrev.order import UndefinedSemantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.reverse import RollbackFailed
 from chorrev.runtime import forget_config
 
-from conftest import DATA
-from test_order_oracle import build, shapes
+from conftest import DATA, retry_after
+from test_order_oracle import build, pairs, shapes
 
 RETRY = """
 choice {
@@ -161,32 +159,6 @@ def test_generated_systems_with_reversals_match_the_full_search(shape, rounds, s
     except (ProjectionError, UndefinedSemantics):
         assume(False)
     assert_same_search_with_reversals(system, Bound(steps, rounds))
-
-
-def retry_after(prefix, decider, receiver, looped):
-    """The term of ``prefix`` followed by a choice the decider can reverse.
-
-    Each branch sends a first message and waits for a reply, so the decider
-    stays inside the branch, and its guard holds once that message is sent:
-    the shape of ``RETRY``, which ``shapes`` alone almost never produces.
-    """
-    cps = itertools.count(1)
-    loop_cp = next(cps) if looped else None
-    head = build(prefix, cps)
-    choice_cp = next(cps)
-
-    def branch(message, reply):
-        body = Seq((
-            Interaction(decider, receiver, message, next(cps)),
-            Interaction(receiver, decider, reply, next(cps)),
-        ))
-        return ChoiceBranch(body, CountAtom(message, Channel(decider, receiver), ">=", 1))
-
-    term = Seq((head, Choice((branch("p", "r"), branch("q", "s")), choice_cp)))
-    return Loop(decider, term, loop_cp) if looped else term
-
-
-pairs = st.tuples(st.sampled_from("ABCD"), st.sampled_from("ABCD")).filter(lambda p: p[0] != p[1])
 
 
 @settings(

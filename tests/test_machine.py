@@ -6,22 +6,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from chorrev.machine import (
     Branch,
     DeterminizationConflict,
-    PMachine,
     ProjectionError,
     RCfsm,
-    StateAlloc,
     Transition,
     Unit,
-    decorate,
-    empty_machine,
     event_key,
-    finalize,
     forget_machine,
-    join_machines,
-    product_machines,
-    seq_machines,
-    single_event,
-    substitute,
     to_dot,
 )
 from chorrev.model import Channel, GTrue, Not
@@ -30,6 +20,18 @@ from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 
 from conftest import DATA, random_decoration_inputs, random_pmachine
+from projection_oracle import (
+    StateAlloc,
+    decorate,
+    empty_machine,
+    finalize_pmachine,
+    forget_pmachine,
+    join_machines,
+    product_machines,
+    seq_machines,
+    single_event,
+    substitute,
+)
 from test_order_oracle import build, shapes
 
 
@@ -196,7 +198,7 @@ def test_forget_inverts_decorate_randomized():
     for _ in range(200):
         m = random_pmachine(rng)
         guard, families = random_decoration_inputs(rng, m)
-        assert forget_machine(decorate(m, guard, families)) == m
+        assert forget_pmachine(decorate(m, guard, families)) == m
 
 
 def test_substitute_renames_inside_decorations():
@@ -214,7 +216,7 @@ def test_finalize_merges_duplicate_alternatives():
     alloc = StateAlloc()
     ev = out_ev(1, "m")
     m = join_machines([single_event("A", ev, alloc), single_event("A", ev, alloc)])
-    f = finalize(m)
+    f = finalize_pmachine(m)
     assert f.states == (0, 1)
     assert len(f.transitions) == 1
     assert f.finals == frozenset({1})
@@ -230,7 +232,7 @@ def test_finalize_determinizes_shared_prefix():
             seq_machines(single_event("A", ev, alloc), single_event("A", out_ev(3, "y"), alloc)),
         ]
     )
-    f = finalize(m)
+    f = finalize_pmachine(m)
     assert len([t for t in f.transitions if t.src == 0]) == 1
     mid = f.transitions[0].dst
     assert {t.event for t in f.out_of(mid)} == {out_ev(2, "x"), out_ev(3, "y")}
@@ -242,7 +244,7 @@ def test_finalize_is_canonical():
     for _ in range(50):
         m = random_pmachine(rng)
         shift = {s: s + 1000 for s in m.states}
-        assert finalize(m) == finalize(substitute(m, shift))
+        assert finalize_pmachine(m) == finalize_pmachine(substitute(m, shift))
 
 
 def test_finalize_conflicting_decorations():
@@ -251,14 +253,14 @@ def test_finalize_conflicting_decorations():
     d1 = decorate(single_event("A", ev, alloc), GTrue(), {ev: ev})
     d2 = decorate(single_event("A", ev, alloc), Not(GTrue()), {ev: ev})
     with pytest.raises(DeterminizationConflict):
-        finalize(join_machines([d1, d2]))
+        finalize_pmachine(join_machines([d1, d2]))
 
 
 def test_forget_on_presentation_machine():
     alloc = StateAlloc()
     ev = out_ev(1, "m")
     d = decorate(single_event("A", ev, alloc), GTrue(), {ev: ev})
-    f = finalize(d)
+    f = finalize_pmachine(d)
     bare = forget_machine(f)
     assert isinstance(bare, RCfsm)
     assert bare.states == f.states
@@ -274,7 +276,7 @@ def test_step_and_out_of():
         single_event("A", out_ev(1, "m"), alloc),
         single_event("A", in_ev(2, "r"), alloc),
     )
-    f = finalize(m)
+    f = finalize_pmachine(m)
     t = f.step(0, out_ev(1, "m"))
     assert t is not None and t.dst == 1
     assert f.step(0, in_ev(2, "r")) is None
@@ -292,7 +294,7 @@ def test_to_dot_mentions_decorations():
     alloc = StateAlloc()
     ev = out_ev(1, "m")
     d = decorate(single_event("A", ev, alloc), GTrue(), {ev: ev})
-    dot = to_dot(finalize(d))
+    dot = to_dot(finalize_pmachine(d))
     assert dot.startswith('digraph "A"')
     assert "doublecircle" in dot
     assert "committed(q0A, m)" in dot

@@ -4,17 +4,15 @@ The random terms of this module also check that ``pretty`` prints every
 term so that it parses back to the same tree.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import order_oracle
-from chorrev.model import Choice, ChoiceBranch, GTrue, Interaction, Loop, Par, Seq, pretty
+from chorrev.model import Interaction, Par, pretty
 from chorrev.order import UndefinedSemantics, semantics, seq_compose
 from chorrev.parse import parse_choreography
 
-from conftest import DATA
+from conftest import DATA, build
 
 PARTICIPANTS = "ABCD"
 
@@ -24,6 +22,9 @@ interactions = st.tuples(
     st.sampled_from(PARTICIPANTS),
     st.sampled_from("mn"),
 ).filter(lambda t: t[1] != t[2])
+pairs = st.tuples(st.sampled_from(PARTICIPANTS), st.sampled_from(PARTICIPANTS)).filter(
+    lambda p: p[0] != p[1]
+)
 
 
 def _compound(inner):
@@ -36,22 +37,6 @@ def _compound(inner):
 
 
 shapes = st.recursive(interactions, _compound, max_leaves=10)
-
-
-def build(shape, cps=None):
-    """A choreography term of ``shape`` with fresh control points in preorder."""
-    cps = itertools.count(1) if cps is None else cps
-    kind = shape[0]
-    if kind == "inter":
-        return Interaction(shape[1], shape[2], shape[3], next(cps))
-    if kind == "seq":
-        return Seq(tuple(build(part, cps) for part in shape[1]))
-    cp = next(cps)
-    if kind == "par":
-        return Par(tuple(build(b, cps) for b in shape[1]), cp)
-    if kind == "loop":
-        return Loop(shape[1], build(shape[2], cps), cp)
-    return Choice(tuple(ChoiceBranch(build(b, cps), GTrue()) for b in shape[1]), cp)
 
 
 def outcome(sem, g):

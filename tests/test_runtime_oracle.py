@@ -27,9 +27,8 @@ from chorrev.projection import project_system
 from chorrev.reverse import RollbackFailed, enabled_reversals, rho, step_reverse
 from chorrev.runtime import ChannelState, Configuration, Log, NotEnabled
 
-from conftest import DATA, queues
-
-from test_order_oracle import build, shapes
+from conftest import DATA, queues, retry_after
+from test_order_oracle import build, interactions, pairs, shapes
 
 
 def outcome(step, *args):
@@ -95,7 +94,7 @@ def test_travel_reversal_search_steps_match_the_oracle(travel_system, travel_rev
 
 
 def _reached_with_reversals(system, bound):
-    """The forward configurations within ``bound`` and what their reversals reach."""
+    """The forward configurations within ``bound``, and what their reversals reach."""
     forward = explore_oracle.reachable(system, bound).configs
     analyzer = CausalityAnalyzer(system)
     rolled = set()
@@ -105,18 +104,69 @@ def _reached_with_reversals(system, bound):
                 rolled.add(step_reverse(cfg, system, cand, analyzer))
             except RollbackFailed:
                 pass
-    return forward | rolled
+    return forward, rolled
+
+
+def first_reversal(system, rounds):
+    """The fewest forward steps after which ``system`` enables a reversal."""
+    analyzer = CausalityAnalyzer(system)
+    frontier = {runtime.initial_configuration(system)}
+    seen = set(frontier)
+    steps = 0
+    while not any(enabled_reversals(cfg, system, analyzer) for cfg in frontier):
+        frontier = {
+            succ
+            for cfg in frontier
+            for succ in explore_oracle.successors(cfg, system, Bound(steps + 1, rounds))
+        } - seen
+        assert frontier, "no reversal is ever enabled"
+        seen |= frontier
+        steps += 1
+    return steps
+
+
+# A prefix of at most two interactions and no loop of its own keeps the
+# search small at the depth of the first reversal; the retry may loop.
+prefixes = interactions | st.tuples(
+    st.sampled_from(["seq", "par", "choice"]), st.lists(interactions, min_size=2, max_size=2)
+)
+retries = st.tuples(prefixes, pairs, st.booleans())
+
+
+def _projected(term):
+    try:
+        return project_system(term)
+    except (ProjectionError, UndefinedSemantics):
+        return None
+
+
+def generated_searches(shape, retry, rounds, steps):
+    """The systems of a generated example, each with what
+    ``_reached_with_reversals`` reaches in it.
+
+    ``shape`` must project, and is searched within ``steps``.  The
+    ``retry_after`` term of ``retry``, when it projects, is searched up to
+    its first reversal, and some rollback must succeed there: ``shapes``
+    alone almost never reverses.
+    """
+    system = _projected(build(shape))
+    assume(system is not None)
+    searched = [(system, set().union(*_reached_with_reversals(system, Bound(steps, rounds))))]
+    prefix, pair, looped = retry
+    system = _projected(retry_after(prefix, *pair, looped))
+    if system is not None:
+        forward, rolled = _reached_with_reversals(system, Bound(first_reversal(system, rounds), rounds))
+        assert rolled
+        searched.append((system, forward | rolled))
+    return searched
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(shapes, st.integers(1, 2), st.integers(0, 6))
-def test_generated_systems_step_like_the_oracle(shape, rounds, steps):
-    try:
-        system = project_system(build(shape))
-    except (ProjectionError, UndefinedSemantics):
-        assume(False)
-    for cfg in _reached_with_reversals(system, Bound(steps, rounds)):
-        assert_steps_match(cfg, system)
+@given(shapes, retries, st.integers(1, 2), st.integers(0, 6))
+def test_generated_systems_step_like_the_oracle(shape, retry, rounds, steps):
+    for system, cfgs in generated_searches(shape, retry, rounds, steps):
+        for cfg in cfgs:
+            assert_steps_match(cfg, system)
 
 
 def assert_rho_matches(cfg, system, analyzer, targets):
@@ -144,18 +194,15 @@ def test_travel_reversal_edges_roll_back_like_the_oracle(travel_system, travel_r
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(shapes, st.integers(1, 2), st.integers(0, 6))
-def test_generated_systems_roll_back_like_the_oracle(shape, rounds, steps):
+@given(shapes, retries, st.integers(1, 2), st.integers(0, 6))
+def test_generated_systems_roll_back_like_the_oracle(shape, retry, rounds, steps):
     # The effects of every log, not only of reversal anchors: removals of
     # consumed logs and refused replays are compared too.
-    try:
-        system = project_system(build(shape))
-    except (ProjectionError, UndefinedSemantics):
-        assume(False)
-    analyzer = CausalityAnalyzer(system)
-    for cfg in _reached_with_reversals(system, Bound(steps, rounds)):
-        for ref in all_log_refs(cfg):
-            assert_rho_matches(cfg, system, analyzer, analyzer.effects(cfg, ref))
+    for system, cfgs in generated_searches(shape, retry, rounds, steps):
+        analyzer = CausalityAnalyzer(system)
+        for cfg in cfgs:
+            for ref in all_log_refs(cfg):
+                assert_rho_matches(cfg, system, analyzer, analyzer.effects(cfg, ref))
 
 
 def test_a_refused_rollback_is_refused_like_the_oracle():
