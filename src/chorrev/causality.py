@@ -20,22 +20,23 @@ ingredients and then closed under transitivity:
    machine could not have produced that send before that receive in any
    replay of its recorded history.
 
-Each fact is derived once per history: (1) and (2) in one walk over each
-sender's logs, (3) once per pair of events with each log's round read
-once per loop, and (4) from one count per input channel and output.  The
-closure, one bit mask per log closed Warshall-style, is the one form of
-the relation cached per history; ``effects`` and ``rollback_points`` read
-it, and the tagged edges are dropped after each call.  The replay of (4)
-is shared with rollback (to restore receiver states) and with the
-configuration audit: one iterative pass over the replay nodes, layered by
-move count, finds the end states and clause 4's counts, and only those
-are cached per participant and history, never the graph.
+The clauses are written once, in a helper that lists one log's direct
+dependants; which events each event's logs may precede, and the loop
+refining each pair, are worked out once per analyzer.  A rollback asks
+about one anchor, and by (1) the logs depending on it are a suffix of
+each channel: one cut per channel, lowered by a worklist from the anchor
+that expands each log once.  No closure is built or cached; the
+whole-history ``relation`` and ``rollback_points`` are views over the
+per-anchor queries, kept for the tests and the benchmark's tracer.  The
+replay of (4) is shared with rollback (to restore receiver states) and
+the configuration audit; only its end states and clause 4's counts are
+cached, per participant and history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate
 from typing import Optional
 
 from .model import Channel, Chor, LOOP_END, LOOP_START, Loop, control_points, subterms
@@ -60,17 +61,11 @@ class LoopRef:
 
 
 def loops_of(g: Chor) -> list[LoopRef]:
-    out = []
-    for node in subterms(g):
-        if isinstance(node, Loop):
-            out.append(
-                LoopRef(
-                    node.cp,
-                    node.controller,
-                    frozenset(cp for cp, _ in control_points(node.body)),
-                )
-            )
-    return out
+    return [
+        LoopRef(node.cp, node.controller, frozenset(cp for cp, _ in control_points(node.body)))
+        for node in subterms(g)
+        if isinstance(node, Loop)
+    ]
 
 
 def marker_rounds(loop: LoopRef, logs: tuple[Log, ...]) -> list[Optional[int]]:
@@ -115,7 +110,8 @@ def all_log_refs(cfg: Configuration) -> list[LogRef]:
 
 
 class CausalityAnalyzer:
-    """Causality queries against one projected system, with caching."""
+    """Causality queries against one projected system; only replays are
+    cached, per participant and history."""
 
     def __init__(self, system: System):
         self.system = system
@@ -133,145 +129,164 @@ class CausalityAnalyzer:
         self._outermost: dict[int, LoopRef] = {}
         for L in sorted(self.loops, key=lambda L: len(L.body_cps)):
             self._outermost.update(dict.fromkeys(L.body_cps | {L.cp}, L))
-        self._relations: dict[tuple, dict[LogRef, frozenset[LogRef]]] = {}
         self._replays: dict[tuple, tuple[list[list[int]], frozenset[int]]] = {}
+        # For each static event, the events whose logs its logs may precede
+        # by (3): each with the innermost loop that refines the pair, or
+        # None, and whether the other event comes first statically.
+        self._related: dict[Event, list[tuple[Event, Optional[LoopRef], bool]]] = {
+            e: [] for e in self._events.values()
+        }
+        for e1 in self._related:
+            for e2 in self._related:
+                if e1 is not e2 and self.order.leq(e1, e2):
+                    common = [L for L in self.loops if L.contains_cp(e1.cp) and L.contains_cp(e2.cp)]
+                    loop = min(common, key=lambda L: len(L.body_cps), default=None)
+                    self._related[e1].append((e2, loop, False))
+                    if loop is not None:
+                        self._related[e2].append((e1, loop, True))
 
-    # -- static helpers ------------------------------------------------
+    # -- direct dependencies -----------------------------------------------
 
-    def _innermost_common_loop(self, cp1: int, cp2: int) -> Optional[LoopRef]:
-        common = [
-            L for L in self.loops if L.contains_cp(cp1) and L.contains_cp(cp2)
-        ]
-        if not common:
-            return None
-        return min(common, key=lambda L: len(L.body_cps))
+    def _dependants(self, cfg: Configuration):
+        """The one place the four clauses are written.
 
-    # -- the relation ----------------------------------------------------
+        Returns ``(refs, chan, first, dependants)``: the logs of
+        :func:`all_log_refs`, each log's channel as its index in
+        ``cfg.chi``, where each channel's logs start in ``refs`` (and one
+        past the end), and a function from a log's index to its direct
+        dependants, (index, clause tag) pairs in clause order.  A
+        participant's replay is read when one of its inputs first needs it.
+        """
+        refs = all_log_refs(cfg)
+        chan = [c for c, (_, cs) in enumerate(cfg.chi) for _ in cs.logs]
+        first = [0, *accumulate(len(cs.logs) for _, cs in cfg.chi)]
+        stamp = [log.timestamp for _, log in refs]
+        events = [self._events[log.cp, log.message] for _, log in refs]
+        by_event: dict[Event, list[int]] = {}
+        for k, e in enumerate(events):
+            by_event.setdefault(e, []).append(k)
+        rounds = {L.cp: [r for _, cs in cfg.chi for r in marker_rounds(L, cs.logs)] for L in self.loops}
+        forced: dict[str, dict[Channel, list[tuple[int, int]]]] = {}
+
+        def forced_by(participant: str) -> dict[Channel, list[tuple[int, int]]]:
+            # Each consumed channel's (output index, ``fewest``) pairs; none
+            # without outputs, or when no replay completes.
+            if participant not in forced:
+                consumed, outputs = self._replay_setup(cfg, participant)
+                fewest, ends = self._replay(participant, consumed, outputs) if outputs else ([], ())
+                index = {ref: k for k, ref in enumerate(refs)}
+                forced[participant] = {
+                    ch: [(index[ref], bound) for ref, bound in zip(outputs, row)]
+                    for (ch, _), row in zip(consumed, fewest)
+                    if ends
+                }
+            return forced[participant]
+
+        def dependants(k: int) -> list[tuple[int, str]]:
+            ch = refs[k][0]
+            c = chan[k]
+            i = k - first[c]  # the log's position on its channel
+            # (1) the later logs of the channel
+            out = [(j, "channel-order") for j in range(k + 1, first[c + 1])]
+            # (2) the later logs of the sender on its other channels
+            for d, (other, _) in enumerate(cfg.chi):
+                if d != c and other.sender == ch.sender:
+                    out += [
+                        (j, "sender-order")
+                        for j in range(first[d], first[d + 1])
+                        if stamp[k] < stamp[j]
+                    ]
+            # (3) static order, refined by loop rounds
+            for other, loop, earlier in self._related[events[k]]:
+                if loop is None:
+                    out += [(j, "static-order") for j in by_event.get(other, ()) if chan[j] != c]
+                    continue
+                rank = rounds[loop.cp]
+                if rank[k] is None:
+                    continue
+                out += [
+                    (j, "loop-rounds")
+                    for j in by_event.get(other, ())
+                    if chan[j] != c
+                    and rank[j] is not None
+                    and (rank[k] < rank[j] if earlier else rank[k] <= rank[j])
+                ]
+            # (4) the outputs every replay emits after this consumed input
+            if i < cfg.chi[c][1].head:
+                row = forced_by(ch.receiver).get(ch, ())
+                out += [(j, "replay-order") for j, bound in row if i < bound]
+            return out
+
+        return refs, chan, first, dependants
 
     def base_relation(self, cfg: Configuration) -> dict[tuple[LogRef, LogRef], list[str]]:
         """The asserted dependency edges with the clauses that produced them,
         each pair's tags in clause order."""
+        refs, _, _, dependants = self._dependants(cfg)
         edges: dict[tuple[LogRef, LogRef], list[str]] = {}
-        refs = all_log_refs(cfg)
-
-        def add(src: int, dst: int, why: str) -> None:
-            edges.setdefault((refs[src], refs[dst]), []).append(why)
-
-        # The channel of each of ``refs``, as its index in ``cfg.chi``.
-        chan = [c for c, (_, cs) in enumerate(cfg.chi) for _ in cs.logs]
-
-        # (1) and (2): the logs of each sender, channel by channel
-        sent: dict[str, list[int]] = {}
-        for k, (ch, _) in enumerate(refs):
-            sent.setdefault(ch.sender, []).append(k)
-        for ks in sent.values():
-            for i, a in enumerate(ks):
-                for b in ks[i + 1 :]:
-                    if chan[a] == chan[b]:
-                        add(a, b, "channel-order")
-                    elif refs[a][1].timestamp < refs[b][1].timestamp:
-                        add(a, b, "sender-order")
-                    elif refs[b][1].timestamp < refs[a][1].timestamp:
-                        add(b, a, "sender-order")
-
-        # (3) static order, refined by loop rounds.  The order and the
-        # innermost common loop are asked once per pair of events, and the
-        # round of each log once per loop.
-        rounds: dict[int, list[Optional[int]]] = {}
-        by_event: dict[Event, list[int]] = {}
-        for k, (_, log) in enumerate(refs):
-            by_event.setdefault(self._events[log.cp, log.message], []).append(k)
-        for e1, firsts in by_event.items():
-            for e2, seconds in by_event.items():
-                if e1 is e2 or not self.order.leq(e1, e2):
-                    continue
-                loop = self._innermost_common_loop(
-                    refs[firsts[0]][1].cp, refs[seconds[0]][1].cp
-                )
-                if loop is not None and loop.cp not in rounds:
-                    rounds[loop.cp] = [
-                        r for _, cs in cfg.chi for r in marker_rounds(loop, cs.logs)
-                    ]
-                rank = rounds[loop.cp] if loop is not None else None
-                for a in firsts:
-                    for b in seconds:
-                        if chan[a] == chan[b]:
-                            continue
-                        if rank is None:
-                            add(a, b, "static-order")
-                        elif rank[a] is None or rank[b] is None:
-                            continue
-                        elif rank[a] <= rank[b]:
-                            add(a, b, "loop-rounds")
-                        else:
-                            add(b, a, "loop-rounds")
-
-        # (4) forced receive-before-send order at each participant
-        for participant in self.system.machines:
-            for pair in self._forced_pairs(cfg, participant):
-                edges.setdefault(pair, []).append("replay-order")
+        for k, ref in enumerate(refs):
+            for j, why in dependants(k):
+                edges.setdefault((ref, refs[j]), []).append(why)
         return edges
 
-    def relation(self, cfg: Configuration) -> dict[LogRef, frozenset[LogRef]]:
-        """The full dependency relation, reflexive and transitive: for each
-        log, the logs that depend on it, itself included.
+    # -- one anchor at a time ------------------------------------------------
 
-        Cached per history.  On a miss, each log gets a bit mask over the
-        positions of :func:`all_log_refs` from the edges of
-        :meth:`base_relation`; the masks are closed Warshall-style, which
-        terminates on cycles."""
-        cached = self._relations.get(cfg.chi)
-        if cached is not None:
-            return cached
-        refs = all_log_refs(cfg)
-        index = {ref: i for i, ref in enumerate(refs)}
-        reach = [1 << i for i in range(len(refs))]
-        for src, dst in self.base_relation(cfg):
-            reach[index[src]] |= 1 << index[dst]
-        for k, via in enumerate(reach):
-            for i, row in enumerate(reach):
-                if row >> k & 1:
-                    reach[i] = row | via
-        # bin() lists the bits highest first; reversed, bit i lines up with refs[i].
-        closure = {
-            ref: frozenset(compress(refs, map(int, bin(mask)[:1:-1])))
-            for ref, mask in zip(refs, reach)
-        }
-        self._relations[cfg.chi] = closure
-        return closure
+    def cut(self, cfg: Configuration, anchor: LogRef) -> list[int]:
+        """How many logs each channel of ``cfg.chi`` keeps once ``anchor``
+        and everything depending on it are removed.
+
+        By (1) the logs depending on one log are a suffix of each channel,
+        so the up-set of ``anchor`` is one cut per channel.  A worklist
+        from ``anchor`` expands each removed log once, and each direct
+        dependant lowers its channel's cut.
+        """
+        refs, chan, first, dependants = self._dependants(cfg)
+        cut = first[1:]  # the index in ``refs`` of each channel's first removed log
+        k = refs.index(anchor)
+        todo = list(range(k, cut[chan[k]]))
+        cut[chan[k]] = k
+        while todo:
+            for j, _ in dependants(todo.pop()):
+                c = chan[j]
+                if j < cut[c]:
+                    todo += range(j, cut[c])
+                    cut[c] = j
+        return [x - f for x, f in zip(cut, first)]
 
     def effects(self, cfg: Configuration, ref: LogRef) -> frozenset[LogRef]:
-        """Everything that must be undone together with ``ref`` (inclusive)."""
-        return self.relation(cfg)[ref]
+        """Everything that must be undone together with ``ref`` (inclusive):
+        its up-set, which is one cut per channel, so the logs beyond
+        :meth:`cut`."""
+        kept = self.cut(cfg, ref)
+        return frozenset((ch, log) for (ch, cs), n in zip(cfg.chi, kept) for log in cs.logs[n:])
 
-    # -- rollback points ---------------------------------------------------
-
-    def rollback_points(self, cfg: Configuration) -> frozenset[LogRef]:
-        """Logs history can be rewound to.
+    def is_rollback_point(self, cfg: Configuration, ref: LogRef) -> bool:
+        """Can history be rewound to ``ref``?
 
         A log outside every loop qualifies only if nothing depends on it.
         A log inside a loop qualifies while its outermost loop is still
         ongoing and everything depending on it belongs to that same loop.
-        Each call reads the cached :meth:`relation`, caches nothing itself
-        and asks :func:`ongoing` at most once per loop.
         """
-        rel = self.relation(cfg)
-        # The logs of each outermost loop, or none while it is not ongoing.
-        inside: dict[int, frozenset[LogRef]] = {}
-        points = []
-        for ref, dependants in rel.items():
-            encl = self._outermost.get(ref[1].cp)
-            if encl is None:
-                if len(dependants) == 1:
-                    points.append(ref)
-                continue
-            if encl.cp not in inside:
-                inside[encl.cp] = frozenset(
-                    other for other in rel if encl.contains_cp(other[1].cp)
-                ) if ongoing(encl, cfg) else frozenset()
-            if dependants <= inside[encl.cp]:
-                points.append(ref)
-        return frozenset(points)
+        encl = self._outermost.get(ref[1].cp)
+        if encl is None:
+            return len(self.effects(cfg, ref)) == 1
+        return ongoing(encl, cfg) and all(
+            encl.contains_cp(log.cp) for _, log in self.effects(cfg, ref)
+        )
+
+    # -- whole-history views, for the tests and the benchmark's tracer --------
+
+    def relation(self, cfg: Configuration) -> dict[LogRef, frozenset[LogRef]]:
+        """The full dependency relation, reflexive and transitive: each
+        log's :meth:`effects`.  A whole-history view kept for the tests and
+        the benchmark's tracer; nothing in chorrev calls it."""
+        return {ref: self.effects(cfg, ref) for ref in all_log_refs(cfg)}
+
+    def rollback_points(self, cfg: Configuration) -> frozenset[LogRef]:
+        """The logs that pass :meth:`is_rollback_point`.  A whole-history
+        view kept for the tests and the benchmark's tracer; nothing in
+        chorrev calls it."""
+        return frozenset(ref for ref in all_log_refs(cfg) if self.is_rollback_point(cfg, ref))
 
     # -- replay ------------------------------------------------------------
 
@@ -346,23 +361,6 @@ class CausalityAnalyzer:
         result = (fewest, frozenset(node[0] for node, _ in layers[-1]))
         self._replays[key] = result
         return result
-
-    def _forced_pairs(self, cfg: Configuration, participant: str):
-        """Input/output log pairs ordered the same way in every replay: the
-        inputs of a channel below ``fewest`` for an output precede it."""
-        consumed, outputs = self._replay_setup(cfg, participant)
-        if not consumed or not outputs:
-            return []
-        fewest, ends = self._replay(participant, consumed, outputs)
-        if not ends:
-            return []
-        return [
-            ((ch, log), outputs[j])
-            for (ch, logs), row in zip(consumed, fewest)
-            for i, log in enumerate(logs)
-            for j in range(len(outputs))
-            if i < row[j]
-        ]
 
     def replay_end_states(self, cfg: Configuration, participant: str) -> frozenset[int]:
         """Machine states a full replay of the recorded history can end in."""

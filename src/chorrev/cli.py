@@ -584,12 +584,17 @@ def _parse_bound(text: str) -> Bound:
     for piece in text.split(","):
         if "=" not in piece:
             raise click.UsageError(f"malformed bound piece {piece!r}; expected steps=N,rounds=N")
-        key, _, value = piece.partition("=")
-        parts[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in piece.partition("="))
+        if key in parts:
+            raise click.UsageError(f"--bound gives {key} more than once")
+        try:
+            parts[key] = int(value)
+        except ValueError:
+            raise click.UsageError(f"--bound {key} must be an integer, not {value!r}") from None
     if set(parts) != {"steps", "rounds"}:
         raise click.UsageError("--bound needs exactly the keys steps and rounds")
     try:
-        return Bound(int(parts["steps"]), int(parts["rounds"]))
+        return Bound(parts["steps"], parts["rounds"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
 

@@ -153,19 +153,12 @@ def enabled_reversals(
     recorded at a point history can rewind to.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
-    out: list[ReversalCandidate] = []
-    rollback_cache: Optional[frozenset[LogRef]] = None
-    for a, q_hat, first, guard in reversible_families(cfg, system, scope):
-        anchor_log = _latest_anchor(cfg, first, q_hat)
-        if anchor_log is None:
-            continue
-        anchor = (first.channel, anchor_log)
-        if rollback_cache is None:
-            rollback_cache = analyzer.rollback_points(cfg)
-        if anchor not in rollback_cache:
-            continue
-        out.append(ReversalCandidate(a, q_hat, first, guard, anchor))
-    return out
+    return [
+        ReversalCandidate(a, q_hat, first, guard, (first.channel, log))
+        for a, q_hat, first, guard in reversible_families(cfg, system, scope)
+        if (log := _latest_anchor(cfg, first, q_hat)) is not None
+        and analyzer.is_rollback_point(cfg, (first.channel, log))
+    ]
 
 
 def step_reverse(

@@ -158,6 +158,9 @@ class OracleAnalyzer(CausalityAnalyzer):
         self._closures[cfg.chi] = closure
         return closure
 
+    def effects(self, cfg: Configuration, ref: LogRef) -> frozenset[LogRef]:
+        return self.relation(cfg)[ref]
+
     def rollback_points(self, cfg: Configuration) -> frozenset[LogRef]:
         points: set[LogRef] = set()
         live: dict[int, bool] = {}

@@ -121,6 +121,20 @@ def seeded_history(system, logs, seed):
     return cfg
 
 
+def forced_pairs(analyzer, cfg, participant):
+    """The replay-order edges out of the participant's consumed inputs, input
+    by input in channel order and each input's outputs in timestamp order,
+    as the analyzer's one derivation of the clauses lists them."""
+    refs, _, _, dependants = analyzer._dependants(cfg)
+    return [
+        (ref, refs[j])
+        for k, ref in enumerate(refs)
+        if ref[0].receiver == participant
+        for j, why in dependants(k)
+        if why == "replay-order"
+    ]
+
+
 def load_json(path):
     return json.loads(Path(path).read_text())
 

@@ -1,6 +1,7 @@
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 from chorrev import causality, model, order
 from chorrev.causality import (
@@ -12,13 +13,14 @@ from chorrev.causality import (
     marker_rounds,
     ongoing,
 )
+from chorrev.cli import main
 from chorrev.explore import Bound, reachable, run_checks
 from chorrev.model import Channel
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import Configuration, Log
 
-from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues, seeded_history
+from conftest import DAG, DATA, DDAG, REPLAN_PREFIX, drive, forced_pairs, queues, seeded_history
 
 AB = Channel("A", "B")
 AC = Channel("A", "C")
@@ -125,7 +127,7 @@ def test_relation_is_reflexive_transitive(loop_system, loop_run):
     assert y2 in rel[b1]
     assert m2 in rel[b1]
     assert b1 not in rel[m2]
-    assert analyzer.effects(loop_run, b1) is rel[b1]
+    assert analyzer.effects(loop_run, b1) == rel[b1]
 
 
 def test_rollback_points_inside_an_ongoing_loop(loop_system, loop_run):
@@ -260,7 +262,8 @@ def test_a_loop_log_with_a_dependant_after_the_loop_is_no_rollback_point():
 
 def test_rollback_points_are_kept_per_history(travel_system):
     # The search queries each configuration, and step_reverse queries it
-    # again; the second query reads the relation cached for the history.
+    # again; nothing is cached per history, so every query recomputes the
+    # same points, and a fresh analyzer agrees with a used one.
     analyzer = CausalityAnalyzer(travel_system)
     searched = reachable(travel_system, Bound(200, 1), with_reversals=True, analyzer=analyzer)
     for cfg in searched.configs:
@@ -272,29 +275,46 @@ def test_rollback_points_are_kept_per_history(travel_system):
 
 def test_rollback_points_ask_each_loop_once(travel_system, monkeypatch):
     # Whether a loop is ongoing depends on the history, not on the log
-    # asking, so one computation of the rollback points asks it at most
-    # once per loop.
+    # asking, and a log has one outermost loop, so each per-anchor query
+    # asks it at most once.
     asked = 0
     calls = 0
     is_ongoing = causality.ongoing
-    compute = CausalityAnalyzer.rollback_points
+    query = CausalityAnalyzer.is_rollback_point
 
     def counting_ongoing(loop, cfg):
         nonlocal asked
         asked += 1
         return is_ongoing(loop, cfg)
 
-    def counting_calls(self, cfg):
+    def counting_calls(self, cfg, ref):
         nonlocal calls
         calls += 1
-        return compute(self, cfg)
+        return query(self, cfg, ref)
 
     monkeypatch.setattr(causality, "ongoing", counting_ongoing)
-    monkeypatch.setattr(CausalityAnalyzer, "rollback_points", counting_calls)
+    monkeypatch.setattr(CausalityAnalyzer, "is_rollback_point", counting_calls)
     results = run_checks(travel_system, Bound(200, 1))
     assert all(r.passed for r in results)
     assert calls > 0 and asked > 0
-    assert asked <= len(loops_of(travel_system.chor)) * calls
+    assert asked <= calls
+
+
+def test_searches_and_runs_never_build_a_whole_history_view(travel_system, monkeypatch):
+    # The search and a simulated run ask about one anchor at a time; the
+    # whole-history relation and rollback points are views for tests only.
+    def refuse(self, cfg):
+        raise AssertionError("a whole-history view was built")
+
+    monkeypatch.setattr(CausalityAnalyzer, "relation", refuse)
+    monkeypatch.setattr(CausalityAnalyzer, "rollback_points", refuse)
+    results = run_checks(travel_system, Bound(200, 2))
+    assert all(r.passed for r in results)
+    result = CliRunner().invoke(
+        main, ["simulate", str(DATA / "travel.rchor"), "--auto", "200", "--seed", "11"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.count(" reverses branch ") == 2
 
 
 # -- replay and audit ---------------------------------------------------------
@@ -339,8 +359,8 @@ def test_an_impossible_history_forces_no_pairs(travel_system, replan_config):
     broken = Configuration.make(replan_config.sigma_dict(), chi, replan_config.book_dict())
     analyzer = CausalityAnalyzer(travel_system)
     assert analyzer.replay_end_states(broken, "B") == frozenset()
-    assert analyzer._forced_pairs(broken, "B") == []
-    assert analyzer._forced_pairs(replan_config, "B") != []
+    assert forced_pairs(analyzer, broken, "B") == []
+    assert forced_pairs(analyzer, replan_config, "B") != []
 
 
 def test_a_thousand_log_history_replays_without_recursion(travel_system):
@@ -355,7 +375,7 @@ def test_a_thousand_log_history_replays_without_recursion(travel_system):
             ends = analyzer.replay_end_states(cfg, participant)
             assert ends == frozenset({cfg.state_of(participant)})
         assert audit_configuration(cfg, travel_system, analyzer) == []
-        pairs = {p: analyzer._forced_pairs(cfg, p) for p in travel_system.machines}
+        pairs = {p: forced_pairs(analyzer, cfg, p) for p in travel_system.machines}
     finally:
         sys.setrecursionlimit(limit)
     assert len(all_log_refs(cfg)) == 1000

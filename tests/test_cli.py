@@ -679,6 +679,17 @@ def test_explore_rejects_malformed_bounds(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["explore", TRAVEL, "--bound", "steps=3,rounds=0"])
     assert result.exit_code == 2
+    # a repeated key is refused, not silently overwritten by its last value
+    result = runner.invoke(main, ["explore", TRAVEL, "--bound", "steps=5,rounds=1,steps=0"])
+    assert result.exit_code == 2
+    assert "--bound gives steps more than once" in result.output
+    result = runner.invoke(main, ["explore", TRAVEL, "--bound", "steps=abc,rounds=1"])
+    assert result.exit_code == 2
+    assert "--bound steps must be an integer, not 'abc'" in result.output
+    assert "invalid literal" not in result.output
+    result = runner.invoke(main, ["explore", TRAVEL, "--bound", "steps=3,rounds=1.5"])
+    assert result.exit_code == 2
+    assert "--bound rounds must be an integer, not '1.5'" in result.output
 
 
 def test_explore_rejects_unknown_check(runner):
