@@ -260,19 +260,25 @@ class CausalityAnalyzer:
         kept = self.cut(cfg, ref)
         return frozenset((ch, log) for (ch, cs), n in zip(cfg.chi, kept) for log in cs.logs[n:])
 
-    def is_rollback_point(self, cfg: Configuration, ref: LogRef) -> bool:
-        """Can history be rewound to ``ref``?
+    def rollback_effects(self, cfg: Configuration, ref: LogRef) -> Optional[frozenset[LogRef]]:
+        """The :meth:`effects` of ``ref`` if history can be rewound to it,
+        otherwise ``None``.
 
         A log outside every loop qualifies only if nothing depends on it.
         A log inside a loop qualifies while its outermost loop is still
         ongoing and everything depending on it belongs to that same loop.
         """
         encl = self._outermost.get(ref[1].cp)
+        if encl is not None and not ongoing(encl, cfg):
+            return None
+        effects = self.effects(cfg, ref)
         if encl is None:
-            return len(self.effects(cfg, ref)) == 1
-        return ongoing(encl, cfg) and all(
-            encl.contains_cp(log.cp) for _, log in self.effects(cfg, ref)
-        )
+            return effects if len(effects) == 1 else None
+        return effects if all(encl.contains_cp(log.cp) for _, log in effects) else None
+
+    def is_rollback_point(self, cfg: Configuration, ref: LogRef) -> bool:
+        """Can history be rewound to ``ref``?  See :meth:`rollback_effects`."""
+        return self.rollback_effects(cfg, ref) is not None
 
     # -- whole-history views, for the tests and the benchmark's tracer --------
 

@@ -395,8 +395,12 @@ def _directive_problem(d, system: System) -> Optional[str]:
         if not isinstance(who, str) or who not in system.machines:
             return f"unknown participant {who!r}"
     channel = d.get("channel")
-    if channel is not None and not (isinstance(channel, str) and "->" in channel):
-        return f"malformed channel {channel!r}; expected SENDER->RECEIVER"
+    if channel is not None and not (
+        isinstance(channel, str)
+        and len(ends := channel.split("->")) == 2
+        and all(end.strip() in system.machines for end in ends)
+    ):
+        return f"malformed channel {channel!r}; expected SENDER->RECEIVER, two participants"
     return None
 
 

@@ -9,13 +9,13 @@ flag is set on the transitions that leave the branch for good and clear
 (the branch is ``ongoing``) while it may still be rolled back.
 
 Projection writes a participant's transitions from an initial state to
-an exit state (see :mod:`chorrev.projection`); :func:`finalize` then
-determinizes, minimizes and renumbers them into their presentation form.
+an exit state, at most one per state and event (see
+:mod:`chorrev.projection`); :func:`finalize` then minimizes and renumbers
+them into their presentation form.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -109,24 +109,9 @@ class RCfsm:
     initial: int
     transitions: tuple[Transition, ...]
     finals: frozenset[int]
-    aliases: dict[int, str]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RCfsm):
-            return NotImplemented
-        return (
-            self.owner == other.owner
-            and self.states == other.states
-            and self.initial == other.initial
-            and self.transitions == other.transitions
-            and self.finals == other.finals
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.owner, self.states, self.initial, self.transitions, self.finals))
 
     def alias(self, state: int) -> str:
-        return self.aliases.get(state, str(state))
+        return f"q{state}{self.owner}"
 
     @cached_property
     def _by_state(self) -> dict[int, tuple[Transition, ...]]:
@@ -170,167 +155,88 @@ def forget_machine(m: RCfsm) -> RCfsm:
         m.initial,
         tuple(Transition(t.src, t.event, UNIT, t.dst) for t in m.transitions),
         m.finals,
-        dict(m.aliases),
     )
 
 
 def finalize(
     owner: str, initial: int, exit: int, transitions: Iterable[Transition]
 ) -> RCfsm:
-    """Determinize, minimize and renumber the machine of ``owner`` that
+    """Minimize and renumber the deterministic machine of ``owner`` that
     runs ``transitions`` from ``initial`` and accepts in ``exit``.
 
-    Decoration references to choice states are carried through both
-    constructions; if a referenced state ends up in several subset states,
-    or two distinct choice states fall into one equivalence class, the
-    machine cannot be presented faithfully and an error is raised.
+    A state may have one transition per event; an exact repetition counts
+    once, and a different second one raises :class:`DeterminizationConflict`.
+    Decoration references to choice states follow their states into the
+    equivalence classes; if two distinct choice states fall into one class,
+    the machine cannot be presented faithfully and an error is raised.
     """
-    by_src: dict[int, dict[tuple, set[int]]] = {}
-    labels_of: dict[int, dict[tuple, tuple[CommEvent, Decoration]]] = {}
+    rows: dict[int, dict[CommEvent, Transition]] = {}
     for t in transitions:
-        key = label_key(t.event, t.decoration)
-        by_src.setdefault(t.src, {}).setdefault(key, set()).add(t.dst)
-        labels_of.setdefault(t.src, {})[key] = (t.event, t.decoration)
+        prior = rows.setdefault(t.src, {}).setdefault(t.event, t)
+        if prior is not t and prior != t:
+            raise DeterminizationConflict(
+                f"machine of {owner} has two different transitions for"
+                f" {t.event} from state {t.src}"
+            )
 
-    # Subset construction from the initial state.
-    start = frozenset({initial})
-    subset_ids: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    sub_trans: dict[int, list[tuple[tuple, CommEvent, Decoration, int]]] = {}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        cur_id = subset_ids[cur]
-        merged: dict[tuple, tuple[CommEvent, Decoration, set[int]]] = {}
-        for s in cur:
-            for key, dsts in by_src.get(s, {}).items():
-                event, deco = labels_of[s][key]
-                if key in merged:
-                    merged[key][2].update(dsts)
-                else:
-                    merged[key] = (event, deco, set(dsts))
-        rows = []
-        for key in sorted(merged):
-            event, deco, dsts = merged[key]
-            target = frozenset(dsts)
-            if target not in subset_ids:
-                subset_ids[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            rows.append((key, event, deco, subset_ids[target]))
-        sub_trans[cur_id] = rows
+    # Number the reachable states breadth-first, each state's transitions
+    # in label order; out[i] lists (label key, transition, target number).
+    number = {initial: 0}
+    order = [initial]
+    out: list[list[tuple[tuple, Transition, int]]] = []
+    for q in order:
+        row = []
+        for key, t in sorted(
+            (label_key(t.event, t.decoration), t) for t in rows.get(q, {}).values()
+        ):
+            j = number.get(t.dst)
+            if j is None:
+                j = number[t.dst] = len(order)
+                order.append(t.dst)
+            row.append((key, t, j))
+        out.append(row)
 
+    # Partition refinement.  Each round numbers the blocks by their first
+    # member; on states numbered breadth-first in label order, that is
+    # the breadth-first numbering of the minimal machine.
     n = len(order)
-    accepting = {i for i, subset in enumerate(order) if exit in subset}
-
-    # Partition refinement.
-    block = [0 if i in accepting else 1 for i in range(n)]
+    block = [0 if q == exit else 1 for q in order]
     while True:
-        signatures = {}
+        signatures: dict[tuple, list[int]] = {}
         for i in range(n):
-            sig = (block[i], tuple((key, block[dst]) for key, _, _, dst in sub_trans[i]))
+            sig = (block[i], tuple((key, block[j]) for key, _, j in out[i]))
             signatures.setdefault(sig, []).append(i)
-        if len(signatures) == len(set(block)):
-            break
-        new_block = [0] * n
-        for b, (_, members) in enumerate(sorted(signatures.items(), key=lambda kv: kv[1][0])):
+        stable = len(signatures) == len(set(block))
+        for b, members in enumerate(signatures.values()):
             for i in members:
-                new_block[i] = b
-        block = new_block
-
-    # Where did each original state end up?
-    class_of_pstate: dict[int, set[int]] = {}
-    for i, subset in enumerate(order):
-        for s in subset:
-            class_of_pstate.setdefault(s, set()).add(block[i])
-
-    def remap_choice_state(q: int) -> int:
-        classes = class_of_pstate.get(q)
-        if classes is None:
-            raise ProjectionError(
-                f"decoration of {owner} references unreachable state {q}"
-            )
-        if len(classes) > 1:
-            raise ProjectionError(
-                f"decoration of {owner} references state {q}, which was split"
-                " during determinization"
-            )
-        return next(iter(classes))
-
-    # Breadth-first renumbering of the equivalence classes.
-    initial_class = block[0]
-    numbering: dict[int, int] = {initial_class: 0}
-    bfs = [initial_class]
-    class_rep: dict[int, int] = {}
-    for i in range(n):
-        class_rep.setdefault(block[i], i)
-    visited = {initial_class}
-    while bfs:
-        cls = bfs.pop(0)
-        rep = class_rep[cls]
-        for key, _, _, dst in sub_trans[rep]:
-            dcls = block[dst]
-            if dcls not in visited:
-                visited.add(dcls)
-                numbering[dcls] = len(numbering)
-                bfs.append(dcls)
+                block[i] = b
+        if stable:
+            break
 
     choice_state_targets: dict[int, int] = {}
 
     def final_decoration(d: Decoration) -> Decoration:
         if isinstance(d, Unit):
             return d
-        cls = remap_choice_state(d.choice_state)
-        if cls not in numbering:
+        i = number.get(d.choice_state)
+        if i is None:
             raise ProjectionError(
-                f"decoration of {owner} references a state outside the reachable part"
+                f"decoration of {owner} references unreachable state {d.choice_state}"
             )
-        new_q = numbering[cls]
-        prior = choice_state_targets.get(new_q)
-        if prior is not None and prior != d.choice_state:
+        q = block[i]
+        if choice_state_targets.setdefault(q, d.choice_state) != d.choice_state:
             raise ProjectionError(
                 f"two distinct choice states of {owner} were merged into one"
             )
-        choice_state_targets[new_q] = d.choice_state
-        return dataclasses.replace(d, choice_state=new_q)
+        return Branch(q, d.first_output, d.guard, d.committed)
 
-    transitions: list[Transition] = []
-    emitted = set()
-    for cls, num in numbering.items():
-        rep = class_rep[cls]
-        for key, event, deco, dst in sub_trans[rep]:
-            dnum = numbering[block[dst]]
-            t = Transition(num, event, final_decoration(deco), dnum)
-            marker = (num, key)
-            if marker not in emitted:
-                emitted.add(marker)
-                transitions.append(t)
-    transitions.sort(key=lambda t: (t.src, label_key(t.event, t.decoration)))
-
-    finals = frozenset(
-        numbering[block[i]] for i in range(n) if i in accepting and block[i] in numbering
+    final = tuple(
+        Transition(b, t.event, final_decoration(t.decoration), block[j])
+        for b, members in enumerate(signatures.values())
+        for _, t, j in out[members[0]]
     )
-
-    seen: dict[tuple[int, tuple], Transition] = {}
-    for t in transitions:
-        marker = (t.src, event_key(t.event))
-        if marker in seen and seen[marker] != t:
-            raise DeterminizationConflict(
-                f"machine of {owner} has two different transitions for"
-                f" {t.event} from state {t.src}"
-            )
-        seen[marker] = t
-
-    count = len(numbering)
-    aliases = {i: f"q{i}{owner}" for i in range(count)}
-    return RCfsm(
-        owner,
-        tuple(range(count)),
-        0,
-        tuple(transitions),
-        finals,
-        aliases,
-    )
+    finals = frozenset({block[number[exit]]} if exit in number else ())
+    return RCfsm(owner, tuple(range(len(signatures))), 0, final, finals)
 
 
 def to_dot(m: RCfsm) -> str:

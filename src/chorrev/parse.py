@@ -29,8 +29,6 @@ duplicate annotations.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -253,14 +251,15 @@ class _Parser:
         self.expect("unless", "expected 'unless' and the branch guard")
         return ChoiceBranch(body, self.guard())
 
-    def cpann(self) -> int | None:
+    def cpann(self) -> int:
         if self.accept("@cp"):
             tok = self.expect("int", "expected the control point number")
             value = int(tok.text)
             self.annotations.append((value, tok))
             return value
+        # Called before a construct's children, so this numbers in preorder.
         self.unannotated += 1
-        return None
+        return self.unannotated
 
     # -- guard grammar -----------------------------------------------------
 
@@ -319,27 +318,6 @@ class _Parser:
         return Channel(sender, receiver)
 
 
-def _renumber(g: Chor, counter: "itertools.count[int]") -> Chor:
-    if isinstance(g, Seq):
-        return Seq(tuple(_renumber(part, counter) for part in g.parts))
-    if isinstance(g, Interaction):
-        return dataclasses.replace(g, cp=next(counter))
-    if isinstance(g, Par):
-        cp = next(counter)
-        return Par(tuple(_renumber(b, counter) for b in g.branches), cp)
-    if isinstance(g, Loop):
-        cp = next(counter)
-        return Loop(g.controller, _renumber(g.body, counter), cp)
-    if isinstance(g, Choice):
-        cp = next(counter)
-        return Choice(
-            tuple(ChoiceBranch(_renumber(b.body, counter), b.guard) for b in g.branches),
-            cp,
-            g.at,
-        )
-    raise TypeError(f"not a choreography term: {g!r}")
-
-
 def parse_choreography(text: str) -> Chor:
     """Parse surface syntax into a choreography tree.
 
@@ -350,8 +328,6 @@ def parse_choreography(text: str) -> Chor:
     parser = _Parser(tokenize(text), text)
     try:
         g = parser.chor()
-        if not parser.annotations:
-            g = _renumber(g, itertools.count(1))
         # Validation and every later tree walk recurse once per level too.
         for _ in subterms(g):
             pass

@@ -7,8 +7,9 @@ part of a sequence is entered where the part before it exits, parallel
 branches are written apart and interleaved, and every branch of a choice
 runs from the choice's entry to one shared exit, with no silent moves.
 The deciding participant's branch transitions are decorated so they can
-later be rolled back; everyone else's machines stay plain.  The list is
-then determinized and minimized by :func:`machine.finalize`.
+later be rolled back; everyone else's machines stay plain.  Every event
+carries its construct's control point, so the list is already
+deterministic, and :func:`machine.finalize` minimizes and numbers it.
 
 A loop controlled by ``a`` is wired explicitly: ``a`` announces each
 iteration by sending a start marker to every other participant of the body

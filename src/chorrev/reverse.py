@@ -153,12 +153,21 @@ def enabled_reversals(
     recorded at a point history can rewind to.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
-    return [
-        ReversalCandidate(a, q_hat, first, guard, (first.channel, log))
-        for a, q_hat, first, guard in reversible_families(cfg, system, scope)
-        if (log := _latest_anchor(cfg, first, q_hat)) is not None
-        and analyzer.is_rollback_point(cfg, (first.channel, log))
-    ]
+    return [cand for cand, _ in _enabled(cfg, system, analyzer, scope)]
+
+
+def _enabled(
+    cfg: Configuration, system: System, analyzer: CausalityAnalyzer, scope: str
+) -> Iterator[tuple[ReversalCandidate, frozenset[LogRef]]]:
+    """Each reversal of :func:`enabled_reversals` with its anchor's effects."""
+    for a, q_hat, first, guard in reversible_families(cfg, system, scope):
+        log = _latest_anchor(cfg, first, q_hat)
+        if log is None:
+            continue
+        anchor = (first.channel, log)
+        effects = analyzer.rollback_effects(cfg, anchor)
+        if effects is not None:
+            yield ReversalCandidate(a, q_hat, first, guard, anchor), effects
 
 
 def step_reverse(
@@ -177,10 +186,11 @@ def step_reverse(
     :class:`RollbackFailed` names the participant and the reversed message.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
-    live = enabled_reversals(cfg, system, analyzer, scope)
-    if candidate not in live:
+    effects = next(
+        (fx for cand, fx in _enabled(cfg, system, analyzer, scope) if cand == candidate), None
+    )
+    if effects is None:
         raise NotEnabled(f"reversal of {candidate.first_output} is not enabled")
-    effects = analyzer.effects(cfg, candidate.anchor)
     try:
         rolled = rho(cfg, system, effects, analyzer)
     except ValueError as exc:

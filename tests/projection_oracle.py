@@ -7,11 +7,12 @@ a choice joined its branch machines on a shared initial and interface
 state, and ``par`` took a product.  Every glue renamed all transitions of
 the machine built so far.  The package now writes each construct's
 transitions once, between a given entry state and the exit state it
-returns, and only then determinizes and minimizes.
+returns, deterministically, and only then minimizes.
 
-This module keeps the algebra and the projection over it.  Both routes
-share ``machine.finalize``, ``projection._family_map`` and the deciders
-of the root event order; the differential tests compare their machines.
+This module keeps the algebra, the projection over it, and the
+determinizing ``finalize`` that the algebra's joins of branches need.
+Both routes share ``projection._family_map`` and the deciders of the
+root event order; the differential tests compare their machines.
 """
 
 from __future__ import annotations
@@ -19,17 +20,18 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from chorrev.machine import (
     UNIT,
     Branch,
     Decoration,
+    DeterminizationConflict,
     ProjectionError,
     RCfsm,
     Transition,
     Unit,
-    finalize,
+    event_key,
     label_key,
 )
 from chorrev.model import (
@@ -228,6 +230,157 @@ def forget_pmachine(m: PMachine) -> PMachine:
         m.interface,
         frozenset(Transition(t.src, t.event, UNIT, t.dst) for t in m.transitions),
     )
+
+
+def finalize(
+    owner: str, initial: int, exit: int, transitions: Iterable[Transition]
+) -> RCfsm:
+    """Determinize, minimize and renumber the machine of ``owner`` that
+    runs ``transitions`` from ``initial`` and accepts in ``exit``.
+
+    Decoration references to choice states are carried through both
+    constructions; if a referenced state ends up in several subset states,
+    or two distinct choice states fall into one equivalence class, the
+    machine cannot be presented faithfully and an error is raised.
+    """
+    by_src: dict[int, dict[tuple, set[int]]] = {}
+    labels_of: dict[int, dict[tuple, tuple[CommEvent, Decoration]]] = {}
+    for t in transitions:
+        key = label_key(t.event, t.decoration)
+        by_src.setdefault(t.src, {}).setdefault(key, set()).add(t.dst)
+        labels_of.setdefault(t.src, {})[key] = (t.event, t.decoration)
+
+    # Subset construction from the initial state.
+    start = frozenset({initial})
+    subset_ids: dict[frozenset[int], int] = {start: 0}
+    order: list[frozenset[int]] = [start]
+    sub_trans: dict[int, list[tuple[tuple, CommEvent, Decoration, int]]] = {}
+    queue = [start]
+    while queue:
+        cur = queue.pop(0)
+        cur_id = subset_ids[cur]
+        merged: dict[tuple, tuple[CommEvent, Decoration, set[int]]] = {}
+        for s in cur:
+            for key, dsts in by_src.get(s, {}).items():
+                event, deco = labels_of[s][key]
+                if key in merged:
+                    merged[key][2].update(dsts)
+                else:
+                    merged[key] = (event, deco, set(dsts))
+        rows = []
+        for key in sorted(merged):
+            event, deco, dsts = merged[key]
+            target = frozenset(dsts)
+            if target not in subset_ids:
+                subset_ids[target] = len(order)
+                order.append(target)
+                queue.append(target)
+            rows.append((key, event, deco, subset_ids[target]))
+        sub_trans[cur_id] = rows
+
+    n = len(order)
+    accepting = {i for i, subset in enumerate(order) if exit in subset}
+
+    # Partition refinement.
+    block = [0 if i in accepting else 1 for i in range(n)]
+    while True:
+        signatures = {}
+        for i in range(n):
+            sig = (block[i], tuple((key, block[dst]) for key, _, _, dst in sub_trans[i]))
+            signatures.setdefault(sig, []).append(i)
+        if len(signatures) == len(set(block)):
+            break
+        new_block = [0] * n
+        for b, (_, members) in enumerate(sorted(signatures.items(), key=lambda kv: kv[1][0])):
+            for i in members:
+                new_block[i] = b
+        block = new_block
+
+    # Where did each original state end up?
+    class_of_pstate: dict[int, set[int]] = {}
+    for i, subset in enumerate(order):
+        for s in subset:
+            class_of_pstate.setdefault(s, set()).add(block[i])
+
+    def remap_choice_state(q: int) -> int:
+        classes = class_of_pstate.get(q)
+        if classes is None:
+            raise ProjectionError(
+                f"decoration of {owner} references unreachable state {q}"
+            )
+        if len(classes) > 1:
+            raise ProjectionError(
+                f"decoration of {owner} references state {q}, which was split"
+                " during determinization"
+            )
+        return next(iter(classes))
+
+    # Breadth-first renumbering of the equivalence classes.
+    initial_class = block[0]
+    numbering: dict[int, int] = {initial_class: 0}
+    bfs = [initial_class]
+    class_rep: dict[int, int] = {}
+    for i in range(n):
+        class_rep.setdefault(block[i], i)
+    visited = {initial_class}
+    while bfs:
+        cls = bfs.pop(0)
+        rep = class_rep[cls]
+        for key, _, _, dst in sub_trans[rep]:
+            dcls = block[dst]
+            if dcls not in visited:
+                visited.add(dcls)
+                numbering[dcls] = len(numbering)
+                bfs.append(dcls)
+
+    choice_state_targets: dict[int, int] = {}
+
+    def final_decoration(d: Decoration) -> Decoration:
+        if isinstance(d, Unit):
+            return d
+        cls = remap_choice_state(d.choice_state)
+        if cls not in numbering:
+            raise ProjectionError(
+                f"decoration of {owner} references a state outside the reachable part"
+            )
+        new_q = numbering[cls]
+        prior = choice_state_targets.get(new_q)
+        if prior is not None and prior != d.choice_state:
+            raise ProjectionError(
+                f"two distinct choice states of {owner} were merged into one"
+            )
+        choice_state_targets[new_q] = d.choice_state
+        return dataclasses.replace(d, choice_state=new_q)
+
+    transitions: list[Transition] = []
+    emitted = set()
+    for cls, num in numbering.items():
+        rep = class_rep[cls]
+        for key, event, deco, dst in sub_trans[rep]:
+            dnum = numbering[block[dst]]
+            t = Transition(num, event, final_decoration(deco), dnum)
+            marker = (num, key)
+            if marker not in emitted:
+                emitted.add(marker)
+                transitions.append(t)
+    transitions.sort(key=lambda t: (t.src, label_key(t.event, t.decoration)))
+
+    finals = frozenset(
+        numbering[block[i]] for i in range(n) if i in accepting and block[i] in numbering
+    )
+
+    seen: dict[tuple[int, tuple], Transition] = {}
+    for t in transitions:
+        marker = (t.src, event_key(t.event))
+        if marker in seen and seen[marker] != t:
+            raise DeterminizationConflict(
+                f"machine of {owner} has two different transitions for"
+                f" {t.event} from state {t.src}"
+            )
+        seen[marker] = t
+
+    count = len(numbering)
+    return RCfsm(owner, tuple(range(count)), 0, tuple(transitions), finals)
 
 
 def finalize_pmachine(m: PMachine) -> RCfsm:

@@ -276,11 +276,11 @@ def test_rollback_points_are_kept_per_history(travel_system):
 def test_rollback_points_ask_each_loop_once(travel_system, monkeypatch):
     # Whether a loop is ongoing depends on the history, not on the log
     # asking, and a log has one outermost loop, so each per-anchor query
-    # asks it at most once.
+    # asks it at most once.  The search asks through rollback_effects.
     asked = 0
     calls = 0
     is_ongoing = causality.ongoing
-    query = CausalityAnalyzer.is_rollback_point
+    query = CausalityAnalyzer.rollback_effects
 
     def counting_ongoing(loop, cfg):
         nonlocal asked
@@ -293,7 +293,7 @@ def test_rollback_points_ask_each_loop_once(travel_system, monkeypatch):
         return query(self, cfg, ref)
 
     monkeypatch.setattr(causality, "ongoing", counting_ongoing)
-    monkeypatch.setattr(CausalityAnalyzer, "is_rollback_point", counting_calls)
+    monkeypatch.setattr(CausalityAnalyzer, "rollback_effects", counting_calls)
     results = run_checks(travel_system, Bound(200, 1))
     assert all(r.passed for r in results)
     assert calls > 0 and asked > 0

@@ -377,6 +377,9 @@ FIRST_SEND = {"kind": "out", "participant": "T", "cp": 1, "channel": "T->D", "me
         ({"kind": "rev", "message": "dest"}, "missing 'participant'"),
         ({"kind": "out", "participant": "Z", "cp": 1}, "unknown participant 'Z'"),
         ({"kind": "out", "participant": "T", "cp": 1, "channel": "TD"}, "malformed channel"),
+        ({"kind": "out", "participant": "T", "cp": 1, "channel": "T->Z"}, "malformed channel"),
+        ({"kind": "out", "participant": "T", "cp": 1, "channel": "T->B->D"}, "malformed channel"),
+        ({"kind": "out", "participant": "T", "cp": 1, "channel": "->D"}, "malformed channel"),
     ],
 )
 def test_simulate_malformed_directive_exits_two_before_any_step(runner, tmp_path, bad, problem):
@@ -610,14 +613,18 @@ def test_explore_json_matches_the_recorded_output(runner, check):
     assert result.stdout_bytes == golden.read_bytes()
 
 
-def test_explore_json_at_two_rounds_matches_the_recorded_output(runner):
-    # 532 forward classes; with reversals 2,590 configurations (1,979 in
-    # live classes, one for each of 611 dead ones) and 808 reversal edges.
+@pytest.mark.parametrize("protocol", ["travel", "static_order_loop"])
+def test_explore_json_at_two_rounds_matches_the_recorded_output(runner, protocol):
+    # travel: 532 forward classes; with reversals 2,590 configurations
+    # (1,979 in live classes, one for each of 611 dead ones) and 808
+    # reversal edges.  static_order_loop: 155 classes, 549 configurations
+    # with reversals, 168 reversal edges and 80 plain configurations.
     result = runner.invoke(
-        main, ["explore", TRAVEL, "--bound", "steps=200,rounds=2", "--json"]
+        main,
+        ["explore", str(DATA / f"{protocol}.rchor"), "--bound", "steps=200,rounds=2", "--json"],
     )
     assert result.exit_code == 0
-    golden = DATA / "explore_travel_s200_r2_all.json"
+    golden = DATA / f"explore_{protocol}_s200_r2_all.json"
     assert result.stdout_bytes == golden.read_bytes()
 
 

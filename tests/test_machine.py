@@ -11,6 +11,7 @@ from chorrev.machine import (
     Transition,
     Unit,
     event_key,
+    finalize,
     forget_machine,
     to_dot,
 )
@@ -240,11 +241,40 @@ def test_finalize_determinizes_shared_prefix():
 
 
 def test_finalize_is_canonical():
+    # Where a random pre-machine is already deterministic, the package's
+    # finalize must also agree with the oracle's determinizing one.
     rng = random.Random(7)
+    deterministic = 0
     for _ in range(50):
         m = random_pmachine(rng)
         shift = {s: s + 1000 for s in m.states}
-        assert finalize_pmachine(m) == finalize_pmachine(substitute(m, shift))
+        expected = finalize_pmachine(m)
+        assert finalize_pmachine(substitute(m, shift)) == expected
+        if len({(t.src, t.event) for t in m.transitions}) == len(m.transitions):
+            deterministic += 1
+            assert finalize(m.owner, m.initial, m.interface, m.transitions) == expected
+    assert deterministic >= 40
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        Transition(0, out_ev(1, "m"), Unit(), 2),
+        Transition(0, out_ev(1, "m"), Branch(0, out_ev(1, "m"), GTrue(), True), 1),
+    ],
+    ids=["target", "decoration"],
+)
+def test_finalize_refuses_two_transitions_on_one_event(second):
+    first = Transition(0, out_ev(1, "m"), Unit(), 1)
+    with pytest.raises(DeterminizationConflict, match="two different transitions"):
+        finalize("A", 0, 1, [first, second])
+
+
+def test_finalize_keeps_a_repeated_transition_once():
+    t = Transition(0, out_ev(1, "m"), Unit(), 1)
+    f = finalize("A", 0, 1, [t, Transition(0, out_ev(1, "m"), Unit(), 1), t])
+    assert f.transitions == (t,)
+    assert f.states == (0, 1) and f.finals == frozenset({1})
 
 
 def test_finalize_conflicting_decorations():
@@ -256,6 +286,24 @@ def test_finalize_conflicting_decorations():
         finalize_pmachine(join_machines([d1, d2]))
 
 
+def test_finalize_refuses_to_merge_two_choice_states():
+    # States 1 and 2 are equivalent, and the decorations from state 0
+    # name each of them as a choice state.
+    def deco(q):
+        return Branch(q, out_ev(1, "m"), GTrue(), False)
+
+    transitions = [
+        Transition(0, out_ev(1, "m"), Unit(), 1),
+        Transition(0, out_ev(2, "n"), Unit(), 2),
+        Transition(0, out_ev(3, "p"), deco(1), 4),
+        Transition(0, out_ev(4, "q"), deco(2), 4),
+        Transition(1, out_ev(5, "y"), Unit(), 4),
+        Transition(2, out_ev(5, "y"), Unit(), 4),
+    ]
+    with pytest.raises(ProjectionError, match="two distinct choice states of A"):
+        finalize("A", 0, 4, transitions)
+
+
 def test_forget_on_presentation_machine():
     alloc = StateAlloc()
     ev = out_ev(1, "m")
@@ -265,7 +313,7 @@ def test_forget_on_presentation_machine():
     assert isinstance(bare, RCfsm)
     assert bare.states == f.states
     assert bare.finals == f.finals
-    assert bare.aliases == f.aliases
+    assert [bare.alias(q) for q in bare.states] == [f.alias(q) for q in f.states] == ["q0A", "q1A"]
     assert all(isinstance(t.decoration, Unit) for t in bare.transitions)
     assert [t.event for t in bare.transitions] == [t.event for t in f.transitions]
 
@@ -285,7 +333,8 @@ def test_step_and_out_of():
 
 def test_validate_catches_foreign_events():
     ev = CommEvent(Channel("B", "C"), "!", 1, "m")
-    broken = RCfsm("A", (0, 1), 0, (Transition(0, ev, Unit(), 1),), frozenset({1}), {})
+    broken = RCfsm("A", (0, 1), 0, (Transition(0, ev, Unit(), 1),), frozenset({1}))
+    assert broken.alias(1) == "q1A"
     problems = validate_machine(broken)
     assert any("does not belong" in p for p in problems)
 

@@ -3,6 +3,9 @@ algebra in ``projection_oracle``.
 
 Both routes must give equal machines with equal aliases, for every
 participant, decorated and plain, or refuse with the same error text.
+The oracle determinizes its pre-machines with its own ``finalize``, so
+each machine is also checked against the package's ``finalize``, which
+takes deterministic input only.
 """
 
 import pytest
@@ -19,6 +22,10 @@ from conftest import DATA
 from test_order_oracle import build, shapes
 
 
+def aliases(m):
+    return [m.alias(q) for q in m.states]
+
+
 def outcome(route, *args):
     """The machines ``route`` returns, each with its owner and aliases, or
     the type and text of its refusal."""
@@ -27,9 +34,9 @@ def outcome(route, *args):
     except (ProjectionError, UndefinedSemantics) as exc:
         return type(exc), str(exc)
     if isinstance(result, RCfsm):
-        return result, result.aliases
+        return result, aliases(result)
     machines = result.machines if isinstance(result, System) else result
-    return [(a, m, m.aliases) for a, m in machines.items()]
+    return [(a, m, aliases(m)) for a, m in machines.items()]
 
 
 def assert_same_projection(g):
