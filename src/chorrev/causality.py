@@ -28,8 +28,10 @@ each channel: one cut per channel, lowered by a worklist from the anchor
 that expands each log once.  No closure is built or cached; the
 whole-history ``relation`` and ``rollback_points`` are views over the
 per-anchor queries, kept for the tests and the benchmark's tracer.  The
-replay of (4) is shared with rollback (to restore receiver states) and
-the configuration audit; only its end states and clause 4's counts are
+rollback answers of the last configuration asked about are kept, so that
+listing a reversal and then carrying it out cuts once.  The replay of (4)
+is shared with rollback (to restore receiver states) and the
+configuration audit; only its end states and clause 4's counts are
 cached, per participant and history.
 """
 
@@ -110,8 +112,12 @@ def all_log_refs(cfg: Configuration) -> list[LogRef]:
 
 
 class CausalityAnalyzer:
-    """Causality queries against one projected system; only replays are
-    cached, per participant and history."""
+    """Causality queries against one projected system.
+
+    Two things are cached: replays, per participant and history, and the
+    :meth:`rollback_effects` answers for the one configuration asked about
+    last.
+    """
 
     def __init__(self, system: System):
         self.system = system
@@ -130,6 +136,10 @@ class CausalityAnalyzer:
         for L in sorted(self.loops, key=lambda L: len(L.body_cps)):
             self._outermost.update(dict.fromkeys(L.body_cps | {L.cp}, L))
         self._replays: dict[tuple, tuple[list[list[int]], frozenset[int]]] = {}
+        # The last configuration :meth:`rollback_effects` answered for, and
+        # its answers by anchor.
+        self._last_cfg: Optional[Configuration] = None
+        self._last_answers: dict[LogRef, Optional[frozenset[LogRef]]] = {}
         # For each static event, the events whose logs its logs may precede
         # by (3): each with the innermost loop that refines the pair, or
         # None, and whether the other event comes first statically.
@@ -174,11 +184,14 @@ class CausalityAnalyzer:
             if participant not in forced:
                 consumed, outputs = self._replay_setup(cfg, participant)
                 fewest, ends = self._replay(participant, consumed, outputs) if outputs else ([], ())
-                index = {ref: k for k, ref in enumerate(refs)}
+                # The outputs' indices in ``refs``, in timestamp order like ``outputs``.
+                index = sorted(
+                    (k for c, (ch, _) in enumerate(cfg.chi) if ch.sender == participant
+                     for k in range(first[c], first[c + 1])),
+                    key=stamp.__getitem__,
+                )
                 forced[participant] = {
-                    ch: [(index[ref], bound) for ref, bound in zip(outputs, row)]
-                    for (ch, _), row in zip(consumed, fewest)
-                    if ends
+                    ch: list(zip(index, row)) for (ch, _), row in zip(consumed, fewest) if ends
                 }
             return forced[participant]
 
@@ -267,7 +280,20 @@ class CausalityAnalyzer:
         A log outside every loop qualifies only if nothing depends on it.
         A log inside a loop qualifies while its outermost loop is still
         ongoing and everything depending on it belongs to that same loop.
+
+        The answers for the last configuration asked about are kept, so
+        that a reversal listed by one call and carried out by the next pays
+        for one :meth:`cut`.  The slot holds that configuration itself and
+        is matched by identity, so it cannot answer for another object.
         """
+        if cfg is not self._last_cfg:
+            self._last_cfg, self._last_answers = cfg, {}
+        answers = self._last_answers
+        if ref not in answers:
+            answers[ref] = self._rollback_effects(cfg, ref)
+        return answers[ref]
+
+    def _rollback_effects(self, cfg: Configuration, ref: LogRef) -> Optional[frozenset[LogRef]]:
         encl = self._outermost.get(ref[1].cp)
         if encl is not None and not ongoing(encl, cfg):
             return None

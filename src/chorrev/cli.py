@@ -358,7 +358,7 @@ def _match_reversal(sim: _Simulation, d: dict) -> ReversalCandidate:
             continue
         if "cp" in d and c.first_output.cp != d["cp"]:
             continue
-        if "channel" in d and str(c.first_output.channel) != d["channel"]:
+        if "channel" in d and c.first_output.channel != _parse_channel(d["channel"]):
             continue
         if "choiceState" in d and m.alias(c.choice_state) != d["choiceState"]:
             continue

@@ -13,7 +13,10 @@ counts) enable the same moves to the same classes, so soundness and
 completeness, which read only forgetful images, run on the classes.  With
 reversals it keeps every configuration of a live class, one from which
 forward moves can reach a reversal, because a rollback reads the
-timestamps; no reversal ever reads the history of a dead class.
+timestamps; no reversal ever reads the history of a dead class.  Keys are
+carried along the search: a forward successor's key is its parent's with
+the one channel slot the move changed replaced, and only the initial
+configuration and reversal targets are keyed from scratch.
 
 Exploration is bounded in two ways: a cap on the number of transitions
 (breadth-first depth) and a cap on loop rounds, enforced by refusing to
@@ -23,13 +26,16 @@ maximum number of them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from . import reverse, runtime
 from .causality import CausalityAnalyzer, audit_configuration
 from .machine import forget_machine
 from .model import LOOP_START, Channel
+from .order import CommEvent
 from .projection import System
 from .reverse import ReversalCandidate, RollbackFailed
 from .runtime import Configuration
@@ -77,7 +83,9 @@ def forward_key(cfg: Configuration) -> tuple:
 
     The round bound counts markers on both sides of the head, hence the
     multiset, kept sorted.  A forward run's depth, one step per log plus
-    one per consumed log, is a function of the key too.
+    one per consumed log, is a function of the key too.  The search keys
+    the initial configuration and reversal targets with this and derives
+    the key of every forward successor (:func:`_successor_key`).
     """
     return (
         cfg.sigma,
@@ -93,15 +101,43 @@ def forward_key(cfg: Configuration) -> tuple:
     )
 
 
-def _forward_successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Configuration]:
+def _forward_moves(
+    cfg: Configuration, system: System, bound: Bound
+) -> Iterator[tuple[Configuration, CommEvent]]:
+    """Each forward successor of ``cfg`` within the round bound, with the
+    event of the move that makes it."""
     for a, t in runtime.enabled_forward(cfg, system):
         ev = t.event
         if ev.polarity == "!":
             if ev.message == LOOP_START and marker_count(cfg, ev.channel, ev.cp) >= bound.max_rounds:
                 continue
-            yield runtime.step_output(cfg, system, a, t)
+            yield runtime.step_output(cfg, system, a, t), ev
         else:
-            yield runtime.step_input(cfg, system, a, t)
+            yield runtime.step_input(cfg, system, a, t), ev
+
+
+def _successor_key(key: tuple, succ: Configuration, ev: CommEvent) -> tuple:
+    """``forward_key(succ)``, where ``succ`` is a forward move by ``ev`` out
+    of a configuration whose key is ``key``.
+
+    The move changes one channel: an output appends its (message, cp) to
+    the pending word, an input moves the word's first entry into the
+    sorted consumed multiset.  Every other channel's slot is the parent's.
+    """
+    chans = key[2]
+    i = bisect_left(chans, ev.channel, key=itemgetter(0))
+    if i < len(chans) and chans[i][0] == ev.channel:
+        _, pending, consumed = chans[i]
+        end = i + 1
+    else:
+        pending = consumed = ()
+        end = i
+    if ev.polarity == "!":
+        slot = (ev.channel, pending + ((ev.message, ev.cp),), consumed)
+    else:
+        j = bisect_right(consumed, pending[0])
+        slot = (ev.channel, pending[1:], consumed[:j] + pending[:1] + consumed[j:])
+    return (succ.sigma, succ.book, chans[:i] + (slot,) + chans[end:])
 
 
 def _depth(cfg: Configuration) -> int:
@@ -117,17 +153,22 @@ def liveness(system: System, bound: Bound) -> Callable[[Configuration, tuple], b
     :func:`~chorrev.reverse.reversible_families` (a hot class).
 
     The returned predicate takes a configuration and its ``forward_key``
-    and memoises the answer per class.  Hotness and depth read only the
-    key, and so do forward moves, so any member of a class answers for all
-    of them.  A hot class deeper than the step bound counts for nothing,
-    as no run within the bound reaches it (see :func:`_depth`).  The class
-    graph is acyclic, since every forward move adds one to the depth, so
-    one iterative post-order pass decides a class and every class below it.
+    and memoises the answer per class; the key of each child it expands is
+    derived from its parent's (see :func:`_successor_key`).  Hotness and
+    depth read only the key, and so do forward moves, so any member of a
+    class answers for all of them.  A hot class deeper than the step bound
+    counts for nothing, as no run within the bound reaches it (see
+    :func:`_depth`).  The class graph is acyclic, since every forward move
+    adds one to the depth, so one iterative post-order pass decides a
+    class and every class below it.
     """
     memo: dict[tuple, bool] = {}
     children: dict[tuple, list[tuple]] = {}
 
     def live(cfg: Configuration, key: tuple) -> bool:
+        answer = memo.get(key)
+        if answer is not None:
+            return answer
         stack = [(cfg, key)]
         while stack:
             c, k = stack[-1]
@@ -144,8 +185,8 @@ def liveness(system: System, bound: Bound) -> Callable[[Configuration, tuple], b
                 memo[k] = True
             else:
                 below = children[k] = []
-                for succ in _forward_successors(c, system, bound):
-                    b = forward_key(succ)
+                for succ, ev in _forward_moves(c, system, bound):
+                    b = _successor_key(k, succ, ev)
                     below.append(b)
                     if b not in memo:
                         stack.append((succ, b))
@@ -179,6 +220,11 @@ def reachable(
     reversal and lead only to dead classes, where a forward move reads
     nothing but the key.
 
+    The frontier holds each configuration with its ``forward_key``, and a
+    forward successor's key is derived from its parent's (see
+    :func:`_successor_key`); :func:`forward_key` runs on the initial
+    configuration and on reversal targets only.
+
     ``truncated`` says that the last frontier, at the step bound, has a
     successor not yet met or an enabled reversal, whose edge goes unchecked.
     """
@@ -186,41 +232,40 @@ def reachable(
         analyzer = CausalityAnalyzer(system)
     live = liveness(system, bound) if with_reversals else (lambda cfg, k: False)
 
-    def key(cfg: Configuration):
-        k = forward_key(cfg)
+    def class_of(cfg: Configuration, k: tuple):
         return cfg if live(cfg, k) else k
 
     init = runtime.initial_configuration(system)
-    seen = {key(init): init}
-    frontier = [init]
+    init_key = forward_key(init)
+    seen = {class_of(init, init_key): init}
+    frontier = [(init, init_key)]
     edges: list[tuple[Configuration, ReversalCandidate, Configuration]] = []
     depth = 0
     truncated = False
     while frontier:
         if depth == bound.max_steps:
             truncated = any(
-                key(succ) not in seen
-                for cfg in frontier
-                for succ in _forward_successors(cfg, system, bound)
+                class_of(succ, _successor_key(k, succ, ev)) not in seen
+                for cfg, k in frontier
+                for succ, ev in _forward_moves(cfg, system, bound)
             ) or (with_reversals and any(
-                reverse.enabled_reversals(cfg, system, analyzer) for cfg in frontier
+                reverse.enabled_reversals(cfg, system, analyzer) for cfg, _ in frontier
             ))
             break
-        layer: list[Configuration] = []
-        for cfg in frontier:
-            for succ in _forward_successors(cfg, system, bound):
-                k = key(succ)
-                if k not in seen:
-                    seen[k] = succ
-                    layer.append(succ)
+        layer: list[tuple[Configuration, tuple]] = []
+        for cfg, k in frontier:
+            succs = [
+                (succ, _successor_key(k, succ, ev)) for succ, ev in _forward_moves(cfg, system, bound)
+            ]
             if with_reversals:
                 for cand in reverse.enabled_reversals(cfg, system, analyzer):
                     succ = reverse.step_reverse(cfg, system, cand, analyzer)
                     edges.append((cfg, cand, succ))
-                    k = key(succ)
-                    if k not in seen:
-                        seen[k] = succ
-                        layer.append(succ)
+                    succs.append((succ, forward_key(succ)))
+            for succ, sk in succs:
+                # One lookup: ``succ`` comes back only when it was not met before.
+                if seen.setdefault(class_of(succ, sk), succ) is succ:
+                    layer.append((succ, sk))
         frontier = layer
         depth += 1
     return ExplorationResult(frozenset(seen.values()), truncated, tuple(edges), depth)

@@ -262,8 +262,8 @@ def test_a_loop_log_with_a_dependant_after_the_loop_is_no_rollback_point():
 
 def test_rollback_points_are_kept_per_history(travel_system):
     # The search queries each configuration, and step_reverse queries it
-    # again; nothing is cached per history, so every query recomputes the
-    # same points, and a fresh analyzer agrees with a used one.
+    # again; only the last configuration's answers are kept, so every
+    # query gives the same points, and a fresh analyzer agrees with a used one.
     analyzer = CausalityAnalyzer(travel_system)
     searched = reachable(travel_system, Bound(200, 1), with_reversals=True, analyzer=analyzer)
     for cfg in searched.configs:
@@ -271,6 +271,39 @@ def test_rollback_points_are_kept_per_history(travel_system):
         assert isinstance(points, frozenset)
         assert analyzer.rollback_points(cfg) == points
         assert points == CausalityAnalyzer(travel_system).rollback_points(cfg)
+
+
+def test_rollback_answers_are_kept_for_the_last_configuration_only(travel_system, replan_config, dest_log):
+    # Two histories that share the booking anchor: the first round alone,
+    # whose cone of dest has three logs, and the replan run, where it has five.
+    first_round = drive(travel_system, REPLAN_PREFIX[:8])
+    anchor = (TB, dest_log)
+    analyzer = CausalityAnalyzer(travel_system)
+    answers = [
+        (cfg, analyzer.rollback_effects(cfg, anchor))
+        for cfg in (replan_config, first_round, replan_config, first_round)
+    ]
+    assert [len(fx) for _, fx in answers] == [5, 3, 5, 3]
+    for cfg, fx in answers:
+        assert fx == CausalityAnalyzer(travel_system).rollback_effects(cfg, anchor)
+
+
+def test_search_cuts_once_per_reversal_edge(travel_system, monkeypatch):
+    # enabled_reversals lists a reversal and step_reverse carries it out on
+    # the same configuration; the second asks for the effects the first cut.
+    cuts = 0
+    cut = CausalityAnalyzer.cut
+
+    def counting_cut(self, cfg, anchor):
+        nonlocal cuts
+        cuts += 1
+        return cut(self, cfg, anchor)
+
+    monkeypatch.setattr(CausalityAnalyzer, "cut", counting_cut)
+    (res,) = run_checks(travel_system, Bound(200, 2), names=["causal-consistency"])
+    assert res.verdict == "pass"
+    assert res.stats["reversal_edges"] == 808
+    assert cuts == 808
 
 
 def test_rollback_points_ask_each_loop_once(travel_system, monkeypatch):

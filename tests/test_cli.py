@@ -537,6 +537,20 @@ def test_simulate_trace_matches_the_recorded_output(runner, monkeypatch, tmp_pat
     assert trace.read_bytes() == (DATA / golden).read_bytes()
 
 
+@pytest.mark.parametrize("channel", ["T->B", "T -> B", " T->  B "])
+def test_a_rev_directive_names_its_channel_with_any_spacing(runner, monkeypatch, tmp_path, channel):
+    # A rev directive's channel is read like an out or inp directive's.
+    monkeypatch.chdir(REPO)
+    directives = json.loads((DATA / "travel_replan.schedule.json").read_text(encoding="utf-8"))
+    directives[-1]["channel"] = channel
+    schedule = tmp_path / "replan.json"
+    schedule.write_text(json.dumps(directives), encoding="utf-8")
+    trace = tmp_path / "trace.json"
+    result = runner.invoke(main, ["simulate", TRAVEL_FROM_REPO, "--schedule", str(schedule), "--trace", str(trace)])
+    assert result.exit_code == 0, result.output
+    assert trace.read_bytes() == (DATA / "simulate_travel_replan_trace.json").read_bytes()
+
+
 def test_files_are_utf8_whatever_the_locale(tmp_path):
     # The schedule holds a dagger and so do the dot files: under the C
     # locale with no UTF-8 mode they are still read and written as UTF-8.

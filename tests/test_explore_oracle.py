@@ -16,6 +16,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import chorrev.explore
 import explore_oracle
 from chorrev.explore import Bound, forward_key, liveness, reachable
 from chorrev.machine import ProjectionError
@@ -174,3 +175,50 @@ def test_generated_retries_match_the_full_search(prefix, pair, looped, rounds, s
     except (ProjectionError, UndefinedSemantics):
         assume(False)
     assert_same_search_with_reversals(system, Bound(steps, rounds))
+
+
+# -- keys carried along the search ------------------------------------------
+
+
+def search_checking_keys(system, bound):
+    """Run both searches with every carried key checked against
+    ``forward_key`` of its successor; return the events of the moves checked."""
+    carried = chorrev.explore._successor_key
+    moves = []
+
+    def checked(key, succ, ev):
+        k = carried(key, succ, ev)
+        assert k == forward_key(succ), ev
+        moves.append(ev)
+        return k
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chorrev.explore, "_successor_key", checked)
+        reachable(system, bound)
+        try:
+            reachable(system, bound, with_reversals=True)
+        except RollbackFailed:
+            pass
+    return moves
+
+
+@pytest.mark.parametrize("name", ["travel", "static_order_loop"])
+def test_carried_keys_are_the_forward_keys_at_two_rounds(name):
+    system = project_system(parse_choreography((DATA / f"{name}.rchor").read_text()))
+    moves = search_checking_keys(system, Bound(200, 2))
+    assert {ev.polarity for ev in moves} == {"!", "?"}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(shapes, pairs, st.booleans(), st.integers(1, 2), st.integers(0, 8))
+def test_carried_keys_are_the_forward_keys_on_generated_retries(prefix, pair, looped, rounds, steps):
+    try:
+        system = project_system(retry_after(prefix, *pair, looped))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    search_checking_keys(system, Bound(steps, rounds))
