@@ -31,8 +31,6 @@ from .runtime import (
     NotEnabled,
     find_transition,
     initial_configuration,
-    step_input,
-    step_output,
 )
 
 _COLOR = {"0": False, "1": True}

@@ -16,7 +16,9 @@ forward moves can reach a reversal, because a rollback reads the
 timestamps; no reversal ever reads the history of a dead class.  Keys are
 carried along the search: a forward successor's key is its parent's with
 the one channel slot the move changed replaced, and only the initial
-configuration and reversal targets are keyed from scratch.
+configuration and reversal targets are keyed from scratch.  The first
+member of a class met lists the class's moves in a table of the search,
+and every later member only applies them.
 
 Exploration is bounded in two ways: a cap on the number of transitions
 (breadth-first depth) and a cap on loop rounds, enforced by refusing to
@@ -33,8 +35,8 @@ from typing import Callable, Iterator, Optional
 
 from . import reverse, runtime
 from .causality import CausalityAnalyzer, audit_configuration
-from .machine import forget_machine
-from .model import LOOP_START, Channel
+from .machine import Transition, forget_machine
+from .model import LOOP_START
 from .order import CommEvent
 from .projection import System
 from .reverse import ReversalCandidate, RollbackFailed
@@ -68,15 +70,6 @@ class PlainResult:
     steps_explored: int
 
 
-def marker_count(cfg: Configuration, channel: Channel, cp: int) -> int:
-    """How many continue markers of a loop the channel's history carries."""
-    return sum(
-        1
-        for log in cfg.channel_state(channel).logs
-        if log.message == LOOP_START and log.cp == cp
-    )
-
-
 def forward_key(cfg: Configuration) -> tuple:
     """What a forward move reads of ``cfg``: the states, the book, and per
     channel the pending word and the multiset of consumed (message, cp).
@@ -99,21 +92,6 @@ def forward_key(cfg: Configuration) -> tuple:
             for ch, cs in cfg.chi
         ),
     )
-
-
-def _forward_moves(
-    cfg: Configuration, system: System, bound: Bound
-) -> Iterator[tuple[Configuration, CommEvent]]:
-    """Each forward successor of ``cfg`` within the round bound, with the
-    event of the move that makes it."""
-    for a, t in runtime.enabled_forward(cfg, system):
-        ev = t.event
-        if ev.polarity == "!":
-            if ev.message == LOOP_START and marker_count(cfg, ev.channel, ev.cp) >= bound.max_rounds:
-                continue
-            yield runtime.step_output(cfg, system, a, t), ev
-        else:
-            yield runtime.step_input(cfg, system, a, t), ev
 
 
 def _successor_key(key: tuple, succ: Configuration, ev: CommEvent) -> tuple:
@@ -140,6 +118,43 @@ def _successor_key(key: tuple, succ: Configuration, ev: CommEvent) -> tuple:
     return (succ.sigma, succ.book, chans[:i] + (slot,) + chans[end:])
 
 
+# A forward class's moves within the round bound, in ``enabled_forward``
+# order, each as (participant, transition, successor key).
+MoveTable = dict[tuple, list[tuple[str, Transition, tuple]]]
+
+
+def _step(cfg: Configuration, system: System, a: str, t: Transition) -> Configuration:
+    if t.event.polarity == "!":
+        return runtime.step_output(cfg, system, a, t)
+    return runtime.step_input(cfg, system, a, t)
+
+
+def _successors(
+    cfg: Configuration, key: tuple, system: System, bound: Bound, table: MoveTable
+) -> list[tuple[Configuration, tuple]]:
+    """Each forward successor of ``cfg``, whose key is ``key``, within the
+    round bound, with its key.  The first member of a class asked about
+    lists the class's moves in ``table``; later members apply them.
+    """
+    moves = table.get(key)
+    if moves is not None:
+        return [(_step(cfg, system, a, t), k) for a, t, k in moves]
+    moves = table[key] = []
+    succs = []
+    for a, t in runtime.enabled_forward(cfg, system):
+        ev = t.event
+        if ev.polarity == "!" and ev.message == LOOP_START:
+            # The continue markers of the loop in the channel's history.
+            logs = cfg.channel_state(ev.channel).logs
+            if sum(log.message == LOOP_START and log.cp == ev.cp for log in logs) >= bound.max_rounds:
+                continue
+        succ = _step(cfg, system, a, t)
+        k = _successor_key(key, succ, ev)
+        moves.append((a, t, k))
+        succs.append((succ, k))
+    return succs
+
+
 def _depth(cfg: Configuration) -> int:
     """The forward steps that build ``cfg``: one per log and one per
     consumed log.  A reversal only removes logs, so no run reaches ``cfg``
@@ -147,36 +162,40 @@ def _depth(cfg: Configuration) -> int:
     return sum(len(cs.logs) + cs.head for _, cs in cfg.chi)
 
 
-def liveness(system: System, bound: Bound) -> Callable[[Configuration, tuple], bool]:
+def liveness(
+    system: System, bound: Bound, table: Optional[MoveTable] = None
+) -> Callable[[Configuration, tuple], bool]:
     """Whether a forward class is live: some forward run from it, within
     the bound, reaches a class where a family passes
     :func:`~chorrev.reverse.reversible_families` (a hot class).
 
     The returned predicate takes a configuration and its ``forward_key``
-    and memoises the answer per class; the key of each child it expands is
-    derived from its parent's (see :func:`_successor_key`).  Hotness and
-    depth read only the key, and so do forward moves, so any member of a
-    class answers for all of them.  A hot class deeper than the step bound
-    counts for nothing, as no run within the bound reaches it (see
-    :func:`_depth`).  The class graph is acyclic, since every forward move
-    adds one to the depth, so one iterative post-order pass decides a
-    class and every class below it.
+    and memoises the answer per class.  Hotness and depth read only the
+    key, and so do forward moves, so any member of a class answers for all
+    of them.  The children of a class it expands come from the move table
+    (see :func:`_successors`), which a search passes as ``table`` to share
+    it: a class whose moves either one listed is not asked for them again.
+    A hot class deeper than the step bound counts for nothing, as no run
+    within the bound reaches it (see :func:`_depth`).  The class graph is
+    acyclic, since every forward move adds one to the depth, so one
+    iterative post-order pass decides a class and every class below it.
     """
     memo: dict[tuple, bool] = {}
-    children: dict[tuple, list[tuple]] = {}
+    table = {} if table is None else table
 
     def live(cfg: Configuration, key: tuple) -> bool:
         answer = memo.get(key)
         if answer is not None:
             return answer
         stack = [(cfg, key)]
+        expanded = set()
         while stack:
             c, k = stack[-1]
             if k in memo:
                 stack.pop()
-            elif k in children:
+            elif k in expanded:
                 stack.pop()
-                memo[k] = any(memo[b] for b in children.pop(k))
+                memo[k] = any(memo[b] for _, _, b in table[k])
             elif _depth(c) > bound.max_steps:
                 stack.pop()
                 memo[k] = False
@@ -184,10 +203,8 @@ def liveness(system: System, bound: Bound) -> Callable[[Configuration, tuple], b
                 stack.pop()
                 memo[k] = True
             else:
-                below = children[k] = []
-                for succ, ev in _forward_moves(c, system, bound):
-                    b = _successor_key(k, succ, ev)
-                    below.append(b)
+                expanded.add(k)
+                for succ, b in _successors(c, k, system, bound, table):
                     if b not in memo:
                         stack.append((succ, b))
         return memo[key]
@@ -223,14 +240,16 @@ def reachable(
     The frontier holds each configuration with its ``forward_key``, and a
     forward successor's key is derived from its parent's (see
     :func:`_successor_key`); :func:`forward_key` runs on the initial
-    configuration and on reversal targets only.
+    configuration and on reversal targets only.  A class's moves are
+    found once, for the search and :func:`liveness` (see :func:`_successors`).
 
     ``truncated`` says that the last frontier, at the step bound, has a
     successor not yet met or an enabled reversal, whose edge goes unchecked.
     """
     if with_reversals and analyzer is None:
         analyzer = CausalityAnalyzer(system)
-    live = liveness(system, bound) if with_reversals else (lambda cfg, k: False)
+    table: MoveTable = {}
+    live = liveness(system, bound, table) if with_reversals else (lambda cfg, k: False)
 
     def class_of(cfg: Configuration, k: tuple):
         return cfg if live(cfg, k) else k
@@ -245,18 +264,16 @@ def reachable(
     while frontier:
         if depth == bound.max_steps:
             truncated = any(
-                class_of(succ, _successor_key(k, succ, ev)) not in seen
+                class_of(succ, sk) not in seen
                 for cfg, k in frontier
-                for succ, ev in _forward_moves(cfg, system, bound)
+                for succ, sk in _successors(cfg, k, system, bound, table)
             ) or (with_reversals and any(
                 reverse.enabled_reversals(cfg, system, analyzer) for cfg, _ in frontier
             ))
             break
         layer: list[tuple[Configuration, tuple]] = []
         for cfg, k in frontier:
-            succs = [
-                (succ, _successor_key(k, succ, ev)) for succ, ev in _forward_moves(cfg, system, bound)
-            ]
+            succs = _successors(cfg, k, system, bound, table)
             if with_reversals:
                 for cand in reverse.enabled_reversals(cfg, system, analyzer):
                     succ = reverse.step_reverse(cfg, system, cand, analyzer)

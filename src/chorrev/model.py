@@ -23,7 +23,7 @@ forms; :func:`desugar` performs that rewriting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 # Messages used internally to mark loop starts and loop ends.  They are not
 # part of the surface syntax; projection introduces them.
@@ -33,22 +33,15 @@ LOOP_END = "‡"  # ‡
 COUNT_OPS = ("<", "<=", "==", ">=", ">")
 
 
-@dataclass(frozen=True, order=True)
-class Channel:
+class Channel(NamedTuple):
     """A directed point-to-point channel between two participants.
 
-    Channels key every configuration's queues, so the hash is computed
-    once, at construction; it is not a field.
+    Channels key every configuration's queues; as a named tuple a channel
+    hashes, compares and orders in C, like the pair of its endpoints.
     """
 
     sender: str
     receiver: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.sender, self.receiver)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def endpoints(self) -> tuple[str, str]:
         return (self.sender, self.receiver)

@@ -14,13 +14,15 @@ the channel's head index past its log.  This is what makes rollback
 possible later.
 
 Searches hash configurations far more often than they build them, so
-logs, channel states and configurations compute their hash once, at
-construction.  A configuration is its three sorted tuples and that hash,
-nothing more: its lookups scan the tuples, which hold one slot per
-participant, channel or open decision.  A forward step builds its
-successor from the parent's tuples: it replaces the mover's state and
-one channel, and shares every other channel and, unless the move commits
-out of a branch, the book.
+channel states and configurations compute their hash once, at
+construction.  Logs, like channels, are named tuples: they cache no
+hash, since the interpreter hashes and compares a tuple in C.  A
+configuration is its three sorted tuples and that hash, nothing more:
+its lookups scan the tuples, which hold one slot per participant,
+channel or open decision.  A forward step builds its successor from the
+parent's tuples: it replaces the mover's state and one channel, and
+shares every other channel and, unless the move commits out of a
+branch, the book.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .machine import Branch, Decoration, Transition
 from .model import (
@@ -53,20 +55,11 @@ class NotEnabled(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Log:
+class Log(NamedTuple):
     message: str
     sender_state: int
     cp: int
     timestamp: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.message, self.sender_state, self.cp, self.timestamp))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"({self.message}, {self.sender_state}, {self.cp}, {self.timestamp})"
@@ -164,9 +157,8 @@ class Configuration:
         raise KeyError(participant)
 
     def channel_state(self, channel: Channel) -> ChannelState:
-        # Comparing endpoints spares a dataclass ``__eq__`` call per slot.
         for ch, cs in self.chi:
-            if ch.sender == channel.sender and ch.receiver == channel.receiver:
+            if ch == channel:
                 return cs
         return EMPTY_CHANNEL
 
@@ -193,13 +185,13 @@ def initial_configuration(system: System) -> Configuration:
 
 
 def next_timestamp(cfg: Configuration, sender: str) -> int:
-    """One past the largest timestamp the sender ever stamped on a log."""
-    latest = 0
-    for ch, cs in cfg.chi:
-        if ch.sender == sender:
-            for log in cs.logs:
-                latest = max(latest, log.timestamp)
-    return latest + 1
+    """One past the largest timestamp the sender ever stamped on a log.
+
+    A sender stamps each log one past all it holds, and a rollback only
+    cuts a suffix of a channel's logs, so a channel's last log holds its
+    largest timestamp (``chi`` holds no empty channel).
+    """
+    return 1 + max((cs.logs[-1].timestamp for ch, cs in cfg.chi if ch.sender == sender), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ so the package keeps one configuration per ``forward_key``.
 the package kept whole histories only in live forward classes: 33,299
 configurations on travel at two loop rounds, of which 1,979 lie in live
 classes.  The differential tests compare each oracle with the package.
+
+``keyed_successors`` finds the forward moves of every configuration it is
+handed, where the package's searches find them once per forward class.
 """
 
 from __future__ import annotations
@@ -18,19 +21,23 @@ from typing import Iterator, Optional
 
 from chorrev import reverse, runtime
 from chorrev.causality import CausalityAnalyzer
-from chorrev.explore import Bound, ExplorationResult
+from chorrev.explore import Bound, ExplorationResult, _successor_key
 from chorrev.model import LOOP_START
+from chorrev.order import CommEvent
 from chorrev.projection import System
 from chorrev.reverse import ReversalCandidate
 from chorrev.runtime import Configuration
 
 
-def successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Configuration]:
-    """Every forward move of ``cfg``, except a loop start past the round bound."""
+def forward_moves(
+    cfg: Configuration, system: System, bound: Bound
+) -> Iterator[tuple[Configuration, CommEvent]]:
+    """Every forward move of ``cfg``, except a loop start past the round
+    bound, as the successor and the event of the move."""
     for a, t in runtime.enabled_forward(cfg, system):
         ev = t.event
         if ev.polarity == "?":
-            yield runtime.step_input(cfg, system, a, t)
+            yield runtime.step_input(cfg, system, a, t), ev
             continue
         if ev.message == LOOP_START:
             markers = sum(
@@ -40,7 +47,21 @@ def successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Con
             )
             if markers >= bound.max_rounds:
                 continue
-        yield runtime.step_output(cfg, system, a, t)
+        yield runtime.step_output(cfg, system, a, t), ev
+
+
+def successors(cfg: Configuration, system: System, bound: Bound) -> Iterator[Configuration]:
+    """Every forward successor of ``cfg`` within the round bound."""
+    return (succ for succ, _ in forward_moves(cfg, system, bound))
+
+
+def keyed_successors(
+    cfg: Configuration, key: tuple, system: System, bound: Bound
+) -> list[tuple[Configuration, tuple]]:
+    """Every forward successor of ``cfg``, whose key is ``key``, within the
+    round bound, with its key: the moves asked of ``cfg`` itself, where
+    the package asks them once per forward class."""
+    return [(succ, _successor_key(key, succ, ev)) for succ, ev in forward_moves(cfg, system, bound)]
 
 
 def reachable(system: System, bound: Bound) -> ExplorationResult:

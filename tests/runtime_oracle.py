@@ -12,7 +12,9 @@ only when a step raises.  This module keeps the first implementations:
   texts built by the checks;
 - ``rho`` removes one log at a time, most dependent first (or in a
   given legal order), from the end of the pending queue, or from the end
-  of the consumed queue once nothing is pending.
+  of the consumed queue once nothing is pending;
+- ``next_timestamp`` scans every log on the sender's channels, where the
+  package reads only each channel's last log.
 
 Channel states cross into the package's form only through ``queues``;
 the differential tests compare the two.
@@ -34,11 +36,20 @@ from chorrev.runtime import (
     Log,
     NotEnabled,
     _tried_here,
-    next_timestamp,
     output_blocked_by_guard,
 )
 
 from conftest import queues
+
+
+def next_timestamp(cfg: Configuration, sender: str) -> int:
+    """One past the largest timestamp on any log the sender holds."""
+    latest = 0
+    for ch, cs in cfg.chi:
+        if ch.sender == sender:
+            for log in cs.logs:
+                latest = max(latest, log.timestamp)
+    return latest + 1
 
 
 def upd_inp(

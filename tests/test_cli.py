@@ -576,6 +576,16 @@ def test_files_are_utf8_whatever_the_locale(tmp_path):
         assert (tmp_path / "dot" / f"{a}.dot").read_bytes() == (DATA / f"project_travel_{a}.dot").read_bytes()
 
 
+def test_the_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "chorrev", "check", TRAVEL_FROM_REPO],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith(f"{TRAVEL_FROM_REPO}: ok")
+
+
 def test_simulate_interactive_quits(runner):
     result = runner.invoke(main, ["simulate", TRAVEL, "--interactive"], input="q\n")
     assert result.exit_code == 0

@@ -9,6 +9,10 @@ With reversals it keeps whole configurations only in live classes, those
 from which a forward run can reach a reversal.  The reversal edges, in
 order, and the text of a failed rollback must be those of the search that
 keeps every configuration, and so must every configuration of a live class.
+
+Both searches list a class's moves once, for the first member they meet;
+every configuration they expand must still get the successors, in order
+and with their keys, that its own moves give.
 """
 
 from collections import defaultdict
@@ -177,14 +181,20 @@ def test_generated_retries_match_the_full_search(prefix, pair, looped, rounds, s
     assert_same_search_with_reversals(system, Bound(steps, rounds))
 
 
-# -- keys carried along the search ------------------------------------------
+# -- keys carried along the search, moves listed once per class ---------------
 
 
 def search_checking_keys(system, bound):
     """Run both searches with every carried key checked against
-    ``forward_key`` of its successor; return the events of the moves checked."""
+    ``forward_key`` of its successor, and the successors of every
+    configuration they expand checked, in order and with their keys,
+    against those ``explore_oracle.keyed_successors`` finds for that
+    configuration alone.  Return the events of the moves whose keys were
+    checked and the key of each configuration expanded."""
     carried = chorrev.explore._successor_key
+    table_driven = chorrev.explore._successors
     moves = []
+    expanded = []
 
     def checked(key, succ, ev):
         k = carried(key, succ, ev)
@@ -192,21 +202,31 @@ def search_checking_keys(system, bound):
         moves.append(ev)
         return k
 
+    def compared(cfg, key, system, bound, table):
+        succs = table_driven(cfg, key, system, bound, table)
+        assert key == forward_key(cfg)
+        assert succs == explore_oracle.keyed_successors(cfg, key, system, bound)
+        expanded.append(key)
+        return succs
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chorrev.explore, "_successor_key", checked)
+        mp.setattr(chorrev.explore, "_successors", compared)
         reachable(system, bound)
         try:
             reachable(system, bound, with_reversals=True)
         except RollbackFailed:
             pass
-    return moves
+    return moves, expanded
 
 
 @pytest.mark.parametrize("name", ["travel", "static_order_loop"])
 def test_carried_keys_are_the_forward_keys_at_two_rounds(name):
     system = project_system(parse_choreography((DATA / f"{name}.rchor").read_text()))
-    moves = search_checking_keys(system, Bound(200, 2))
+    moves, expanded = search_checking_keys(system, Bound(200, 2))
     assert {ev.polarity for ev in moves} == {"!", "?"}
+    # Most configurations apply the moves the first member of their class listed.
+    assert len(expanded) > 2 * len(set(expanded))
 
 
 @settings(

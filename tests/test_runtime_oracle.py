@@ -18,7 +18,7 @@ import explore_oracle
 import runtime_oracle
 from chorrev import runtime
 from chorrev.causality import CausalityAnalyzer, all_log_refs
-from chorrev.explore import Bound
+from chorrev.explore import Bound, reachable
 from chorrev.machine import ProjectionError, Unit
 from chorrev.model import Channel
 from chorrev.order import UndefinedSemantics
@@ -224,8 +224,8 @@ def _rebuilt(cfg):
     """``cfg`` from dicts of new channel, log and channel-state objects."""
     chi = {
         Channel(ch.sender, ch.receiver): queues(
-            tuple(dataclasses.replace(log) for log in cs.consumed),
-            tuple(dataclasses.replace(log) for log in cs.pending),
+            tuple(log._replace() for log in cs.consumed),
+            tuple(log._replace() for log in cs.pending),
         )
         for ch, cs in cfg.chi
     }
@@ -265,5 +265,30 @@ def test_the_hash_is_not_a_field(replan_config):
     assert "_hash" not in repr(cs)
     assert hash(cs) == hash((cs.logs, cs.head))
     log = cs.logs[0]
-    assert tuple(f.name for f in dataclasses.fields(Log)) == ("message", "sender_state", "cp", "timestamp")
+    assert Log._fields == ("message", "sender_state", "cp", "timestamp")
     assert "_hash" not in repr(log)
+    assert hash(log) == hash(tuple(log))
+    ch = replan_config.chi[0][0]
+    assert Channel._fields == ("sender", "receiver")
+    assert "_hash" not in repr(ch)
+    assert hash(ch) == hash(ch.endpoints())
+
+
+def test_channels_and_logs_print_as_before():
+    ch = Channel("A", "B")
+    assert (str(ch), repr(ch)) == ("A->B", "Channel(sender='A', receiver='B')")
+    log = Log("m", 0, 3, 1)
+    assert (str(log), repr(log)) == (
+        "(m, 0, 3, 1)",
+        "Log(message='m', sender_state=0, cp=3, timestamp=1)",
+    )
+
+
+def test_next_timestamp_reads_the_last_logs_like_the_full_scan(travel_system):
+    # Every configuration and reversal target of the search with reversals
+    # at two rounds, for every participant as the sender.
+    result = reachable(travel_system, Bound(200, 2), with_reversals=True)
+    cfgs = set(result.configs) | {post for _, _, post in result.reversal_edges}
+    for cfg in cfgs:
+        for a in travel_system.machines:
+            assert runtime.next_timestamp(cfg, a) == runtime_oracle.next_timestamp(cfg, a)
