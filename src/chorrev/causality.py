@@ -25,14 +25,15 @@ dependants; which events each event's logs may precede, and the loop
 refining each pair, are worked out once per analyzer.  A rollback asks
 about one anchor, and by (1) the logs depending on it are a suffix of
 each channel: one cut per channel, lowered by a worklist from the anchor
-that expands each log once.  No closure is built or cached; the
-whole-history ``relation`` and ``rollback_points`` are views over the
-per-anchor queries, kept for the tests and the benchmark's tracer.  The
-rollback answers of the last configuration asked about are kept, so that
-listing a reversal and then carrying it out cuts once.  The replay of (4)
-is shared with rollback (to restore receiver states) and the
-configuration audit; only its end states and clause 4's counts are
-cached, per participant and history.
+that expands each log once.  A rollback is that cut, one kept length per
+channel, from ``rollback_cut`` to the new configuration.  No closure is
+built or cached; the whole-history ``relation`` and ``rollback_points``
+are views over the per-anchor queries, kept for the tests and the
+benchmark's tracer.  The rollback cuts of the last configuration asked
+about are kept, so that listing a reversal and then carrying it out cuts
+once.  The replay of (4) is shared with rollback (to restore receiver
+states) and the configuration audit; only its end states and clause 4's
+counts are cached, per participant and history.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class CausalityAnalyzer:
     """Causality queries against one projected system.
 
     Two things are cached: replays, per participant and history, and the
-    :meth:`rollback_effects` answers for the one configuration asked about
+    :meth:`rollback_cut` answers for the one configuration asked about
     last.
     """
 
@@ -136,10 +137,10 @@ class CausalityAnalyzer:
         for L in sorted(self.loops, key=lambda L: len(L.body_cps)):
             self._outermost.update(dict.fromkeys(L.body_cps | {L.cp}, L))
         self._replays: dict[tuple, tuple[list[list[int]], frozenset[int]]] = {}
-        # The last configuration :meth:`rollback_effects` answered for, and
+        # The last configuration :meth:`rollback_cut` answered for, and
         # its answers by anchor.
         self._last_cfg: Optional[Configuration] = None
-        self._last_answers: dict[LogRef, Optional[frozenset[LogRef]]] = {}
+        self._last_answers: dict[LogRef, Optional[list[int]]] = {}
         # For each static event, the events whose logs its logs may precede
         # by (3): each with the innermost loop that refines the pair, or
         # None, and whether the other event comes first statically.
@@ -273,13 +274,14 @@ class CausalityAnalyzer:
         kept = self.cut(cfg, ref)
         return frozenset((ch, log) for (ch, cs), n in zip(cfg.chi, kept) for log in cs.logs[n:])
 
-    def rollback_effects(self, cfg: Configuration, ref: LogRef) -> Optional[frozenset[LogRef]]:
-        """The :meth:`effects` of ``ref`` if history can be rewound to it,
+    def rollback_cut(self, cfg: Configuration, anchor: LogRef) -> Optional[list[int]]:
+        """The :meth:`cut` of ``anchor`` if history can be rewound to it,
         otherwise ``None``.
 
-        A log outside every loop qualifies only if nothing depends on it.
-        A log inside a loop qualifies while its outermost loop is still
-        ongoing and everything depending on it belongs to that same loop.
+        Both rules read the logs beyond the cut.  An anchor outside every
+        loop qualifies only if it is the one log removed.  An anchor inside
+        a loop qualifies while its outermost loop is still ongoing and every
+        removed log belongs to that same loop.
 
         The answers for the last configuration asked about are kept, so
         that a reversal listed by one call and carried out by the next pays
@@ -289,22 +291,19 @@ class CausalityAnalyzer:
         if cfg is not self._last_cfg:
             self._last_cfg, self._last_answers = cfg, {}
         answers = self._last_answers
-        if ref not in answers:
-            answers[ref] = self._rollback_effects(cfg, ref)
-        return answers[ref]
-
-    def _rollback_effects(self, cfg: Configuration, ref: LogRef) -> Optional[frozenset[LogRef]]:
-        encl = self._outermost.get(ref[1].cp)
-        if encl is not None and not ongoing(encl, cfg):
-            return None
-        effects = self.effects(cfg, ref)
-        if encl is None:
-            return effects if len(effects) == 1 else None
-        return effects if all(encl.contains_cp(log.cp) for _, log in effects) else None
+        if anchor not in answers:
+            answers[anchor] = None
+            encl = self._outermost.get(anchor[1].cp)
+            if encl is None or ongoing(encl, cfg):
+                kept = self.cut(cfg, anchor)
+                removed = [log for (_, cs), n in zip(cfg.chi, kept) for log in cs.logs[n:]]
+                if len(removed) == 1 if encl is None else all(encl.contains_cp(log.cp) for log in removed):
+                    answers[anchor] = kept
+        return answers[anchor]
 
     def is_rollback_point(self, cfg: Configuration, ref: LogRef) -> bool:
-        """Can history be rewound to ``ref``?  See :meth:`rollback_effects`."""
-        return self.rollback_effects(cfg, ref) is not None
+        """Can history be rewound to ``ref``?  See :meth:`rollback_cut`."""
+        return self.rollback_cut(cfg, ref) is not None
 
     # -- whole-history views, for the tests and the benchmark's tracer --------
 

@@ -52,12 +52,17 @@ def _verdict_style(verdict: str) -> dict:
     }.get(verdict, {})
 
 
+def _file_error(exc: OSError) -> NoReturn:
+    """Exit on a file that cannot be read or written."""
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(2)
+
+
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _file_error(exc)
     except UnicodeDecodeError as exc:
         click.echo(f"error: {path} is not UTF-8 text: {exc}", err=True)
         sys.exit(2)
@@ -110,11 +115,9 @@ def check(file, as_json):
         semantics_error = None
         if not issues:
             try:
-                semantics(g)
+                issues = list(well_branched(g, semantics(g)).issues)
             except UndefinedSemantics as exc:
                 semantics_error = str(exc)
-            if semantics_error is None:
-                issues = list(well_branched(g).issues)
     except RecursionError:
         _too_deep()
     ok = not issues and semantics_error is None
@@ -189,11 +192,14 @@ def project(file, participant, dot_dir):
             for t in m.out_of(s):
                 _echo(_transition_text(m, t))
     if dot_dir:
-        os.makedirs(dot_dir, exist_ok=True)
-        for a in targets:
-            path = Path(dot_dir) / f"{a}.dot"
-            path.write_text(to_dot(system.machines[a]), encoding="utf-8")
-            _echo(f"wrote {path}")
+        try:
+            os.makedirs(dot_dir, exist_ok=True)
+            for a in targets:
+                path = Path(dot_dir) / f"{a}.dot"
+                path.write_text(to_dot(system.machines[a]), encoding="utf-8")
+                _echo(f"wrote {path}")
+        except OSError as exc:
+            _file_error(exc)
     sys.exit(0)
 
 
@@ -572,7 +578,10 @@ def simulate(file, schedule_path, interactive, auto, seed, max_steps, trace_path
             "entries": sim.entries,
             "final": _config_json(sim.cfg, system),
         }
-        Path(trace_path).write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        try:
+            Path(trace_path).write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        except OSError as exc:
+            _file_error(exc)
         _echo(f"wrote {trace_path}")
     sys.exit(3 if truncated else 0)
 

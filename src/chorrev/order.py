@@ -24,7 +24,7 @@ This module also hosts the branching analysis (:func:`well_branched`): a
 choice is implementable only if a single participant decides it, the other
 participants either sit out the choice entirely or can recognize the taken
 branch from their first input, and the guards only watch channels the
-decider can see.
+decider can see.  It reads each branch's order off the root order.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .model import (
     Par,
     Seq,
     ValidationReport,
+    control_points,
     guard_atoms,
-    participants,
     subterms,
 )
 
@@ -136,9 +136,6 @@ class EventOrder:
             e for e in pool if e not in at or self.down[at[e]] & mask == 1 << at[e]
         )
 
-    def events_of(self, participant: str) -> frozenset[Event]:
-        return frozenset(e for e in self.event_list if e.subject == participant)
-
 
 def _union(
     parts: list[EventOrder], extra: tuple[Event, ...] = ()
@@ -185,7 +182,8 @@ def semantics(g: Chor) -> EventOrder:
         return EventOrder(tuple(event_list), tuple(down), events)
     if isinstance(g, Choice):
         orders = [semantics(br.body) for br in g.branches]
-        subjects = _opening_subjects(orders)
+        # The participants whose events open the branches: one decides.
+        subjects = {e.subject for sub in orders for e in sub.minimal()}
         if len(subjects) != 1:
             raise UndefinedSemantics(
                 f"choice at control point {g.cp} has no unique deciding participant"
@@ -246,15 +244,6 @@ def seq_compose(orders: Iterable[EventOrder]) -> EventOrder:
     return EventOrder(tuple(event_list), tuple(down), frozenset(events))
 
 
-def _opening_subjects(branches: Iterable[EventOrder]) -> set[str]:
-    """The participants whose events open the given branches of a choice.
-
-    A choice has a deciding participant exactly when this set has one
-    member.
-    """
-    return {e.subject for sub in branches for e in sub.minimal()}
-
-
 # ---------------------------------------------------------------------------
 # Well-branchedness
 
@@ -269,35 +258,32 @@ def guard_local_violations(c: Choice, active: str) -> list[Union[CountAtom, Memb
     return bad
 
 
-def well_branched(g: Chor) -> ValidationReport:
-    """Check that every choice in ``g`` can be implemented locally."""
+def well_branched(g: Chor, order: EventOrder) -> ValidationReport:
+    """Check that every choice in ``g`` can be implemented locally.
+
+    ``order`` is the event order of ``g``, as :func:`semantics` gives it.
+    A branch's own order is ``order`` restricted to the events at the
+    branch's control points: composition only orders the events of one
+    part below those of another, so it adds no pair inside a branch.
+    """
+    at_cp: dict[int, list[Event]] = {}
+    for e in order.event_list:
+        at_cp.setdefault(e.cp, []).append(e)
     issues: list[Issue] = []
     for node in subterms(g):
         if isinstance(node, Choice):
-            issues.extend(_check_choice(node))
+            issues.extend(_check_choice(node, order, at_cp))
     return ValidationReport(issues)
 
 
-def _check_choice(c: Choice) -> list[Issue]:
+def _check_choice(c: Choice, order: EventOrder, at_cp: dict[int, list[Event]]) -> list[Issue]:
     issues: list[Issue] = []
-    orders = []
-    for br in c.branches:
-        try:
-            orders.append(semantics(br.body))
-        except UndefinedSemantics as exc:
-            return [Issue("undefined-branch", str(exc), c.cp)]
-
-    subjects = _opening_subjects(orders)
-    if len(subjects) != 1:
-        return [
-            Issue(
-                "no-unique-active",
-                f"branches are opened by {sorted(subjects) or 'no one'},"
-                " expected exactly one deciding participant",
-                c.cp,
-            )
-        ]
-    active = next(iter(subjects))
+    branches = [
+        frozenset(e for cp, _ in control_points(br.body) for e in at_cp.get(cp, ()))
+        for br in c.branches
+    ]
+    (gate,) = at_cp[c.cp]  # the choice's one event, which names its decider
+    active = gate.subject
     if c.at is not None and c.at != active:
         issues.append(
             Issue(
@@ -307,8 +293,8 @@ def _check_choice(c: Choice) -> list[Issue]:
             )
         )
 
-    for sub in orders:
-        for e in sub.minimal():
+    for events in branches:
+        for e in order.minimal(events):
             if isinstance(e, CommEvent) and e.polarity == "!":
                 continue
             if isinstance(e, GateEvent) and e.kind == "loop_start":
@@ -332,7 +318,7 @@ def _check_choice(c: Choice) -> list[Issue]:
                     )
                 )
 
-    branch_parts = [participants(br.body) for br in c.branches]
+    branch_parts = [{e.subject for e in events} for events in branches]
     others = sorted(set().union(*branch_parts) - {active})
     for p in others:
         occurs = [i for i, ps in enumerate(branch_parts) if p in ps]
@@ -348,11 +334,9 @@ def _check_choice(c: Choice) -> list[Issue]:
         if not occurs:
             continue
         firsts: list[frozenset[tuple[str, str]]] = []
-        for sub in orders:
-            mine = sub.events_of(p)
-            mins = sub.minimal(mine)
+        for events in branches:
             entry = set()
-            for e in mins:
+            for e in order.minimal(x for x in events if x.subject == p):
                 if isinstance(e, CommEvent) and e.polarity == "?":
                     entry.add((e.channel.sender, e.message))
                 else:

@@ -50,12 +50,7 @@ class System:
 
     chor: Chor
     machines: dict[str, RCfsm]
-    channels: tuple[Channel, ...]
     order: EventOrder
-
-    @property
-    def participants(self) -> tuple[str, ...]:
-        return tuple(self.machines)
 
 
 def _deciders(order: EventOrder) -> dict[int, str]:
@@ -92,7 +87,7 @@ def project_system(g: Chor) -> System:
     if not report.ok:
         raise ProjectionError(f"invalid choreography:\n{report}")
     order = semantics(g)
-    wb = well_branched(g)
+    wb = well_branched(g, order)
     if not wb.ok:
         raise ProjectionError(f"choreography is not well branched:\n{wb}")
     deciders = _deciders(order)
@@ -100,10 +95,7 @@ def project_system(g: Chor) -> System:
     for a in sorted(participants(g)):
         w = _Writer(deciders)
         machines[a] = finalize(a, 0, _project(g, a, 0, w), w.transitions)
-    channels = sorted(
-        {t.event.channel for m in machines.values() for t in m.transitions}
-    )
-    return System(g, machines, tuple(channels), order)
+    return System(g, machines, order)
 
 
 class _Writer:

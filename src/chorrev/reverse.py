@@ -6,19 +6,23 @@ decorated branch families, provided that family's guard now holds, the
 decision state's alternatives are not exhausted, and the family's first
 output is still anchored in the recorded history at a point the system can
 rewind to.  Everything that causally depends on that first output is then
-removed: a causally closed set of logs is the end of each channel's logs,
-so the rollback cuts those ends off in one step.  Senders rewind to the
-states recorded in the removed logs, receivers of removed inputs are
-restored by replaying what is left of their history, and the decision
-state's book is updated so the same family is not immediately retried.
+removed.  A causally closed set of logs is one suffix per channel, so a
+rollback is a cut: the number of logs each channel keeps, which the
+causality analyzer computes and :func:`rho` applies in one step.  Senders
+rewind to the states recorded in the removed logs, receivers of removed
+inputs are restored by replaying what is left of their history, and the
+decision state's book is updated so the same family is not immediately
+retried.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter, itemgetter
+from typing import Iterator, Optional, Sequence
 
-from .causality import CausalityAnalyzer, LogRef, all_log_refs
+from .causality import CausalityAnalyzer, LogRef
 from .model import Guard
 from .order import CommEvent
 from .projection import System
@@ -49,65 +53,63 @@ class RollbackFailed(Exception):
 def rho(
     cfg: Configuration,
     system: System,
-    targets: Iterable[LogRef],
+    kept: Sequence[int],
     analyzer: Optional[CausalityAnalyzer] = None,
 ) -> Configuration:
-    """Remove a causally closed set of logs from the configuration.
+    """Roll the configuration back to a cut: ``kept[i]`` is the number of
+    logs that ``cfg.chi[i]`` keeps.
 
-    On every channel the targets must be the last of its logs; they are
-    cut off in one step, and the head moves back to the cut if the
-    receiver had consumed any of them.  Each sender rewinds to the state
-    stored in its earliest removed log.  Removing the logs one at a time,
-    most dependent first, gives the same configuration in every legal
-    order, and this one cut is that configuration.
+    A causally closed set of logs is one suffix per channel, so a cut
+    names it.  Each channel's logs beyond the cut go in one step, and its
+    head moves back to the cut if the receiver had consumed any of them.
+    Each sender rewinds to the state stored in its earliest removed log.
+    Removing the logs one at a time, most dependent first, gives the same
+    configuration in every legal order, and this one cut is that
+    configuration.
 
     Then every participant that lost an already consumed input is restored
     by replaying its remaining history; the replayed state is
     authoritative because the literal sender rewind cannot account for
-    inputs the receiver keeps.  A history that does not replay to exactly
-    one state raises :class:`ValueError`.
+    inputs the receiver keeps.  A malformed cut, or a history that does
+    not replay to exactly one state, raises :class:`ValueError`.
     """
+    if len(kept) != len(cfg.chi) or any(
+        not 0 <= n <= len(cs.logs) for n, (_, cs) in zip(kept, cfg.chi)
+    ):
+        raise ValueError(
+            f"a cut keeps 0 to all logs of each of the {len(cfg.chi)} channels,"
+            f" not {list(kept)}"
+        )
     analyzer = analyzer or CausalityAnalyzer(system)
-    targets = set(targets)
-    if not targets <= set(all_log_refs(cfg)):
-        raise ValueError("targets must be logs of the configuration")
-
-    sigma = cfg.sigma_dict()
-    chi = cfg.chi_dict()
-    book = cfg.book_dict()
+    chi = []
     rewound: set[str] = set()  # receivers that lose a consumed input
     earliest: dict[str, Log] = {}  # each sender's first removed log
-
-    for ch, cs in cfg.chi:
-        kept = len(cs.logs)
-        while kept and (ch, cs.logs[kept - 1]) in targets:
-            kept -= 1
-        stray = [log for log in cs.logs[:kept] if (ch, log) in targets]
-        if stray:
-            raise ValueError(
-                f"cannot remove {stray[-1]} from the middle of {ch}; the target set"
-                " is not causally closed"
-            )
-        if kept == len(cs.logs):
+    for (ch, cs), n in zip(cfg.chi, kept):
+        if n == len(cs.logs):
+            chi.append((ch, cs))
             continue
-        if kept < cs.head:
+        if n < cs.head:
             rewound.add(ch.receiver)
-        chi[ch] = ChannelState(cs.logs[:kept], min(cs.head, kept))
-        first = cs.logs[kept]
-        if ch.sender not in earliest or first.timestamp < earliest[ch.sender].timestamp:
-            earliest[ch.sender] = first
-    for sender, log in earliest.items():
-        sigma[sender] = log.sender_state
-
-    interim = Configuration.make(sigma, chi, book)
+        if n:
+            chi.append((ch, ChannelState(cs.logs[:n], min(cs.head, n))))
+        first = cs.logs[n]
+        earliest[ch.sender] = min(first, earliest.get(ch.sender, first), key=attrgetter("timestamp"))
+    states = {a: log.sender_state for a, log in earliest.items()}
+    interim = Configuration(
+        tuple((a, states.get(a, q)) for a, q in cfg.sigma), tuple(chi), cfg.book
+    )
+    if not rewound:
+        return interim
     for p in sorted(rewound):
         ends = analyzer.replay_end_states(interim, p)
         if len(ends) != 1:
             raise ValueError(
                 f"the history of {p} replays to {sorted(ends)}, not to one state"
             )
-        (sigma[p],) = ends
-    return Configuration.make(sigma, chi, book)
+        (states[p],) = ends
+    return Configuration(
+        tuple((a, states.get(a, q)) for a, q in cfg.sigma), interim.chi, cfg.book
+    )
 
 
 def _latest_anchor(
@@ -158,16 +160,16 @@ def enabled_reversals(
 
 def _enabled(
     cfg: Configuration, system: System, analyzer: CausalityAnalyzer, scope: str
-) -> Iterator[tuple[ReversalCandidate, frozenset[LogRef]]]:
-    """Each reversal of :func:`enabled_reversals` with its anchor's effects."""
+) -> Iterator[tuple[ReversalCandidate, list[int]]]:
+    """Each reversal of :func:`enabled_reversals` with its anchor's cut."""
     for a, q_hat, first, guard in reversible_families(cfg, system, scope):
         log = _latest_anchor(cfg, first, q_hat)
         if log is None:
             continue
         anchor = (first.channel, log)
-        effects = analyzer.rollback_effects(cfg, anchor)
-        if effects is not None:
-            yield ReversalCandidate(a, q_hat, first, guard, anchor), effects
+        kept = analyzer.rollback_cut(cfg, anchor)
+        if kept is not None:
+            yield ReversalCandidate(a, q_hat, first, guard, anchor), kept
 
 
 def step_reverse(
@@ -179,34 +181,36 @@ def step_reverse(
 ) -> Configuration:
     """Undo a branch family: roll back its first output and all effects.
 
-    The decision state's book gains the reversed family; its exhausted
-    flag records whether every family is now either tried or permitted by
-    its guard in the rolled-back state, in which case the next attempt
-    starts with a clean slate.  When :func:`rho` refuses the effects,
+    The rollback is the cut of the family's anchor (see :func:`rho`).  The
+    decision state's book gains the reversed family; its exhausted flag
+    records whether every family is now either tried or permitted by its
+    guard in the rolled-back state, in which case the next attempt starts
+    with a clean slate.  When :func:`rho` refuses the cut,
     :class:`RollbackFailed` names the participant and the reversed message.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
-    effects = next(
-        (fx for cand, fx in _enabled(cfg, system, analyzer, scope) if cand == candidate), None
+    kept = next(
+        (cut for cand, cut in _enabled(cfg, system, analyzer, scope) if cand == candidate), None
     )
-    if effects is None:
+    if kept is None:
         raise NotEnabled(f"reversal of {candidate.first_output} is not enabled")
     try:
-        rolled = rho(cfg, system, effects, analyzer)
+        rolled = rho(cfg, system, kept, analyzer)
     except ValueError as exc:
         raise RollbackFailed(
             f"rollback of {candidate.first_output.message} by {candidate.participant}"
             f" cannot be carried out: {exc}"
         ) from exc
-    book = rolled.book_dict()
-    q_hat = candidate.choice_state
-    key = (candidate.participant, q_hat)
-    entry = book.get(key, BookEntry())
-    tried = entry.tried | {(candidate.first_output, candidate.guard)}
+    a, q_hat = candidate.participant, candidate.choice_state
+    tried = rolled.book_entry(a, q_hat).tried | {(candidate.first_output, candidate.guard)}
     exhausted = all(
         (first, guard) in tried or eval_guard(guard, rolled, scope)
-        for q, first, guard in system.machines[candidate.participant].families.get(q_hat, ())
+        for q, first, guard in system.machines[a].families.get(q_hat, ())
         if q == q_hat
     )
-    book[key] = BookEntry(tried, exhausted)
-    return Configuration.make(rolled.sigma_dict(), rolled.chi_dict(), book)
+    # The decision state's slot of the sorted book, replaced or inserted.
+    book = rolled.book
+    i = bisect_left(book, (a, q_hat), key=itemgetter(0, 1))
+    end = i + (i < len(book) and book[i][:2] == (a, q_hat))
+    book = book[:i] + ((a, q_hat, BookEntry(tried, exhausted)),) + book[end:]
+    return Configuration(rolled.sigma, rolled.chi, book)

@@ -109,11 +109,11 @@ class Configuration:
 
     ``sigma`` and ``book`` are sorted by participant (and state), ``chi``
     by channel, and ``chi`` holds no empty channel and ``book`` no empty
-    entry.  :meth:`make` canonicalises dict input; the forward steps keep
-    the order themselves, sharing the parts of the parent they leave
-    alone.  The hash is computed once, at construction; it is not a field.
-    There are no dict views: the lookups scan the tuples, and the
-    ``*_dict`` methods build a fresh dict on each call.
+    entry.  :meth:`make` canonicalises dict input; the forward and
+    backward steps keep the order themselves, sharing the parts of the
+    parent they leave alone.  The hash is computed once, at construction;
+    it is not a field.  There are no dict views: the lookups scan the
+    tuples.
     """
 
     sigma: tuple[tuple[str, int], ...]
@@ -167,15 +167,6 @@ class Configuration:
             if a == participant and q == state:
                 return e
         return EMPTY_ENTRY
-
-    def sigma_dict(self) -> dict[str, int]:
-        return dict(self.sigma)
-
-    def chi_dict(self) -> dict[Channel, ChannelState]:
-        return dict(self.chi)
-
-    def book_dict(self) -> dict[tuple[str, int], BookEntry]:
-        return {(a, q): e for a, q, e in self.book}
 
 
 def initial_configuration(system: System) -> Configuration:

@@ -58,6 +58,21 @@ def queues(consumed=(), pending=()):
     return ChannelState(tuple(consumed) + tuple(pending), len(consumed))
 
 
+def sigma_dict(cfg):
+    """A configuration's states as a dict, by participant."""
+    return dict(cfg.sigma)
+
+
+def chi_dict(cfg):
+    """A configuration's channel states as a dict, by channel."""
+    return dict(cfg.chi)
+
+
+def book_dict(cfg):
+    """A configuration's book as a dict, by (participant, decision state)."""
+    return {(a, q): e for a, q, e in cfg.book}
+
+
 def drive(system, script, cfg=None):
     """Execute (kind, participant, cp, channel, message) tuples in order."""
     if cfg is None:

@@ -406,7 +406,7 @@ def project_system(g: Chor) -> dict[str, RCfsm]:
     if not report.ok:
         raise ProjectionError(f"invalid choreography:\n{report}")
     order = semantics(g)
-    wb = well_branched(g)
+    wb = well_branched(g, order)
     if not wb.ok:
         raise ProjectionError(f"choreography is not well branched:\n{wb}")
     alloc = StateAlloc()

@@ -39,7 +39,7 @@ from chorrev.runtime import (
     output_blocked_by_guard,
 )
 
-from conftest import queues
+from conftest import book_dict, chi_dict, queues, sigma_dict
 
 
 def next_timestamp(cfg: Configuration, sender: str) -> int:
@@ -124,10 +124,10 @@ def step_output(
     reason = _check_output(cfg, participant, t, scope, block_on_guard)
     if reason is not None:
         raise NotEnabled(reason)
-    book = upd_out(cfg.book_dict(), participant, t.decoration)
+    book = upd_out(book_dict(cfg), participant, t.decoration)
     assert book is not None
-    sigma = cfg.sigma_dict()
-    chi = cfg.chi_dict()
+    sigma = sigma_dict(cfg)
+    chi = chi_dict(cfg)
     log = Log(t.event.message, sigma[participant], t.event.cp, next_timestamp(cfg, participant))
     cs = chi.get(t.event.channel, EMPTY_CHANNEL)
     chi[t.event.channel] = queues(cs.consumed, cs.pending + (log,))
@@ -142,13 +142,13 @@ def step_input(
     reason = _check_input(cfg, participant, t)
     if reason is not None:
         raise NotEnabled(reason)
-    sigma = cfg.sigma_dict()
-    chi = cfg.chi_dict()
+    sigma = sigma_dict(cfg)
+    chi = chi_dict(cfg)
     cs = chi[t.event.channel]
     head = cs.pending[0]
     chi[t.event.channel] = queues(cs.consumed + (head,), cs.pending[1:])
     sigma[participant] = t.dst
-    book = upd_inp(cfg.book_dict(), participant, t.decoration)
+    book = upd_inp(book_dict(cfg), participant, t.decoration)
     return Configuration.make(sigma, chi, book)
 
 
@@ -189,9 +189,9 @@ def rho(
     ):
         raise ValueError("order must enumerate exactly the target logs")
 
-    sigma = cfg.sigma_dict()
-    chi = cfg.chi_dict()
-    book = cfg.book_dict()
+    sigma = sigma_dict(cfg)
+    chi = chi_dict(cfg)
+    book = book_dict(cfg)
     removed_consumed: set[LogRef] = set()
 
     while remaining:

@@ -201,7 +201,7 @@ def _removal_outcomes(source, script):
 
     Returns (legal outcomes, illegal count) after checking the fixture is
     small and has at least two incomparable maximal logs, and that every
-    legal outcome is the package's one-cut rho.
+    legal outcome is the package's rho of the cut that keeps no log.
     """
     system = project_system(parse_choreography(source))
     cfg = drive(system, script)
@@ -220,8 +220,8 @@ def _removal_outcomes(source, script):
         except ValueError:
             illegal += 1
     assert len(outcomes) + illegal == math.factorial(len(targets))
-    cut = rho(cfg, system, targets, analyzer)
-    assert all(outcome == cut for outcome in outcomes)
+    rolled = rho(cfg, system, [0] * len(cfg.chi), analyzer)
+    assert all(outcome == rolled for outcome in outcomes)
     return outcomes, illegal
 
 

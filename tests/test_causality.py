@@ -20,7 +20,19 @@ from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import Configuration, Log
 
-from conftest import DAG, DATA, DDAG, REPLAN_PREFIX, drive, forced_pairs, queues, seeded_history
+from conftest import (
+    DAG,
+    DATA,
+    DDAG,
+    REPLAN_PREFIX,
+    book_dict,
+    chi_dict,
+    drive,
+    forced_pairs,
+    queues,
+    seeded_history,
+    sigma_dict,
+)
 
 AB = Channel("A", "B")
 AC = Channel("A", "C")
@@ -280,12 +292,13 @@ def test_rollback_answers_are_kept_for_the_last_configuration_only(travel_system
     anchor = (TB, dest_log)
     analyzer = CausalityAnalyzer(travel_system)
     answers = [
-        (cfg, analyzer.rollback_effects(cfg, anchor))
+        (cfg, analyzer.rollback_cut(cfg, anchor))
         for cfg in (replan_config, first_round, replan_config, first_round)
     ]
-    assert [len(fx) for _, fx in answers] == [5, 3, 5, 3]
-    for cfg, fx in answers:
-        assert fx == CausalityAnalyzer(travel_system).rollback_effects(cfg, anchor)
+    removed = [sum(len(cs.logs) for _, cs in cfg.chi) - sum(kept) for cfg, kept in answers]
+    assert removed == [5, 3, 5, 3]
+    for cfg, kept in answers:
+        assert kept == CausalityAnalyzer(travel_system).rollback_cut(cfg, anchor)
 
 
 def test_search_cuts_once_per_reversal_edge(travel_system, monkeypatch):
@@ -309,11 +322,11 @@ def test_search_cuts_once_per_reversal_edge(travel_system, monkeypatch):
 def test_rollback_points_ask_each_loop_once(travel_system, monkeypatch):
     # Whether a loop is ongoing depends on the history, not on the log
     # asking, and a log has one outermost loop, so each per-anchor query
-    # asks it at most once.  The search asks through rollback_effects.
+    # asks it at most once.  The search asks through rollback_cut.
     asked = 0
     calls = 0
     is_ongoing = causality.ongoing
-    query = CausalityAnalyzer.rollback_effects
+    query = CausalityAnalyzer.rollback_cut
 
     def counting_ongoing(loop, cfg):
         nonlocal asked
@@ -326,7 +339,7 @@ def test_rollback_points_ask_each_loop_once(travel_system, monkeypatch):
         return query(self, cfg, ref)
 
     monkeypatch.setattr(causality, "ongoing", counting_ongoing)
-    monkeypatch.setattr(CausalityAnalyzer, "rollback_effects", counting_calls)
+    monkeypatch.setattr(CausalityAnalyzer, "rollback_cut", counting_calls)
     results = run_checks(travel_system, Bound(200, 1))
     assert all(r.passed for r in results)
     assert calls > 0 and asked > 0
@@ -365,20 +378,20 @@ def test_audit_accepts_the_real_run(travel_system, replan_config):
 
 
 def test_audit_flags_wrong_state(travel_system, replan_config):
-    sigma = replan_config.sigma_dict()
+    sigma = sigma_dict(replan_config)
     sigma["B"] = 5
-    broken = Configuration.make(sigma, replan_config.chi_dict(), replan_config.book_dict())
+    broken = Configuration.make(sigma, chi_dict(replan_config), book_dict(replan_config))
     problems = audit_configuration(broken, travel_system)
     assert problems == ["B: current state 5 unreachable by replay (possible: [1])"]
 
 
 def test_audit_flags_impossible_history(travel_system, replan_config):
-    chi = replan_config.chi_dict()
+    chi = chi_dict(replan_config)
     tb = chi[TB]
     chi[TB] = queues(
         (tb.consumed[1], tb.consumed[0], tb.consumed[2]), tb.pending
     )
-    broken = Configuration.make(replan_config.sigma_dict(), chi, replan_config.book_dict())
+    broken = Configuration.make(sigma_dict(replan_config), chi, book_dict(replan_config))
     problems = audit_configuration(broken, travel_system)
     assert any("cannot be replayed at all" in p for p in problems)
 
@@ -386,10 +399,10 @@ def test_audit_flags_impossible_history(travel_system, replan_config):
 def test_an_impossible_history_forces_no_pairs(travel_system, replan_config):
     # With no complete replay every count stays at its maximum; the pairs
     # would all read as forced if the empty end states were not checked.
-    chi = replan_config.chi_dict()
+    chi = chi_dict(replan_config)
     tb = chi[TB]
     chi[TB] = queues((tb.consumed[1], tb.consumed[0], tb.consumed[2]), tb.pending)
-    broken = Configuration.make(replan_config.sigma_dict(), chi, replan_config.book_dict())
+    broken = Configuration.make(sigma_dict(replan_config), chi, book_dict(replan_config))
     analyzer = CausalityAnalyzer(travel_system)
     assert analyzer.replay_end_states(broken, "B") == frozenset()
     assert forced_pairs(analyzer, broken, "B") == []

@@ -96,6 +96,31 @@ def test_check_json_payload(runner, tmp_path):
     assert [i["kind"] for i in payload["issues"]] == ["participant-partial-occurrence"]
 
 
+@pytest.mark.parametrize(
+    "text, undefined",
+    [
+        (
+            "choice { { A -> B : m } unless tt + { C -> B : y } unless tt }",
+            "choice at control point 1 has no unique deciding participant"
+            " (candidates: ['A', 'C'])",
+        ),
+        (
+            "choice { { A -> B : m ; C -> D : n } unless tt + { A -> B : y } unless tt }",
+            "sequential composition undefined: C->D!n/3"
+            " would happen with no prior involvement of its participant",
+        ),
+    ],
+    ids=["no-unique-decider", "undefined-branch"],
+)
+def test_check_json_of_a_choice_without_an_order(runner, tmp_path, text, undefined):
+    # A choice whose event order is undefined gets no branching issues.
+    path = write(tmp_path, "undef.rchor", text)
+    result = runner.invoke(main, ["check", path, "--json"])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert (payload["ok"], payload["issues"], payload["undefined"]) == (False, [], undefined)
+
+
 def test_parse_errors_exit_two(runner, tmp_path):
     path = write(tmp_path, "broken.rchor", "A -> B")
     result = runner.invoke(main, ["check", path])
@@ -256,6 +281,16 @@ def test_project_writes_dot_files(runner, tmp_path):
     assert (out / "D.dot").read_text().startswith('digraph "D"')
 
 
+def test_project_dot_into_a_file_exits_two(runner, tmp_path):
+    blocker = tmp_path / "some_file"
+    blocker.write_text("")
+    result = runner.invoke(main, ["project", TRAVEL, "--dot", str(blocker / "sub")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output and "Not a directory" in result.output
+    assert "Traceback" not in result.output
+
+
 # -- simulate ------------------------------------------------------------------
 
 
@@ -324,6 +359,16 @@ def test_simulate_replans_the_booking(runner, schedule_path, tmp_path):
             "exhausted": True,
         }
     ]
+
+
+def test_simulate_trace_into_a_missing_directory_exits_two(runner, tmp_path):
+    trace_path = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, ["simulate", TRAVEL, "--auto", "3", "--trace", str(trace_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output and "No such file or directory" in result.output
+    assert "Traceback" not in result.output
+    assert not trace_path.parent.exists()
 
 
 def test_simulate_schedule_accepts_wrapped_entries(runner, tmp_path, schedule_path):

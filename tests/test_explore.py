@@ -18,7 +18,7 @@ from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import forget_config
 
-from conftest import DAG
+from conftest import DAG, book_dict, chi_dict, sigma_dict
 
 AB = Channel("A", "B")
 
@@ -211,10 +211,10 @@ def test_soundness_catches_a_corrupted_receive(ping_system, monkeypatch):
 
     def stuck_receiver(cfg, system, participant, t):
         out = real(cfg, system, participant, t)
-        sigma = out.sigma_dict()
+        sigma = sigma_dict(out)
         sigma[participant] = t.src  # pretend the receiver never moved
         return chorrev.runtime.Configuration.make(
-            sigma, out.chi_dict(), out.book_dict()
+            sigma, chi_dict(out), book_dict(out)
         )
 
     monkeypatch.setattr(chorrev.runtime, "step_input", stuck_receiver)
@@ -240,10 +240,10 @@ def test_causal_consistency_catches_a_broken_rollback(retry_system, monkeypatch)
 
     def mangled(cfg, system, candidate, analyzer=None, scope=chorrev.runtime.FULL):
         out = real(cfg, system, candidate, analyzer, scope)
-        sigma = out.sigma_dict()
+        sigma = sigma_dict(out)
         sigma[candidate.participant] = 99
         return chorrev.runtime.Configuration.make(
-            sigma, out.chi_dict(), out.book_dict()
+            sigma, chi_dict(out), book_dict(out)
         )
 
     monkeypatch.setattr(chorrev.reverse, "step_reverse", mangled)

@@ -25,7 +25,7 @@ from chorrev.runtime import (
 )
 
 import runtime_oracle
-from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues
+from conftest import DAG, DDAG, REPLAN_PREFIX, chi_dict, drive, queues, sigma_dict
 
 AB = Channel("A", "B")
 CD = Channel("C", "D")
@@ -42,10 +42,10 @@ BOOKED = CountAtom("upd", TD, ">=", 1)
 
 def test_rho_of_the_booking_cone(travel_system, replan_config, dest_log):
     analyzer = CausalityAnalyzer(travel_system)
-    effects = analyzer.effects(replan_config, (TB, dest_log))
-    rolled = rho(replan_config, travel_system, effects, analyzer)
-    assert rolled.sigma_dict() == {"T": 3, "B": 1, "D": 0}
-    assert rolled.chi_dict() == {
+    kept = analyzer.cut(replan_config, (TB, dest_log))
+    rolled = rho(replan_config, travel_system, kept, analyzer)
+    assert sigma_dict(rolled) == {"T": 3, "B": 1, "D": 0}
+    assert chi_dict(rolled) == {
         TD: queues((), (Log(DAG, 0, 1, 1),)),
         TB: queues((Log(DAG, 2, 1, 2),), ()),
     }
@@ -57,8 +57,8 @@ def test_rho_replays_receivers_not_just_senders(travel_system, replan_config, de
     # B sent fullPrice from state 4; a literal sender rewind would leave it
     # there, but its surviving history only supports the branch entry state
     analyzer = CausalityAnalyzer(travel_system)
-    effects = analyzer.effects(replan_config, (TB, dest_log))
-    rolled = rho(replan_config, travel_system, effects, analyzer)
+    kept = analyzer.cut(replan_config, (TB, dest_log))
+    rolled = rho(replan_config, travel_system, kept, analyzer)
     assert rolled.state_of("B") == 1
     bt = replan_config.channel_state(BT)
     assert bt.consumed[0].sender_state == 4
@@ -88,7 +88,8 @@ def test_rho_is_order_independent(split_system):
         )
         legal += 1
     assert legal == 2
-    assert outcomes == {rho(cfg, split_system, [m_ref, n_ref])}
+    # The cut that keeps no log of either channel removes m and n.
+    assert outcomes == {rho(cfg, split_system, [0, 0])}
     assert next(iter(outcomes)) == initial_configuration(split_system)
 
 
@@ -99,7 +100,7 @@ def test_rho_rejects_illegal_orders(chain_run):
     with pytest.raises(ValueError, match="enumerate exactly"):
         runtime_oracle.rho(cfg, system, [m_ref, n_ref], order=[n_ref])
     legal = runtime_oracle.rho(cfg, system, [m_ref, n_ref], order=[n_ref, m_ref])
-    assert legal == rho(cfg, system, [m_ref, n_ref])
+    assert legal == rho(cfg, system, [0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -114,18 +115,13 @@ def chain_run():
     return cfg, system, m_ref, n_ref
 
 
-def test_rho_refuses_non_closed_targets():
-    system = project_system(parse_choreography("A -> B : m ; A -> B : n"))
-    cfg = drive(system, [("out", "A", 1, None, None), ("out", "A", 2, None, None)])
-    first = (AB, cfg.channel_state(AB).pending[0])
-    with pytest.raises(ValueError, match="not causally closed"):
-        rho(cfg, system, [first])
-
-
-def test_rho_rejects_foreign_targets(travel_system, replan_config):
-    ghost = (TB, Log("ghost", 0, 8, 42))
-    with pytest.raises(ValueError, match="logs of the configuration"):
-        rho(replan_config, travel_system, [ghost])
+def test_rho_refuses_a_malformed_cut(travel_system, replan_config):
+    # The replan run holds one log on BT and three each on TB and TD.
+    assert [len(cs.logs) for _, cs in replan_config.chi] == [1, 3, 3]
+    for kept in ([1, 3], [1, 3, 3, 0], [1, -1, 3], [1, 3, 4]):
+        with pytest.raises(ValueError, match="a cut keeps"):
+            rho(replan_config, travel_system, kept)
+    assert rho(replan_config, travel_system, [1, 3, 3]) == replan_config
 
 
 def test_rho_refuses_a_history_that_does_not_replay():
@@ -135,7 +131,7 @@ def test_rho_refuses_a_history_that_does_not_replay():
     n_log, m_log = Log("n", 1, 2, 1), Log("m", 0, 1, 2)
     cfg = Configuration.make({"A": 2, "B": 2}, {AB: queues((n_log, m_log), ())}, {})
     with pytest.raises(ValueError, match=r"history of B replays to \[\]"):
-        rho(cfg, system, [(AB, m_log)])
+        rho(cfg, system, [1])
 
 
 # -- the reversal step on the travel system -----------------------------------
@@ -272,8 +268,8 @@ def test_exhausted_premise(retry_system):
     cfg = drive(retry_system, [("out", "A", 2, None, None)])
     q_hat = enabled_reversals(cfg, retry_system)[0].choice_state
     tired = Configuration.make(
-        cfg.sigma_dict(),
-        cfg.chi_dict(),
+        sigma_dict(cfg),
+        chi_dict(cfg),
         {("A", q_hat): BookEntry(frozenset(), True)},
     )
     assert enabled_reversals(tired, retry_system) == []
@@ -282,7 +278,7 @@ def test_exhausted_premise(retry_system):
 def test_anchor_premise_needs_the_decision_state(retry_system):
     cfg = drive(retry_system, [("out", "A", 2, None, None)])
     doctored = (Log("m", 99, 2, 1),)
-    broken = Configuration.make(cfg.sigma_dict(), {AB: queues((), doctored)}, {})
+    broken = Configuration.make(sigma_dict(cfg), {AB: queues((), doctored)}, {})
     assert enabled_reversals(broken, retry_system) == []
 
 

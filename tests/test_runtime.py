@@ -29,7 +29,7 @@ from chorrev.runtime import (
 )
 
 import explore_oracle
-from conftest import DAG, DDAG, REPLAN_PREFIX, drive, queues
+from conftest import DAG, DDAG, REPLAN_PREFIX, book_dict, chi_dict, drive, queues, sigma_dict
 from runtime_oracle import upd_inp, upd_out
 
 TB = Channel("T", "B")
@@ -39,7 +39,7 @@ BT = Channel("B", "T")
 
 def test_initial_configuration(travel_system):
     cfg = initial_configuration(travel_system)
-    assert cfg.sigma_dict() == {"B": 0, "D": 0, "T": 0}
+    assert sigma_dict(cfg) == {"B": 0, "D": 0, "T": 0}
     assert cfg.chi == ()
     assert cfg.book == ()
 
@@ -268,7 +268,7 @@ def test_output_blocked_by_guard(travel_system):
 def Configuration_with_book(cfg, book):
     from chorrev.runtime import Configuration
 
-    return Configuration.make(cfg.sigma_dict(), cfg.chi_dict(), book)
+    return Configuration.make(sigma_dict(cfg), chi_dict(cfg), book)
 
 
 def test_block_on_guard_mode(travel_system):
@@ -297,7 +297,7 @@ def test_a_configuration_is_its_tuples_and_hash(travel_reversal_search):
 
 def test_lookups_agree_with_the_dicts(travel_system, travel_reversal_search):
     for cfg in travel_reversal_search.configs:
-        sigma, chi, book = cfg.sigma_dict(), cfg.chi_dict(), cfg.book_dict()
+        sigma, chi, book = sigma_dict(cfg), chi_dict(cfg), book_dict(cfg)
         assert all(cfg.state_of(a) == q for a, q in sigma.items())
         assert all(cfg.channel_state(Channel(*ch.endpoints())) is cs for ch, cs in chi.items())
         assert all(cfg.book_entry(a, q) is e for (a, q), e in book.items())
@@ -319,9 +319,9 @@ def test_only_a_commit_changes_the_book(travel_system, travel_reversal_search):
             d = t.decoration
             if isinstance(d, Branch) and d.committed:
                 key = (a, d.choice_state)
-                book = cfg.book_dict()
+                book = book_dict(cfg)
                 dropped += book.pop(key, None) is not None
-                assert succ.book_dict() == book
+                assert book_dict(succ) == book
                 # Another decision state of the same participant keeps its entry.
                 other = Configuration_with_book(cfg, {**book, (a, -1): TRIED})
                 assert step(other, travel_system, a, t).book_entry(a, -1) is TRIED

@@ -27,7 +27,7 @@ from chorrev.projection import project_system
 from chorrev.reverse import RollbackFailed, enabled_reversals, rho, step_reverse
 from chorrev.runtime import ChannelState, Configuration, Log, NotEnabled
 
-from conftest import DATA, queues, retry_after
+from conftest import DATA, book_dict, queues, retry_after, sigma_dict
 from test_order_oracle import build, interactions, pairs, shapes
 
 
@@ -169,11 +169,12 @@ def test_generated_systems_step_like_the_oracle(shape, retry, rounds, steps):
             assert_steps_match(cfg, system)
 
 
-def assert_rho_matches(cfg, system, analyzer, targets):
-    """``rho`` removes ``targets`` to the oracle's configuration, or refuses
-    with its text; returns the refusal text or ``None``."""
-    new = outcome(rho, cfg, system, targets, analyzer)
-    old = outcome(runtime_oracle.rho, cfg, system, targets, analyzer)
+def assert_rho_matches(cfg, system, analyzer, anchor):
+    """``rho`` rolls back to the cut of ``anchor`` and reaches the oracle's
+    configuration, which removes its effects one log at a time, or both
+    refuse with one text; returns the refusal text or ``None``."""
+    new = outcome(rho, cfg, system, analyzer.cut(cfg, anchor), analyzer)
+    old = outcome(runtime_oracle.rho, cfg, system, analyzer.effects(cfg, anchor), analyzer)
     assert new == old
     if isinstance(new, str):
         return new
@@ -187,22 +188,21 @@ def test_travel_reversal_edges_roll_back_like_the_oracle(travel_system, travel_r
     edges = travel_reversal_search.reversal_edges
     assert len(edges) == 168
     for pre, cand, post in edges:
-        effects = analyzer.effects(pre, cand.anchor)
-        assert assert_rho_matches(pre, travel_system, analyzer, effects) is None
+        assert assert_rho_matches(pre, travel_system, analyzer, cand.anchor) is None
         # The edge adds only the book entry of the reversed family.
-        assert post.chi == rho(pre, travel_system, effects, analyzer).chi
+        assert post.chi == rho(pre, travel_system, analyzer.cut(pre, cand.anchor), analyzer).chi
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(shapes, retries, st.integers(1, 2), st.integers(0, 6))
 def test_generated_systems_roll_back_like_the_oracle(shape, retry, rounds, steps):
-    # The effects of every log, not only of reversal anchors: removals of
+    # The cut of every log, not only of reversal anchors: removals of
     # consumed logs and refused replays are compared too.
     for system, cfgs in generated_searches(shape, retry, rounds, steps):
         analyzer = CausalityAnalyzer(system)
         for cfg in cfgs:
             for ref in all_log_refs(cfg):
-                assert_rho_matches(cfg, system, analyzer, analyzer.effects(cfg, ref))
+                assert_rho_matches(cfg, system, analyzer, ref)
 
 
 def test_a_refused_rollback_is_refused_like_the_oracle():
@@ -215,8 +215,7 @@ def test_a_refused_rollback_is_refused_like_the_oracle():
     refusals = set()
     for cfg in explore_oracle.reachable(system, Bound(12, 1)).configs:
         for cand in enabled_reversals(cfg, system, analyzer):
-            effects = analyzer.effects(cfg, cand.anchor)
-            refusals.add(assert_rho_matches(cfg, system, analyzer, effects))
+            refusals.add(assert_rho_matches(cfg, system, analyzer, cand.anchor))
     assert refusals == {None, "the history of C replays to [], not to one state"}
 
 
@@ -229,7 +228,7 @@ def _rebuilt(cfg):
         )
         for ch, cs in cfg.chi
     }
-    return Configuration.make(cfg.sigma_dict(), chi, cfg.book_dict())
+    return Configuration.make(sigma_dict(cfg), chi, book_dict(cfg))
 
 
 def test_equal_configurations_hash_equal_by_every_route(travel_system, travel_reversal_search):
@@ -245,7 +244,7 @@ def test_equal_configurations_hash_equal_by_every_route(travel_system, travel_re
     analyzer = CausalityAnalyzer(travel_system)
     met = 0
     for pre, cand, _ in travel_reversal_search.reversal_edges:
-        rolled = rho(pre, travel_system, analyzer.effects(pre, cand.anchor), analyzer)
+        rolled = rho(pre, travel_system, analyzer.cut(pre, cand.anchor), analyzer)
         twin = by_repr.get(repr(rolled))
         if twin is not None:
             met += 1
