@@ -8,7 +8,7 @@ on it, and bounded exploration that cross-checks the reversible
 semantics against the plain one.
 """
 
-from .causality import CausalityAnalyzer, all_log_refs, audit_configuration
+from .causality import CausalityAnalyzer, audit_configuration
 from .explore import (
     Bound,
     CheckResult,
@@ -103,7 +103,6 @@ __all__ = [
     "Transition",
     "UndefinedSemantics",
     "Unit",
-    "all_log_refs",
     "audit_configuration",
     "control_points",
     "enabled_forward",

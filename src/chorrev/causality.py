@@ -26,14 +26,20 @@ refining each pair, are worked out once per analyzer.  A rollback asks
 about one anchor, and by (1) the logs depending on it are a suffix of
 each channel: one cut per channel, lowered by a worklist from the anchor
 that expands each log once.  A rollback is that cut, one kept length per
-channel, from ``rollback_cut`` to the new configuration.  No closure is
-built or cached; the whole-history ``relation`` and ``rollback_points``
-are views over the per-anchor queries, kept for the tests and the
-benchmark's tracer.  The rollback cuts of the last configuration asked
-about are kept, so that listing a reversal and then carrying it out cuts
-once.  The replay of (4) is shared with rollback (to restore receiver
-states) and the configuration audit; only its end states and clause 4's
-counts are cached, per participant and history.
+channel, from ``rollback_cut`` to the new configuration, and the logs it
+removes are :func:`logs_beyond` it.  No closure is built or cached.  The
+rollback cuts of the last configuration asked about are kept, so that
+listing a reversal and then carrying it out cuts once.  The replay of (4)
+is shared with rollback (to restore receiver states) and the
+configuration audit; only its end states and clause 4's counts are
+cached, per participant and history.
+
+The analyzer's queries are ``cut`` and ``rollback_cut``.  Three views
+stay beside them: ``base_relation``, which ``chorrev simulate
+--dump-causality`` prints, and the whole-history ``relation`` and
+``rollback_points``, which nothing in chorrev calls but the benchmark's
+tracer wraps by name.  The per-anchor ``effects`` and rollback-point test
+live with the tests, in ``causality_oracle``.
 """
 
 from __future__ import annotations
@@ -110,6 +116,11 @@ def ongoing(loop: LoopRef, cfg: Configuration) -> bool:
 
 def all_log_refs(cfg: Configuration) -> list[LogRef]:
     return [(ch, log) for ch, cs in cfg.chi for log in cs.logs]
+
+
+def logs_beyond(cfg: Configuration, kept: list[int]) -> list[LogRef]:
+    """The logs a cut removes: each channel's logs past its kept length."""
+    return [(ch, log) for (ch, cs), n in zip(cfg.chi, kept) for log in cs.logs[n:]]
 
 
 class CausalityAnalyzer:
@@ -267,13 +278,6 @@ class CausalityAnalyzer:
                     cut[c] = j
         return [x - f for x, f in zip(cut, first)]
 
-    def effects(self, cfg: Configuration, ref: LogRef) -> frozenset[LogRef]:
-        """Everything that must be undone together with ``ref`` (inclusive):
-        its up-set, which is one cut per channel, so the logs beyond
-        :meth:`cut`."""
-        kept = self.cut(cfg, ref)
-        return frozenset((ch, log) for (ch, cs), n in zip(cfg.chi, kept) for log in cs.logs[n:])
-
     def rollback_cut(self, cfg: Configuration, anchor: LogRef) -> Optional[list[int]]:
         """The :meth:`cut` of ``anchor`` if history can be rewound to it,
         otherwise ``None``.
@@ -296,28 +300,24 @@ class CausalityAnalyzer:
             encl = self._outermost.get(anchor[1].cp)
             if encl is None or ongoing(encl, cfg):
                 kept = self.cut(cfg, anchor)
-                removed = [log for (_, cs), n in zip(cfg.chi, kept) for log in cs.logs[n:]]
-                if len(removed) == 1 if encl is None else all(encl.contains_cp(log.cp) for log in removed):
+                removed = logs_beyond(cfg, kept)
+                if len(removed) == 1 if encl is None else all(encl.contains_cp(log.cp) for _, log in removed):
                     answers[anchor] = kept
         return answers[anchor]
-
-    def is_rollback_point(self, cfg: Configuration, ref: LogRef) -> bool:
-        """Can history be rewound to ``ref``?  See :meth:`rollback_cut`."""
-        return self.rollback_cut(cfg, ref) is not None
 
     # -- whole-history views, for the tests and the benchmark's tracer --------
 
     def relation(self, cfg: Configuration) -> dict[LogRef, frozenset[LogRef]]:
-        """The full dependency relation, reflexive and transitive: each
-        log's :meth:`effects`.  A whole-history view kept for the tests and
-        the benchmark's tracer; nothing in chorrev calls it."""
-        return {ref: self.effects(cfg, ref) for ref in all_log_refs(cfg)}
+        """The full dependency relation, reflexive and transitive: the logs
+        beyond each log's :meth:`cut`.  Nothing in chorrev calls it; it
+        stays a method because the benchmark's tracer wraps it by name."""
+        return {ref: frozenset(logs_beyond(cfg, self.cut(cfg, ref))) for ref in all_log_refs(cfg)}
 
     def rollback_points(self, cfg: Configuration) -> frozenset[LogRef]:
-        """The logs that pass :meth:`is_rollback_point`.  A whole-history
-        view kept for the tests and the benchmark's tracer; nothing in
-        chorrev calls it."""
-        return frozenset(ref for ref in all_log_refs(cfg) if self.is_rollback_point(cfg, ref))
+        """The logs that have a :meth:`rollback_cut`.  Nothing in chorrev
+        calls it; it stays a method because the benchmark's tracer wraps it
+        by name."""
+        return frozenset(ref for ref in all_log_refs(cfg) if self.rollback_cut(cfg, ref) is not None)
 
     # -- replay ------------------------------------------------------------
 

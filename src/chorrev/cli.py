@@ -8,6 +8,7 @@ simulation truncated before reaching a verdict.  Set CHORREV_COLOR=0 or
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from typing import NoReturn, Optional
 import click
 
 from . import runtime
-from .causality import CausalityAnalyzer, all_log_refs
+from .causality import CausalityAnalyzer, logs_beyond
 from .explore import CHECKS, Bound, run_checks
 from .machine import Branch, ProjectionError, RCfsm, to_dot
 from .model import Channel, control_points, guard_text, participants, validate
@@ -56,6 +57,14 @@ def _file_error(exc: OSError) -> NoReturn:
     """Exit on a file that cannot be read or written."""
     click.echo(f"error: {exc}", err=True)
     sys.exit(2)
+
+
+def _check_parent(path: str) -> None:
+    """Exit before any work when the directory of an output file is missing."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        _file_error(OSError(code, os.strerror(code), str(parent)))
 
 
 def _load(path: str):
@@ -303,9 +312,10 @@ class _Simulation:
 
     def apply_reversal(self, cand: ReversalCandidate) -> dict:
         m = self.system.machines[cand.participant]
-        pre_refs = set(all_log_refs(self.cfg))
-        self.cfg = step_reverse(self.cfg, self.system, cand, self.analyzer, self.scope)
-        removed = pre_refs - set(all_log_refs(self.cfg))
+        pre = self.cfg
+        self.cfg = step_reverse(pre, self.system, cand, self.analyzer, self.scope)
+        # The analyzer still holds the cuts of ``pre``: this asks no second ``cut``.
+        removed = logs_beyond(pre, self.analyzer.rollback_cut(pre, cand.anchor))
         entry = {
             "kind": "rev",
             "participant": cand.participant,
@@ -535,6 +545,8 @@ def simulate(file, schedule_path, interactive, auto, seed, max_steps, trace_path
     modes = sum(1 for flag in (schedule_path, interactive, auto is not None) if flag)
     if modes != 1:
         raise click.UsageError("pick exactly one of --schedule, --interactive, --auto")
+    if trace_path is not None:
+        _check_parent(trace_path)
     g = _load(file)
     system = _project(g)
     directives = None if schedule_path is None else _load_schedule(schedule_path, system)

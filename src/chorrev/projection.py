@@ -6,10 +6,15 @@ it returns.  An interaction projects to a single send or receive, each
 part of a sequence is entered where the part before it exits, parallel
 branches are written apart and interleaved, and every branch of a choice
 runs from the choice's entry to one shared exit, with no silent moves.
-The deciding participant's branch transitions are decorated so they can
-later be rolled back; everyone else's machines stay plain.  Every event
-carries its construct's control point, so the list is already
+Every event carries its construct's control point, so the list is already
 deterministic, and :func:`machine.finalize` minimizes and numbers it.
+
+The deciding participant's branch transitions are decorated so they can
+later be rolled back; everyone else's machines stay plain.  A decoration
+names the branch's family: the choice state, the first output of the
+event's thread in the branch, and the guard.  The one walk that writes
+the transitions also records each event's family as it writes it, so a
+branch is decorated as soon as it is written.
 
 A loop controlled by ``a`` is wired explicitly: ``a`` announces each
 iteration by sending a start marker to every other participant of the body
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .machine import UNIT, Branch, ProjectionError, RCfsm, Transition, finalize
 from .model import (
@@ -38,6 +43,9 @@ from .model import (
     validate,
 )
 from .order import CommEvent, EventOrder, GateEvent, semantics, well_branched
+
+# The first output of the current thread, which names the branch family.
+Anchor = Optional[CommEvent]
 
 
 @dataclass
@@ -69,7 +77,7 @@ def project(g: Chor, participant: str, decorated: bool = True) -> RCfsm:
     not exist.
     """
     w = _Writer(_deciders(semantics(g)))
-    exit = _project(g, participant, 0, w)
+    exit, _ = _project(g, participant, 0, w)
     transitions = w.transitions
     if not decorated:
         transitions = [Transition(t.src, t.event, UNIT, t.dst) for t in transitions]
@@ -94,43 +102,54 @@ def project_system(g: Chor) -> System:
     machines: dict[str, RCfsm] = {}
     for a in sorted(participants(g)):
         w = _Writer(deciders)
-        machines[a] = finalize(a, 0, _project(g, a, 0, w), w.transitions)
+        exit, _ = _project(g, a, 0, w)
+        machines[a] = finalize(a, 0, exit, w.transitions)
     return System(g, machines, order)
 
 
 class _Writer:
     """The transitions of one participant, in the order ``_project`` writes
-    them.  State 0 is the initial state, and ``states`` hands out the others.
+    them, and the branch family of each event.  State 0 is the initial
+    state, and ``states`` hands out the others.
     """
 
     def __init__(self, deciders: dict[int, str]):
         self.deciders = deciders
         self.transitions: list[Transition] = []
+        self.family: dict[CommEvent, Anchor] = {}
         self.states = itertools.count(1)
 
 
-def _project(g: Chor, a: str, src: int, w: _Writer) -> int:
-    """Append ``a``'s transitions for ``g`` from state ``src``; return its exit state.
+def _project(g: Chor, a: str, src: int, w: _Writer, anchor: Anchor = None) -> tuple[int, Anchor]:
+    """Append ``a``'s transitions for ``g`` from state ``src``, and record
+    each event's family in ``w.family`` in the same walk; return the exit
+    state and the thread's anchor after ``g``.
 
     Each part of a sequence starts where the part before it exits.  A term
-    that ``a`` takes no part in writes nothing and exits at ``src``.
+    that ``a`` takes no part in writes nothing and exits at ``src``.  An
+    event's family is ``anchor``, or the event itself when it is an output
+    that opens its thread.  A loop that opens a thread anchors on its
+    first start marker, and each start marker is its own family.
     """
     if isinstance(g, Interaction):
         polarity = "!" if a == g.sender else "?" if a == g.receiver else None
         if polarity is None:
-            return src
+            return src, anchor
         dst = next(w.states)
         event = CommEvent(g.channel, polarity, g.cp, g.message)
+        if anchor is None and polarity == "!":
+            anchor = event
+        w.family[event] = anchor
         w.transitions.append(Transition(src, event, UNIT, dst))
-        return dst
+        return dst, anchor
 
     if isinstance(g, Seq):
         for part in g.parts:
-            src = _project(part, a, src, w)
-        return src
+            src, anchor = _project(part, a, src, w, anchor)
+        return src, anchor
 
     if isinstance(g, Par):
-        return _interleave(g, a, src, w)
+        return _interleave(g, a, src, w, anchor)
 
     if isinstance(g, Loop):
         members = participants(g.body)
@@ -142,23 +161,37 @@ def _project(g: Chor, a: str, src: int, w: _Writer) -> int:
                 )
             starts = [CommEvent(Channel(a, b), "!", g.cp, LOOP_START) for b in others]
             ends = [CommEvent(Channel(a, b), "!", g.cp, LOOP_END) for b in others]
+            w.family.update((e, e if anchor is None else anchor) for e in starts)
+            anchor = starts[0] if anchor is None else anchor
         elif a in members:
             ch = Channel(g.controller, a)
             starts = [CommEvent(ch, "?", g.cp, LOOP_START)]
             ends = [CommEvent(ch, "?", g.cp, LOOP_END)]
+            w.family[starts[0]] = anchor
         else:
-            return src
+            return src, anchor
+        w.family.update(dict.fromkeys(ends, anchor))
         # The start markers into the body, the body, the start markers of
         # the next round back to the body's entry, and the end markers.
         b = _markers(w, src, starts)
-        e = _project(g.body, a, b, w)
+        e, found = _project(g.body, a, b, w, anchor)
         _markers(w, e, starts, b)
-        return _markers(w, e, ends)
+        return _markers(w, e, ends), found
 
     if isinstance(g, Choice):
-        return _choose(g, a, src, w)
+        return _choose(g, a, src, w, anchor)
 
     raise TypeError(f"not a choreography term: {g!r}")
+
+
+def _least(anchor: Anchor, found: Iterable[Anchor]) -> Anchor:
+    """``anchor`` if the thread has one, else the least anchor that its
+    parallel parts opened.  The start markers of one loop share a control
+    point, and the first receiver's is the least."""
+    if anchor is not None:
+        return anchor
+    opened = [e for e in found if e is not None]
+    return min(opened, key=lambda e: (e.cp, e.channel.receiver), default=None)
 
 
 def _markers(w: _Writer, src: int, events: list[CommEvent], dst: Optional[int] = None) -> int:
@@ -176,27 +209,30 @@ def _markers(w: _Writer, src: int, events: list[CommEvent], dst: Optional[int] =
     return ids[full]
 
 
-def _choose(g: Choice, a: str, src: int, w: _Writer) -> int:
+def _choose(g: Choice, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[int, Anchor]:
     """Write every branch from ``src`` to one exit, the first branch's.
 
-    The decider's transitions of a branch are decorated once the branch is
-    written: the choice state is ``src``, and a transition whose target is
-    the exit commits the branch.
+    Each of the decider's branches opens a thread, and the walk that
+    writes it records its families, so it is decorated once written: the
+    choice state is ``src``, and a transition whose target is the exit
+    commits the branch.  Everyone else's branches continue the thread.
     """
     decider = a == w.deciders[g.cp]
     if not decider:
         occurs = [a in participants(br.body) for br in g.branches]
         if not any(occurs):
-            return src
+            return src, anchor
         if not all(occurs):
             raise ProjectionError(
                 f"{a} takes part in some but not all branches of the choice"
                 f" at control point {g.cp}"
             )
     exit = None
+    found = []
     for br in g.branches:
         start = len(w.transitions)
-        end = _project(br.body, a, src, w)
+        end, first = _project(br.body, a, src, w, None if decider else anchor)
+        found.append(first)
         exit = end if exit is None else exit
         written = w.transitions[start:]
         if decider:
@@ -205,32 +241,32 @@ def _choose(g: Choice, a: str, src: int, w: _Writer) -> int:
                     f"machine of {a} is already decorated; nested choices decided by"
                     " the same participant cannot be projected"
                 )
-            families = _family_map(br.body, a, None)
         elif end == exit:
             continue
         for i, t in enumerate(written, start):
             dst = exit if t.dst == end else t.dst
             deco = t.decoration
             if decider:
-                first = families.get(t.event)
-                if first is None:
+                family = w.family[t.event]
+                if family is None:
                     raise ProjectionError(f"no anchoring output for {t.event} in a branch of {a}")
-                deco = Branch(src, first, br.guard, dst == exit)
+                deco = Branch(src, family, br.guard, dst == exit)
             w.transitions[i] = Transition(t.src, t.event, deco, dst)
-    return exit
+    return exit, _least(anchor, found)
 
 
-def _interleave(g: Par, a: str, src: int, w: _Writer) -> int:
-    """Write the product of ``g``'s branches, each written apart first.
+def _interleave(g: Par, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[int, Anchor]:
+    """Write the product of ``g``'s branches, each written apart first and
+    each continuing the thread.
 
     The branches' states are fresh, so one index by source state serves all.
     """
     start = len(w.transitions)
-    ends = []
+    threads = []
     for branch in g.branches:
         first = next(w.states)
-        ends.append((first, _project(branch, a, first, w)))
-        if len(ends) > 1 and any(isinstance(t.decoration, Branch) for t in w.transitions[start:]):
+        threads.append((first, *_project(branch, a, first, w, anchor)))
+        if len(threads) > 1 and any(isinstance(t.decoration, Branch) for t in w.transitions[start:]):
             raise ProjectionError(
                 "cannot interleave machines that already carry branch decorations"
             )
@@ -238,7 +274,7 @@ def _interleave(g: Par, a: str, src: int, w: _Writer) -> int:
     for t in w.transitions[start:]:
         out.setdefault(t.src, []).append(t)
     del w.transitions[start:]
-    initial, final = zip(*ends)
+    initial, final, found = zip(*threads)
     ids = {initial: src}
     queue = [initial]
     for state in queue:
@@ -249,76 +285,4 @@ def _interleave(g: Par, a: str, src: int, w: _Writer) -> int:
                     ids[nxt] = next(w.states)
                     queue.append(nxt)
                 w.transitions.append(Transition(ids[state], t.event, UNIT, ids[nxt]))
-    return ids[final]
-
-
-def _family_map(
-    g: Chor, a: str, inherited: Optional[CommEvent]
-) -> dict[CommEvent, Optional[CommEvent]]:
-    """Assign each machine event of ``a`` in ``g`` to its branch family.
-
-    The family of an event is the first output that opened its thread of
-    the branch: outputs with no prior anchor found their own family,
-    everything after follows the nearest anchor to the left, and parallel
-    threads anchor independently.  A loop opening a branch anchors on its
-    start markers.
-    """
-    if isinstance(g, Interaction):
-        if a == g.sender:
-            e = CommEvent(g.channel, "!", g.cp, g.message)
-            return {e: inherited if inherited is not None else e}
-        if a == g.receiver:
-            return {CommEvent(g.channel, "?", g.cp, g.message): inherited}
-        return {}
-
-    if isinstance(g, Seq):
-        out: dict[CommEvent, Optional[CommEvent]] = {}
-        anchor = inherited
-        for part in g.parts:
-            families = _family_map(part, a, anchor)
-            if anchor is None:
-                # The start markers of one loop share a cp; the first receiver's is canonical.
-                introduced = filter(None, families.values())
-                anchor = min(introduced, key=lambda e: (e.cp, e.channel.receiver), default=None)
-            out.update(families)
-        return out
-
-    if isinstance(g, Par):
-        out = {}
-        for branch in g.branches:
-            out.update(_family_map(branch, a, inherited))
-        return out
-
-    if isinstance(g, Loop):
-        members = participants(g.body)
-        if a == g.controller:
-            others = sorted(members - {a})
-            starts = [CommEvent(Channel(a, b), "!", g.cp, LOOP_START) for b in others]
-            ends = [CommEvent(Channel(a, b), "!", g.cp, LOOP_END) for b in others]
-            out = {}
-            if inherited is None:
-                canonical = starts[0]
-                out.update({e: e for e in starts})
-                out.update({e: canonical for e in ends})
-                out.update(_family_map(g.body, a, canonical))
-            else:
-                out.update({e: inherited for e in starts + ends})
-                out.update(_family_map(g.body, a, inherited))
-            return out
-        if a in members:
-            ch = Channel(g.controller, a)
-            out = {
-                CommEvent(ch, "?", g.cp, LOOP_START): inherited,
-                CommEvent(ch, "?", g.cp, LOOP_END): inherited,
-            }
-            out.update(_family_map(g.body, a, inherited))
-            return out
-        return {}
-
-    if isinstance(g, Choice):
-        out = {}
-        for br in g.branches:
-            out.update(_family_map(br.body, a, inherited))
-        return out
-
-    raise TypeError(f"not a choreography term: {g!r}")
+    return ids[final], _least(anchor, found)

@@ -11,13 +11,17 @@ then a second walk that asks every node's moves again; it is cached whole
 per history, as is the closure.  ``test_causality_oracle`` requires the
 same tagged edges, relation, effects, rollback points, ``ongoing``,
 forced pairs and replay end states from both builders.
+
+``effects`` and ``is_rollback_point`` ask one anchor of an analyzer at a
+time, through its ``cut`` and ``rollback_cut``; the package itself reads
+the cuts directly.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from chorrev.causality import CausalityAnalyzer, LogRef, LoopRef, all_log_refs
+from chorrev.causality import CausalityAnalyzer, LogRef, LoopRef, all_log_refs, logs_beyond
 from chorrev.model import Channel, LOOP_END, LOOP_START
 from chorrev.order import CommEvent
 from chorrev.runtime import Configuration, Log
@@ -56,6 +60,18 @@ def ongoing(loop: LoopRef, cfg: Configuration) -> bool:
         if any(l.cp == loop.cp and l.message == LOOP_END for l in logs[cs.head :]):
             return True
     return False
+
+
+def effects(analyzer: CausalityAnalyzer, cfg: Configuration, ref: LogRef) -> frozenset[LogRef]:
+    """Everything that must be undone together with ``ref`` (inclusive):
+    its up-set, which is one cut per channel, so the logs beyond the
+    analyzer's ``cut``."""
+    return frozenset(logs_beyond(cfg, analyzer.cut(cfg, ref)))
+
+
+def is_rollback_point(analyzer: CausalityAnalyzer, cfg: Configuration, ref: LogRef) -> bool:
+    """Can history be rewound to ``ref``?  See ``CausalityAnalyzer.rollback_cut``."""
+    return analyzer.rollback_cut(cfg, ref) is not None
 
 
 class OracleAnalyzer(CausalityAnalyzer):

@@ -11,8 +11,11 @@ returns, deterministically, and only then minimizes.
 
 This module keeps the algebra, the projection over it, and the
 determinizing ``finalize`` that the algebra's joins of branches need.
-Both routes share ``projection._family_map`` and the deciders of the
-root event order; the differential tests compare their machines.
+It also keeps ``_family_map``, the second walk over each decided branch
+that worked out its events' families; the package now records each
+family in the walk that writes the event.  The two routes share only the
+deciders of the root event order, so the differential tests compare
+decorations as well as machines.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from chorrev.model import (
     validate,
 )
 from chorrev.order import CommEvent, semantics, well_branched
-from chorrev.projection import _deciders, _family_map
+from chorrev.projection import _deciders
 
 
 class StateAlloc:
@@ -491,3 +494,75 @@ def _multi_event(owner: str, events: list[CommEvent], alloc: StateAlloc) -> PMac
     for e in events[1:]:
         machine = product_machines(machine, single_event(owner, e, alloc), alloc)
     return machine
+
+
+def _family_map(
+    g: Chor, a: str, inherited: Optional[CommEvent]
+) -> dict[CommEvent, Optional[CommEvent]]:
+    """Assign each machine event of ``a`` in ``g`` to its branch family.
+
+    The family of an event is the first output that opened its thread of
+    the branch: outputs with no prior anchor found their own family,
+    everything after follows the nearest anchor to the left, and parallel
+    threads anchor independently.  A loop opening a branch anchors on its
+    start markers.
+    """
+    if isinstance(g, Interaction):
+        if a == g.sender:
+            e = CommEvent(g.channel, "!", g.cp, g.message)
+            return {e: inherited if inherited is not None else e}
+        if a == g.receiver:
+            return {CommEvent(g.channel, "?", g.cp, g.message): inherited}
+        return {}
+
+    if isinstance(g, Seq):
+        out: dict[CommEvent, Optional[CommEvent]] = {}
+        anchor = inherited
+        for part in g.parts:
+            families = _family_map(part, a, anchor)
+            if anchor is None:
+                # The start markers of one loop share a cp; the first receiver's is canonical.
+                introduced = filter(None, families.values())
+                anchor = min(introduced, key=lambda e: (e.cp, e.channel.receiver), default=None)
+            out.update(families)
+        return out
+
+    if isinstance(g, Par):
+        out = {}
+        for branch in g.branches:
+            out.update(_family_map(branch, a, inherited))
+        return out
+
+    if isinstance(g, Loop):
+        members = participants(g.body)
+        if a == g.controller:
+            others = sorted(members - {a})
+            starts = [CommEvent(Channel(a, b), "!", g.cp, LOOP_START) for b in others]
+            ends = [CommEvent(Channel(a, b), "!", g.cp, LOOP_END) for b in others]
+            out = {}
+            if inherited is None:
+                canonical = starts[0]
+                out.update({e: e for e in starts})
+                out.update({e: canonical for e in ends})
+                out.update(_family_map(g.body, a, canonical))
+            else:
+                out.update({e: inherited for e in starts + ends})
+                out.update(_family_map(g.body, a, inherited))
+            return out
+        if a in members:
+            ch = Channel(g.controller, a)
+            out = {
+                CommEvent(ch, "?", g.cp, LOOP_START): inherited,
+                CommEvent(ch, "?", g.cp, LOOP_END): inherited,
+            }
+            out.update(_family_map(g.body, a, inherited))
+            return out
+        return {}
+
+    if isinstance(g, Choice):
+        out = {}
+        for br in g.branches:
+            out.update(_family_map(br.body, a, inherited))
+        return out
+
+    raise TypeError(f"not a choreography term: {g!r}")

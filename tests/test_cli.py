@@ -368,6 +368,9 @@ def test_simulate_trace_into_a_missing_directory_exits_two(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "error: " in result.output and "No such file or directory" in result.output
     assert "Traceback" not in result.output
+    # The run stops before its first step: the error is the only line.
+    assert "finished after" not in result.output
+    assert result.output.splitlines() == [result.output.strip()]
     assert not trace_path.parent.exists()
 
 
@@ -381,9 +384,13 @@ def test_simulate_schedule_accepts_wrapped_entries(runner, tmp_path, schedule_pa
 def test_simulate_stuck_schedule_exits_one(runner, tmp_path):
     path = tmp_path / "stuck.json"
     path.write_text(json.dumps([{"kind": "inp", "participant": "B", "cp": 8}]))
-    result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(path)])
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text("kept\n")
+    result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(path), "--trace", str(trace_path)])
     assert result.exit_code == 1
     assert "stuck" in result.output
+    # A stuck run writes no trace, and leaves an existing file as it was.
+    assert trace_path.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ Both routes must give equal machines with equal aliases, for every
 participant, decorated and plain, or refuse with the same error text.
 The oracle determinizes its pre-machines with its own ``finalize``, so
 each machine is also checked against the package's ``finalize``, which
-takes deterministic input only.
+takes deterministic input only.  The routes share only the deciders of
+the root event order: each works out the branch families, and so the
+decorations, on its own.
 """
 
 import pytest
@@ -77,6 +79,40 @@ def test_the_data_files_project_like_the_oracle(path):
 )
 def test_refusals_match_the_oracle(source):
     assert not assert_same_projection(parse_choreography(source))
+
+
+@pytest.mark.parametrize(
+    "source, projects",
+    [
+        # A -> D : z follows the par, so it anchors on the least par anchor,
+        # A -> B : x at control point 8, not on the first branch's y.
+        (
+            "choice @cp 1 { { par @cp 2 { A -> C : y @cp 9 | A -> B : x @cp 8 }"
+            " ; A -> D : z @cp 10 } unless tt"
+            " + { A -> B : n @cp 3 ; A -> C : n @cp 4 ; A -> D : n @cp 5 } unless tt }",
+            True,
+        ),
+        # A branch opened by a loop with three start markers: each marker is
+        # its own family, and the body and end markers anchor on the first.
+        (
+            "choice { { loop @ A { A -> B : x ; A -> C : y ; A -> D : w } ; A -> B : z }"
+            " unless tt + { A -> B : n ; A -> C : n ; A -> D : n } unless tt }",
+            True,
+        ),
+        # B's choice inside one par thread of A's branch continues that
+        # thread for A.  B cannot interleave its decorated branch, so only
+        # the decorated single projections are compared.
+        (
+            "choice { { par { A -> B : x ; choice { { B -> A : p ; A -> D : r } unless tt"
+            " + { B -> A : q ; A -> D : s } unless tt } | A -> C : y } } unless tt"
+            " + { A -> B : n ; A -> C : n ; A -> D : n } unless tt }",
+            False,
+        ),
+    ],
+    ids=["output-after-par", "loop-opens-branch", "choice-in-par-thread"],
+)
+def test_branch_families_match_the_oracle(source, projects):
+    assert assert_same_projection(parse_choreography(source)) == projects
 
 
 @settings(max_examples=1000, deadline=None, print_blob=True)

@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import causality_oracle
 import explore_oracle
 import runtime_oracle
 from chorrev import runtime
@@ -174,7 +175,9 @@ def assert_rho_matches(cfg, system, analyzer, anchor):
     configuration, which removes its effects one log at a time, or both
     refuse with one text; returns the refusal text or ``None``."""
     new = outcome(rho, cfg, system, analyzer.cut(cfg, anchor), analyzer)
-    old = outcome(runtime_oracle.rho, cfg, system, analyzer.effects(cfg, anchor), analyzer)
+    old = outcome(
+        runtime_oracle.rho, cfg, system, causality_oracle.effects(analyzer, cfg, anchor), analyzer
+    )
     assert new == old
     if isinstance(new, str):
         return new
