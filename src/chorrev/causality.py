@@ -44,6 +44,7 @@ live with the tests, in ``causality_oracle``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -187,7 +188,8 @@ class CausalityAnalyzer:
         by_event: dict[Event, list[int]] = {}
         for k, e in enumerate(events):
             by_event.setdefault(e, []).append(k)
-        rounds = {L.cp: [r for _, cs in cfg.chi for r in marker_rounds(L, cs.logs)] for L in self.loops}
+        # Each loop's ``marker_rounds`` of every log, built when (3) first asks.
+        rounds: dict[int, list[Optional[int]]] = {}
         forced: dict[str, dict[Channel, list[tuple[int, int]]]] = {}
 
         def forced_by(participant: str) -> dict[Channel, list[tuple[int, int]]]:
@@ -213,20 +215,21 @@ class CausalityAnalyzer:
             i = k - first[c]  # the log's position on its channel
             # (1) the later logs of the channel
             out = [(j, "channel-order") for j in range(k + 1, first[c + 1])]
-            # (2) the later logs of the sender on its other channels
+            # (2) the later logs of the sender on its other channels: a
+            # sender stamps a channel's logs in increasing order, so they
+            # are a suffix of each
             for d, (other, _) in enumerate(cfg.chi):
                 if d != c and other.sender == ch.sender:
-                    out += [
-                        (j, "sender-order")
-                        for j in range(first[d], first[d + 1])
-                        if stamp[k] < stamp[j]
-                    ]
+                    later = bisect_right(stamp, stamp[k], first[d], first[d + 1])
+                    out += [(j, "sender-order") for j in range(later, first[d + 1])]
             # (3) static order, refined by loop rounds
             for other, loop, earlier in self._related[events[k]]:
                 if loop is None:
                     out += [(j, "static-order") for j in by_event.get(other, ()) if chan[j] != c]
                     continue
-                rank = rounds[loop.cp]
+                rank = rounds.get(loop.cp)
+                if rank is None:
+                    rank = rounds[loop.cp] = [r for _, cs in cfg.chi for r in marker_rounds(loop, cs.logs)]
                 if rank[k] is None:
                     continue
                 out += [

@@ -16,9 +16,15 @@ forward moves can reach a reversal, because a rollback reads the
 timestamps; no reversal ever reads the history of a dead class.  Keys are
 carried along the search: a forward successor's key is its parent's with
 the one channel slot the move changed replaced, and only the initial
-configuration and reversal targets are keyed from scratch.  The first
-member of a class met lists the class's moves in a table of the search,
-and every later member only applies them.
+configuration and reversal targets are keyed from scratch.
+
+Each search interns the keys it meets in one :class:`ClassTable`, as
+small int ids: a key's tuple is hashed where it is made, and every later
+lookup is by id.  The table decides once per class what every member
+shares: its moves, listed by the first member met and only applied by
+the others; whether it is hot, some branch family reversible; and
+whether it is live.  The search asks for reversals only in hot classes,
+and builds no successor for a move into a dead class it has already seen.
 
 Exploration is bounded in two ways: a cap on the number of transitions
 (breadth-first depth) and a cap on loop rounds, enforced by refusing to
@@ -118,41 +124,10 @@ def _successor_key(key: tuple, succ: Configuration, ev: CommEvent) -> tuple:
     return (succ.sigma, succ.book, chans[:i] + (slot,) + chans[end:])
 
 
-# A forward class's moves within the round bound, in ``enabled_forward``
-# order, each as (participant, transition, successor key).
-MoveTable = dict[tuple, list[tuple[str, Transition, tuple]]]
-
-
 def _step(cfg: Configuration, system: System, a: str, t: Transition) -> Configuration:
     if t.event.polarity == "!":
         return runtime.step_output(cfg, system, a, t)
     return runtime.step_input(cfg, system, a, t)
-
-
-def _successors(
-    cfg: Configuration, key: tuple, system: System, bound: Bound, table: MoveTable
-) -> list[tuple[Configuration, tuple]]:
-    """Each forward successor of ``cfg``, whose key is ``key``, within the
-    round bound, with its key.  The first member of a class asked about
-    lists the class's moves in ``table``; later members apply them.
-    """
-    moves = table.get(key)
-    if moves is not None:
-        return [(_step(cfg, system, a, t), k) for a, t, k in moves]
-    moves = table[key] = []
-    succs = []
-    for a, t in runtime.enabled_forward(cfg, system):
-        ev = t.event
-        if ev.polarity == "!" and ev.message == LOOP_START:
-            # The continue markers of the loop in the channel's history.
-            logs = cfg.channel_state(ev.channel).logs
-            if sum(log.message == LOOP_START and log.cp == ev.cp for log in logs) >= bound.max_rounds:
-                continue
-        succ = _step(cfg, system, a, t)
-        k = _successor_key(key, succ, ev)
-        moves.append((a, t, k))
-        succs.append((succ, k))
-    return succs
 
 
 def _depth(cfg: Configuration) -> int:
@@ -162,54 +137,112 @@ def _depth(cfg: Configuration) -> int:
     return sum(len(cs.logs) + cs.head for _, cs in cfg.chi)
 
 
-def liveness(
-    system: System, bound: Bound, table: Optional[MoveTable] = None
-) -> Callable[[Configuration, tuple], bool]:
-    """Whether a forward class is live: some forward run from it, within
-    the bound, reaches a class where a family passes
-    :func:`~chorrev.reverse.reversible_families` (a hot class).
+class ClassTable:
+    """The forward classes one search meets, each interned as a small int id.
 
-    The returned predicate takes a configuration and its ``forward_key``
-    and memoises the answer per class.  Hotness and depth read only the
-    key, and so do forward moves, so any member of a class answers for all
-    of them.  The children of a class it expands come from the move table
-    (see :func:`_successors`), which a search passes as ``table`` to share
-    it: a class whose moves either one listed is not asked for them again.
-    A hot class deeper than the step bound counts for nothing, as no run
-    within the bound reaches it (see :func:`_depth`).  The class graph is
-    acyclic, since every forward move adds one to the depth, so one
-    iterative post-order pass decides a class and every class below it.
+    ``ids`` maps a ``forward_key`` to its id.  Per id the table holds the
+    key; the class's moves within the round bound, in ``enabled_forward``
+    order, as (participant, transition, successor id); whether the class
+    is hot, some branch family passing
+    :func:`~chorrev.reverse.reversible_families`; and whether it is live,
+    some forward run from it within the bound reaching a hot class.  All
+    three read only the key, so any member answers for its class, once;
+    ``None`` marks what no member was asked yet.  Without reversals no
+    class is live, and no hotness is asked.
     """
-    memo: dict[tuple, bool] = {}
-    table = {} if table is None else table
 
-    def live(cfg: Configuration, key: tuple) -> bool:
-        answer = memo.get(key)
-        if answer is not None:
-            return answer
-        stack = [(cfg, key)]
+    def __init__(self, system: System, bound: Bound, with_reversals: bool):
+        self.system = system
+        self.bound = bound
+        self.with_reversals = with_reversals
+        self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
+        self.moves: list[Optional[list[tuple[str, Transition, int]]]] = []
+        self.hot: list[Optional[bool]] = []
+        self.live: list[Optional[bool]] = []
+
+    def intern(self, key: tuple) -> int:
+        """The id of the class keyed ``key``, a new one if it was not met."""
+        cid = self.ids.setdefault(key, len(self.keys))
+        if cid == len(self.keys):
+            self.keys.append(key)
+            self.moves.append(None)
+            self.hot.append(None)
+            self.live.append(None if self.with_reversals else False)
+        return cid
+
+    def successors(
+        self, cfg: Configuration, cid: int, wanted: Callable[[int], bool]
+    ) -> list[tuple[Configuration, int]]:
+        """Each forward successor of ``cfg``, a member of class ``cid``,
+        within the round bound, with its class, leaving out the moves into
+        a class that ``wanted`` refuses.
+
+        The first member asked about lists the class's moves, and builds
+        every successor to key it (see :func:`_successor_key`).  Later
+        members build only the successors wanted.
+        """
+        moves = self.moves[cid]
+        if moves is not None:
+            return [(_step(cfg, self.system, a, t), b) for a, t, b in moves if wanted(b)]
+        moves = self.moves[cid] = []
+        key = self.keys[cid]
+        succs = []
+        for a, t in runtime.enabled_forward(cfg, self.system):
+            ev = t.event
+            if ev.polarity == "!" and ev.message == LOOP_START:
+                # The continue markers of the loop in the channel's history.
+                logs = cfg.channel_state(ev.channel).logs
+                if sum(log.message == LOOP_START and log.cp == ev.cp for log in logs) >= self.bound.max_rounds:
+                    continue
+            succ = _step(cfg, self.system, a, t)
+            b = self.intern(_successor_key(key, succ, ev))
+            moves.append((a, t, b))
+            succs.append((succ, b))
+        return [(succ, b) for succ, b in succs if wanted(b)]
+
+    def is_hot(self, cid: int, cfg: Configuration) -> bool:
+        """Whether class ``cid``, of which ``cfg`` is a member, is hot."""
+        hot = self.hot[cid]
+        if hot is None:
+            hot = self.hot[cid] = any(reverse.reversible_families(cfg, self.system))
+        return hot
+
+    def is_live(self, cid: int, cfg: Configuration) -> bool:
+        """Whether class ``cid``, of which ``cfg`` is a member, is live.
+
+        A hot class deeper than the step bound counts for nothing, as no
+        run within the bound reaches it (see :func:`_depth`).  The class
+        graph is acyclic, since every forward move adds one to the depth,
+        so one iterative post-order pass decides a class and every class
+        below it; it builds only the successors whose class is undecided.
+        """
+        live = self.live
+        if live[cid] is not None:
+            return live[cid]
+
+        def undecided(b: int) -> bool:
+            return live[b] is None
+
+        stack = [(cfg, cid)]
         expanded = set()
         while stack:
-            c, k = stack[-1]
-            if k in memo:
+            c, i = stack[-1]
+            if live[i] is not None:
                 stack.pop()
-            elif k in expanded:
+            elif i in expanded:
                 stack.pop()
-                memo[k] = any(memo[b] for _, _, b in table[k])
-            elif _depth(c) > bound.max_steps:
+                live[i] = any(live[b] for _, _, b in self.moves[i])
+            elif _depth(c) > self.bound.max_steps:
                 stack.pop()
-                memo[k] = False
-            elif any(reverse.reversible_families(c, system)):
+                live[i] = False
+            elif self.is_hot(i, c):
                 stack.pop()
-                memo[k] = True
+                live[i] = True
             else:
-                expanded.add(k)
-                for succ, b in _successors(c, k, system, bound, table):
-                    if b not in memo:
-                        stack.append((succ, b))
-        return memo[key]
-
-    return live
+                expanded.add(i)
+                stack += self.successors(c, i, undecided)
+        return live[cid]
 
 
 def reachable(
@@ -221,68 +254,83 @@ def reachable(
     """Breadth-first reachability of the instrumented semantics.
 
     A configuration is kept whole when its forward class is live (see
-    :func:`liveness`) and otherwise as one configuration per
-    ``forward_key``.  Without reversals no class counts as live, so
-    ``configs`` holds one configuration per class; soundness and
-    completeness read only forgetful images, which a class shares.
+    :class:`ClassTable`) and otherwise as one configuration per class.
+    Without reversals no class is live, so ``configs`` holds one
+    configuration per class; soundness and completeness read only
+    forgetful images, which a class shares.
 
     With reversals the search is exact where a reversal can read history.
     A forward step into a live class starts in a live class, and a reversal
-    within the bound starts in a hot class within the bound, which is live.  So every path to a reversal's
-    source runs through live classes, which the search keeps as it would
-    keep every configuration: the same sources at the same depth and in the
-    same frontier order.  Every reversal edge, in order, and the first
-    :class:`~chorrev.reverse.RollbackFailed` are those of the search that
-    keeps every configuration.  A dead class's configurations enable no
-    reversal and lead only to dead classes, where a forward move reads
-    nothing but the key.
+    within the bound starts in a hot class within the bound, which is live.
+    So every path to a reversal's source runs through live classes, which
+    the search keeps as it would keep every configuration: the same sources
+    at the same depth and in the same frontier order.  Every reversal edge,
+    in order, and the first :class:`~chorrev.reverse.RollbackFailed` are
+    those of the search that keeps every configuration.  A dead class's
+    configurations enable no reversal and lead only to dead classes, where
+    a forward move reads nothing but the key.
 
-    The frontier holds each configuration with its ``forward_key``, and a
-    forward successor's key is derived from its parent's (see
+    The search runs on the ids of one :class:`ClassTable`.  The frontier
+    holds each configuration with its class, ``seen`` holds a dead class by
+    its id, and a forward successor's key is derived from its parent's (see
     :func:`_successor_key`); :func:`forward_key` runs on the initial
-    configuration and on reversal targets only.  A class's moves are
-    found once, for the search and :func:`liveness` (see :func:`_successors`).
+    configuration and on reversal targets only.  Two gates save work
+    without changing a result:
+
+    - ``enabled_reversals`` is asked only of members of hot classes.  Every
+      reversal passes :func:`~chorrev.reverse.reversible_families`, which
+      reads only the states, the book and message counts over a channel's
+      whole history.  The key holds the states and the book, and a
+      channel's counts are those of its pending word plus its consumed
+      multiset, so a class is hot for all its members or for none.
+    - A move into a class that is known dead and already seen builds no
+      configuration: its successor would be dropped as met.
 
     ``truncated`` says that the last frontier, at the step bound, has a
     successor not yet met or an enabled reversal, whose edge goes unchecked.
     """
     if with_reversals and analyzer is None:
         analyzer = CausalityAnalyzer(system)
-    table: MoveTable = {}
-    live = liveness(system, bound, table) if with_reversals else (lambda cfg, k: False)
+    table = ClassTable(system, bound, with_reversals)
+    live = table.live
 
-    def class_of(cfg: Configuration, k: tuple):
-        return cfg if live(cfg, k) else k
+    def class_of(cfg: Configuration, cid: int):
+        return cfg if table.is_live(cid, cfg) else cid
+
+    def wanted(cid: int) -> bool:
+        return live[cid] is not False or cid not in seen
+
+    def reversals(cfg: Configuration, cid: int) -> list[ReversalCandidate]:
+        if with_reversals and table.is_hot(cid, cfg):
+            return reverse.enabled_reversals(cfg, system, analyzer)
+        return []
 
     init = runtime.initial_configuration(system)
-    init_key = forward_key(init)
-    seen = {class_of(init, init_key): init}
-    frontier = [(init, init_key)]
+    init_id = table.intern(forward_key(init))
+    seen = {class_of(init, init_id): init}
+    frontier = [(init, init_id)]
     edges: list[tuple[Configuration, ReversalCandidate, Configuration]] = []
     depth = 0
     truncated = False
     while frontier:
         if depth == bound.max_steps:
             truncated = any(
-                class_of(succ, sk) not in seen
-                for cfg, k in frontier
-                for succ, sk in _successors(cfg, k, system, bound, table)
-            ) or (with_reversals and any(
-                reverse.enabled_reversals(cfg, system, analyzer) for cfg, _ in frontier
-            ))
+                class_of(succ, b) not in seen
+                for cfg, cid in frontier
+                for succ, b in table.successors(cfg, cid, wanted)
+            ) or any(reversals(cfg, cid) for cfg, cid in frontier)
             break
-        layer: list[tuple[Configuration, tuple]] = []
-        for cfg, k in frontier:
-            succs = _successors(cfg, k, system, bound, table)
-            if with_reversals:
-                for cand in reverse.enabled_reversals(cfg, system, analyzer):
-                    succ = reverse.step_reverse(cfg, system, cand, analyzer)
-                    edges.append((cfg, cand, succ))
-                    succs.append((succ, forward_key(succ)))
-            for succ, sk in succs:
+        layer: list[tuple[Configuration, int]] = []
+        for cfg, cid in frontier:
+            succs = table.successors(cfg, cid, wanted)
+            for cand in reversals(cfg, cid):
+                succ = reverse.step_reverse(cfg, system, cand, analyzer)
+                edges.append((cfg, cand, succ))
+                succs.append((succ, table.intern(forward_key(succ))))
+            for succ, b in succs:
                 # One lookup: ``succ`` comes back only when it was not met before.
-                if seen.setdefault(class_of(succ, sk), succ) is succ:
-                    layer.append((succ, sk))
+                if seen.setdefault(class_of(succ, b), succ) is succ:
+                    layer.append((succ, b))
         frontier = layer
         depth += 1
     return ExplorationResult(frozenset(seen.values()), truncated, tuple(edges), depth)

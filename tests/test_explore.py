@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -195,6 +196,35 @@ def test_forward_checks_do_not_share_their_stats(retry_system):
     sound, complete = run_checks(retry_system, Bound(30, 1), ["soundness", "completeness"])
     assert sound.stats == complete.stats
     assert sound.stats is not complete.stats
+
+
+def test_run_checks_work_counts_on_travel_at_two_rounds(travel_system, monkeypatch):
+    """The layer calls of one ``run_checks``, counted through the module
+    attributes the searches call: the forward steps leave out moves into a
+    dead class already seen, and reversals are listed in hot classes only."""
+    calls = Counter()
+
+    def counted(module, name, tag):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[tag] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(chorrev.runtime, "step_output", "step")
+    counted(chorrev.runtime, "step_input", "step")
+    counted(chorrev.runtime, "enabled_forward", "enabled_forward")
+    counted(chorrev.reverse, "enabled_reversals", "enabled_reversals")
+    counted(chorrev.reverse, "step_reverse", "step_reverse")
+    assert all(r.verdict == "pass" for r in run_checks(travel_system, Bound(200, 2)))
+    assert calls == {
+        "step": 6799,
+        "enabled_forward": 1426,
+        "enabled_reversals": 1432,
+        "step_reverse": 808,
+    }
 
 
 def test_verdict_precedence():
