@@ -52,7 +52,7 @@ from .order import (
     well_branched,
 )
 from .parse import ParseError, parse_choreography, parse_guard
-from .projection import System, project, project_system
+from .projection import System, project_system
 from .reverse import ReversalCandidate, RollbackFailed, enabled_reversals, rho, step_reverse
 from .runtime import (
     BookEntry,
@@ -119,7 +119,6 @@ __all__ = [
     "participants",
     "plain_reachable",
     "pretty",
-    "project",
     "project_system",
     "reachable",
     "rho",

@@ -381,55 +381,53 @@ def _describe(node: Chor) -> str:
 # Pretty printing
 
 
-def pretty(g: Chor, annotate: bool = True) -> str:
+def pretty(g: Chor) -> str:
     """Render a choreography as surface syntax.
 
-    With ``annotate`` the output carries explicit ``@cp`` annotations, so
-    parsing it back reproduces the identical tree.
+    The output carries explicit ``@cp`` annotations, so parsing it back
+    reproduces the identical tree.
     """
     lines: list[str] = []
-    _emit(g, 0, annotate, lines)
+    _emit(g, 0, lines)
     return "\n".join(lines) + "\n"
 
 
-def _ann(node: Chor, annotate: bool) -> str:
-    return f" @cp {node.cp}" if annotate else ""
+def _ann(node: Chor) -> str:
+    return f" @cp {node.cp}"
 
 
-def _emit(g: Chor, depth: int, annotate: bool, lines: list[str]) -> None:
+def _emit(g: Chor, depth: int, lines: list[str]) -> None:
     pad = "  " * depth
     if isinstance(g, Seq):
         for i, part in enumerate(g.parts):
             if isinstance(part, Seq):
                 lines.append(f"{pad}(")
-                _emit(part, depth + 1, annotate, lines)
+                _emit(part, depth + 1, lines)
                 lines.append(f"{pad})")
             else:
-                _emit(part, depth, annotate, lines)
+                _emit(part, depth, lines)
             if i + 1 < len(g.parts):
                 lines[-1] += " ;"
     elif isinstance(g, Interaction):
-        lines.append(
-            f"{pad}{g.sender} -> {g.receiver} : {g.message}{_ann(g, annotate)}"
-        )
+        lines.append(f"{pad}{g.sender} -> {g.receiver} : {g.message}{_ann(g)}")
     elif isinstance(g, Par):
-        lines.append(f"{pad}par{_ann(g, annotate)} {{")
+        lines.append(f"{pad}par{_ann(g)} {{")
         for i, b in enumerate(g.branches):
             if i:
                 lines.append(f"{pad}|")
-            _emit(b, depth + 1, annotate, lines)
+            _emit(b, depth + 1, lines)
         lines.append(f"{pad}}}")
     elif isinstance(g, Loop):
-        lines.append(f"{pad}loop{_ann(g, annotate)} @{g.controller} {{")
-        _emit(g.body, depth + 1, annotate, lines)
+        lines.append(f"{pad}loop{_ann(g)} @{g.controller} {{")
+        _emit(g.body, depth + 1, lines)
         lines.append(f"{pad}}}")
     elif isinstance(g, Choice):
         at = f" @{g.at}" if g.at else ""
-        lines.append(f"{pad}choice{_ann(g, annotate)}{at} {{")
+        lines.append(f"{pad}choice{_ann(g)}{at} {{")
         for i, br in enumerate(g.branches):
             lead = "+ " if i else ""
             lines.append(f"{pad}  {lead}{{")
-            _emit(br.body, depth + 2, annotate, lines)
+            _emit(br.body, depth + 2, lines)
             lines.append(f"{pad}  }} unless {guard_text(br.guard)}")
         lines.append(f"{pad}}}")
     else:

@@ -3,8 +3,9 @@
 Each construct's transitions are written once, into one list per
 participant, from the state the construct is entered in to the exit state
 it returns.  An interaction projects to a single send or receive, each
-part of a sequence is entered where the part before it exits, parallel
-branches are written apart and interleaved, and every branch of a choice
+part of a sequence is entered where the part before it exits, the threads
+of a ``par`` that the participant takes part in are written apart and
+interleaved (a lone one is written in place), and every branch of a choice
 runs from the choice's entry to one shared exit, with no silent moves.
 Every event carries its construct's control point, so the list is already
 deterministic, and :func:`machine.finalize` minimizes and numbers it.
@@ -20,6 +21,11 @@ A loop controlled by ``a`` is wired explicitly: ``a`` announces each
 iteration by sending a start marker to every other participant of the body
 (and re-sends it on repetition), and announces the exit with an end
 marker.  The other body participants mirror this with marker receives.
+
+:func:`project_system` is the only entry point: it validates its input
+first, so the walk relies on what ``validate`` and ``well_branched``
+guarantee, such as a loop body with a participant besides its controller,
+and a non-decider that takes part in every branch of a choice or in none.
 """
 
 from __future__ import annotations
@@ -70,26 +76,14 @@ def _deciders(order: EventOrder) -> dict[int, str]:
     }
 
 
-def project(g: Chor, participant: str, decorated: bool = True) -> RCfsm:
-    """Project ``g`` onto one participant and finalize the machine.
-
-    Raises :class:`UndefinedSemantics` if the event order of ``g`` does
-    not exist.
-    """
-    w = _Writer(_deciders(semantics(g)))
-    exit, _ = _project(g, participant, 0, w)
-    transitions = w.transitions
-    if not decorated:
-        transitions = [Transition(t.src, t.event, UNIT, t.dst) for t in transitions]
-    return finalize(participant, 0, exit, transitions)
-
-
 def project_system(g: Chor) -> System:
     """Project a checked choreography onto all of its participants.
 
     Raises :class:`ProjectionError` if the choreography is not well formed
-    or not well branched, and :class:`UndefinedSemantics` if its event
-    order does not exist.
+    or not well branched, if a decider's choice is nested in a choice it
+    also decides, or if a decider's branch is interleaved with another
+    ``par`` thread it takes part in; raises :class:`UndefinedSemantics` if
+    its event order does not exist.
     """
     report = validate(g)
     if not report.ok:
@@ -155,10 +149,6 @@ def _project(g: Chor, a: str, src: int, w: _Writer, anchor: Anchor = None) -> tu
         members = participants(g.body)
         if a == g.controller:
             others = sorted(members - {a})
-            if not others:
-                raise ProjectionError(
-                    f"loop at control point {g.cp} has no participant besides its controller"
-                )
             starts = [CommEvent(Channel(a, b), "!", g.cp, LOOP_START) for b in others]
             ends = [CommEvent(Channel(a, b), "!", g.cp, LOOP_END) for b in others]
             w.family.update((e, e if anchor is None else anchor) for e in starts)
@@ -218,15 +208,8 @@ def _choose(g: Choice, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[in
     commits the branch.  Everyone else's branches continue the thread.
     """
     decider = a == w.deciders[g.cp]
-    if not decider:
-        occurs = [a in participants(br.body) for br in g.branches]
-        if not any(occurs):
-            return src, anchor
-        if not all(occurs):
-            raise ProjectionError(
-                f"{a} takes part in some but not all branches of the choice"
-                f" at control point {g.cp}"
-            )
+    if not decider and a not in participants(g):
+        return src, anchor
     exit = None
     found = []
     for br in g.branches:
@@ -256,14 +239,22 @@ def _choose(g: Choice, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[in
 
 
 def _interleave(g: Par, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[int, Anchor]:
-    """Write the product of ``g``'s branches, each written apart first and
-    each continuing the thread.
+    """Write the product of the threads of ``g`` that ``a`` takes part in,
+    each written apart first and each continuing the thread.
 
-    The branches' states are fresh, so one index by source state serves all.
+    A lone such thread is written in place from ``src`` and keeps its
+    decorations; with none, nothing is written.  The product writes plain
+    transitions, so a thread with branch decorations cannot join one.  The
+    threads' states are fresh, so one index by source state serves all.
     """
+    branches = [b for b in g.branches if a in participants(b)]
+    if not branches:
+        return src, anchor
+    if len(branches) == 1:
+        return _project(branches[0], a, src, w, anchor)
     start = len(w.transitions)
     threads = []
-    for branch in g.branches:
+    for branch in branches:
         first = next(w.states)
         threads.append((first, *_project(branch, a, first, w, anchor)))
         if len(threads) > 1 and any(isinstance(t.decoration, Branch) for t in w.transitions[start:]):

@@ -396,7 +396,12 @@ def finalize_pmachine(m: PMachine) -> RCfsm:
 
 
 def project(g: Chor, participant: str, decorated: bool = True) -> RCfsm:
-    """``projection.project`` through pre-machines."""
+    """One participant's machine through pre-machines, decorated or plain.
+
+    It validates nothing, so it keeps the refusals that only invalid or
+    ill-branched input reaches: a loop with its controller alone, and a
+    participant in some branches of a choice only.
+    """
     pm = _project(g, participant, StateAlloc(), _deciders(semantics(g)))
     if not decorated:
         pm = forget_pmachine(pm)
@@ -431,8 +436,11 @@ def _project(g: Chor, a: str, alloc: StateAlloc, deciders: dict[int, str]) -> PM
         return seq_machines(*(_project(part, a, alloc, deciders) for part in g.parts))
 
     if isinstance(g, Par):
-        machine = _project(g.branches[0], a, alloc, deciders)
-        for branch in g.branches[1:]:
+        threads = [branch for branch in g.branches if a in participants(branch)]
+        if not threads:
+            return empty_machine(a, alloc)
+        machine = _project(threads[0], a, alloc, deciders)
+        for branch in threads[1:]:
             machine = product_machines(machine, _project(branch, a, alloc, deciders), alloc)
         return machine
 

@@ -22,11 +22,12 @@ from chorrev.explore import Bound, run_checks
 from chorrev.model import Channel, CountAtom, Interaction, Loop, Seq, validate
 from chorrev.order import CommEvent, UndefinedSemantics, semantics
 from chorrev.parse import parse_choreography
-from chorrev.projection import project, project_system
+from chorrev.projection import project_system
 from chorrev.reverse import enabled_reversals, rho, step_reverse
 from chorrev.runtime import BookEntry, Configuration, Log
 
 import order_oracle
+import projection_oracle
 import runtime_oracle
 from conftest import DAG, DATA, drive, queues, retry_after
 
@@ -131,7 +132,7 @@ def test_criterion_03_decoration_erasure_roundtrip():
                 continue
             for a, m in system.machines.items():
                 if any(isinstance(t.decoration, machine.Branch) for t in m.transitions):
-                    plain = project(g, a, decorated=False)
+                    plain = projection_oracle.project(g, a, decorated=False)
                     assert machine.forget_machine(plain) == plain
                     assert same_traces(machine.forget_machine(m), plain)
                     compared += 1

@@ -19,7 +19,7 @@ from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import forget_config
 
-from conftest import DAG, book_dict, chi_dict, sigma_dict
+from conftest import DAG, DATA, book_dict, chi_dict, sigma_dict
 
 AB = Channel("A", "B")
 
@@ -118,6 +118,14 @@ def test_all_checks_pass_on_the_travel_system(travel_system):
 def test_checks_pass_on_the_retry_system(retry_system):
     results = run_checks(retry_system, Bound(30, 1))
     assert all(r.verdict == "pass" for r in results)
+
+
+def test_checks_pass_on_a_choice_in_a_par_thread():
+    system = project_system(parse_choreography((DATA / "choice_in_par.rchor").read_text()))
+    sound, complete, causal = run_checks(system, Bound(60, 1))
+    assert all(r.verdict == "pass" for r in (sound, complete, causal))
+    assert sound.stats["images"] == complete.stats["plain_configs"] == 40
+    assert causal.stats["reversal_edges"] == 40
 
 
 def test_truncated_check_is_inconclusive(travel_system):

@@ -12,9 +12,9 @@ from chorrev.machine import ProjectionError, Unit
 from chorrev.model import Channel, CountAtom, subterms
 from chorrev.order import CommEvent, UndefinedSemantics
 from chorrev.parse import parse_choreography
-from chorrev.projection import project, project_system
+from chorrev.projection import project_system
 
-from conftest import DAG, DDAG
+from conftest import DAG, DATA, DDAG
 
 TB = Channel("T", "B")
 TD = Channel("T", "D")
@@ -124,32 +124,39 @@ def test_finals_are_sinks(travel_system):
             assert m.out_of(f) == []
 
 
-def test_project_undecorated(travel_chor):
-    t = project(travel_chor, "T", decorated=False)
-    assert all(isinstance(x.decoration, Unit) for x in t.transitions)
-    assert len(t.states) == 17
-
-
 def test_par_projection_is_a_diamond():
     g = parse_choreography("par { A -> B : m | A -> C : n }")
-    a = project(g, "A")
+    a = project_system(g).machines["A"]
     assert len(a.states) == 4
     assert len(a.transitions) == 4
     assert a.finals == frozenset({3})
     assert {str(t.event) for t in a.out_of(0)} == {"A->B!m/2", "A->C!n/3"}
 
 
+def test_a_choice_in_a_par_thread_projects_like_the_choice_alone():
+    # B takes part in the choice's thread only, so its machine is the
+    # choice's, decorations included; A interleaves both threads plainly.
+    g = parse_choreography((DATA / "choice_in_par.rchor").read_text())
+    choice = g.branches[0]
+    machines = project_system(g).machines
+    assert machines["B"] == project_system(choice).machines["B"]
+    assert any(not isinstance(t.decoration, Unit) for t in machines["B"].transitions)
+    assert all(isinstance(t.decoration, Unit) for t in machines["A"].transitions)
+
+
 def test_nested_choice_same_decider_cannot_project():
     g = parse_choreography(
         """
         choice {
-          { choice { { A -> B : m } unless tt + { A -> B : n } unless tt } } unless tt
+          { A -> B : m ;
+            choice { { A -> B : x } unless tt + { A -> B : y } unless tt }
+          } unless tt
           + { A -> B : z } unless tt
         }
         """
     )
     with pytest.raises(ProjectionError, match="already decorated"):
-        project(g, "A")
+        project_system(g)
 
 
 def test_project_system_rejects_invalid():
@@ -170,8 +177,6 @@ def test_project_system_rejects_undefined():
     g = parse_choreography("A -> B : m ; C -> D : n")
     with pytest.raises(UndefinedSemantics):
         project_system(g)
-    with pytest.raises(UndefinedSemantics):
-        project(g, "A")
 
 
 # -- how often the event order is computed --------------------------------------
