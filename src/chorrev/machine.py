@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .model import Guard, guard_text
 from .order import CommEvent
@@ -38,6 +38,11 @@ class DeterminizationConflict(ProjectionError):
 
 @dataclass(frozen=True)
 class Unit:
+    """The decoration of a plain transition.
+
+    A dataclass: as an empty named tuple it would equal ``()``.
+    """
+
     def __str__(self) -> str:
         return "unit"
 
@@ -45,8 +50,7 @@ class Unit:
 UNIT = Unit()
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """The decoration of a branch transition: the decision it belongs to."""
 
     choice_state: int
@@ -65,22 +69,7 @@ class Branch:
 Decoration = Union[Unit, Branch]
 
 
-def decoration_key(d: Decoration) -> tuple:
-    if isinstance(d, Unit):
-        return ("unit",)
-    return (d.kind, d.choice_state, event_key(d.first_output), guard_text(d.guard))
-
-
-def event_key(e: CommEvent) -> tuple:
-    return (e.channel.sender, e.channel.receiver, e.polarity, e.cp, e.message)
-
-
-def label_key(event: CommEvent, decoration: Decoration) -> tuple:
-    return (event_key(event), decoration_key(decoration))
-
-
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: int
     event: CommEvent
     decoration: Decoration
@@ -101,7 +90,8 @@ class RCfsm:
 
     The lookups by state, by (state, event) and of the branch families
     at a state go through indexes built on first use, so projecting a
-    machine never builds them.
+    machine never builds them.  They are cached properties, which need an
+    instance dict, so a machine is a dataclass and not a named tuple.
     """
 
     owner: str
@@ -180,31 +170,29 @@ def finalize(
             )
 
     # Number the reachable states breadth-first, each state's transitions
-    # in label order; out[i] lists (label key, transition, target number).
+    # in event order; out[i] lists (transition, target number).
     number = {initial: 0}
     order = [initial]
-    out: list[list[tuple[tuple, Transition, int]]] = []
+    out: list[list[tuple[Transition, int]]] = []
     for q in order:
         row = []
-        for key, t in sorted(
-            (label_key(t.event, t.decoration), t) for t in rows.get(q, {}).values()
-        ):
+        for _, t in sorted(rows.get(q, {}).items()):
             j = number.get(t.dst)
             if j is None:
                 j = number[t.dst] = len(order)
                 order.append(t.dst)
-            row.append((key, t, j))
+            row.append((t, j))
         out.append(row)
 
     # Partition refinement.  Each round numbers the blocks by their first
-    # member; on states numbered breadth-first in label order, that is
+    # member; on states numbered breadth-first in event order, that is
     # the breadth-first numbering of the minimal machine.
     n = len(order)
     block = [0 if q == exit else 1 for q in order]
     while True:
         signatures: dict[tuple, list[int]] = {}
         for i in range(n):
-            sig = (block[i], tuple((key, block[j]) for key, _, j in out[i]))
+            sig = (block[i], tuple((t.event, t.decoration, block[j]) for t, j in out[i]))
             signatures.setdefault(sig, []).append(i)
         stable = len(signatures) == len(set(block))
         for b, members in enumerate(signatures.values()):
@@ -233,7 +221,7 @@ def finalize(
     final = tuple(
         Transition(b, t.event, final_decoration(t.decoration), block[j])
         for b, members in enumerate(signatures.values())
-        for _, t, j in out[members[0]]
+        for t, j in out[members[0]]
     )
     finals = frozenset({block[number[exit]]} if exit in number else ())
     return RCfsm(owner, tuple(range(len(signatures))), 0, final, finals)

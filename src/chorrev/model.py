@@ -36,15 +36,13 @@ COUNT_OPS = ("<", "<=", "==", ">=", ">")
 class Channel(NamedTuple):
     """A directed point-to-point channel between two participants.
 
-    Channels key every configuration's queues; as a named tuple a channel
-    hashes, compares and orders in C, like the pair of its endpoints.
+    A channel is the pair of its endpoints: as a named tuple it hashes,
+    compares and orders in C, and ``a in channel`` asks whether ``a`` is
+    one of them.  Channels key every configuration's queues.
     """
 
     sender: str
     receiver: str
-
-    def endpoints(self) -> tuple[str, str]:
-        return (self.sender, self.receiver)
 
     def __str__(self) -> str:
         return f"{self.sender}->{self.receiver}"
@@ -52,6 +50,9 @@ class Channel(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Guards
+#
+# Guards, like the choreography terms below, stay dataclasses: as named
+# tuples ``GTrue() == GFalse() == ()`` and ``Or(a, b) == And(a, b)``.
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,9 @@ def guard_text(g: Guard) -> str:
 
 # ---------------------------------------------------------------------------
 # Choreography terms
+#
+# Dataclasses, like guards, so that a term equals only a term of its own
+# kind: a named tuple equals any tuple of the same fields.
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .model import (
     Channel,
@@ -51,9 +51,12 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class CommEvent:
-    """A send (polarity ``!``) or receive (polarity ``?``) of one message."""
+class CommEvent(NamedTuple):
+    """A send (polarity ``!``) or receive (polarity ``?``) of one message.
+
+    As a named tuple an event hashes and compares in C, and it orders as
+    its channel's endpoints, polarity, control point and message.
+    """
 
     channel: Channel
     polarity: str
@@ -68,8 +71,7 @@ class CommEvent:
         return f"{self.channel}{self.polarity}{self.message}/{self.cp}"
 
 
-@dataclass(frozen=True)
-class GateEvent:
+class GateEvent(NamedTuple):
     """A bookkeeping event marking a choice or a loop boundary."""
 
     cp: int
@@ -94,7 +96,9 @@ class EventOrder:
     ``down[i]`` is the down-set of ``event_list[i]`` as a bitset: bit ``j``
     is set when ``event_list[j]`` precedes or equals ``event_list[i]``.
     ``events`` holds the same events as ``event_list``.  ``le``, the
-    relation as a set of pairs, is built on first access only.
+    relation as a set of pairs, is built on first access only; it and the
+    index are cached properties, which need an instance dict, so an order
+    is a dataclass and not a named tuple.
     """
 
     event_list: tuple[Event, ...]
@@ -253,7 +257,7 @@ def guard_local_violations(c: Choice, active: str) -> list[Union[CountAtom, Memb
     bad = []
     for br in c.branches:
         for atom in guard_atoms(br.guard):
-            if active not in atom.channel.endpoints():
+            if active not in atom.channel:
                 bad.append(atom)
     return bad
 
@@ -293,27 +297,17 @@ def _check_choice(c: Choice, order: EventOrder, at_cp: dict[int, list[Event]]) -
             )
         )
 
+    # A branch opens with sends, loop starts or choice gates: a receive
+    # lies above its send and a loop's end above its start.  The semantics
+    # gives the sends to the decider, and a loop opening the branch is one
+    # it controls, whose start markers are its first outputs.
     for events in branches:
         for e in order.minimal(events):
-            if isinstance(e, CommEvent) and e.polarity == "!":
-                continue
-            if isinstance(e, GateEvent) and e.kind == "loop_start":
-                # The branch opens with a loop controlled by the decider;
-                # its start markers are the decider's first outputs.
-                continue
             if isinstance(e, GateEvent) and e.kind == "choice":
                 issues.append(
                     Issue(
                         "branch-opens-with-choice",
                         "a branch immediately opens another choice",
-                        c.cp,
-                    )
-                )
-            else:
-                issues.append(
-                    Issue(
-                        "branch-minimal-not-send",
-                        f"branch opens with {e}, which is not an output of {active}",
                         c.cp,
                     )
                 )

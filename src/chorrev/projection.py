@@ -205,7 +205,9 @@ def _choose(g: Choice, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[in
     Each of the decider's branches opens a thread, and the walk that
     writes it records its families, so it is decorated once written: the
     choice state is ``src``, and a transition whose target is the exit
-    commits the branch.  Everyone else's branches continue the thread.
+    commits the branch.  Every event it writes has a family: ``well_branched``
+    opens each thread of a decider's branch with the decider's output or
+    with a loop it controls.  Everyone else's branches continue the thread.
     """
     decider = a == w.deciders[g.cp]
     if not decider and a not in participants(g):
@@ -230,10 +232,7 @@ def _choose(g: Choice, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[in
             dst = exit if t.dst == end else t.dst
             deco = t.decoration
             if decider:
-                family = w.family[t.event]
-                if family is None:
-                    raise ProjectionError(f"no anchoring output for {t.event} in a branch of {a}")
-                deco = Branch(src, family, br.guard, dst == exit)
+                deco = Branch(src, w.family[t.event], br.guard, dst == exit)
             w.transitions[i] = Transition(t.src, t.event, deco, dst)
     return exit, _least(anchor, found)
 

@@ -39,6 +39,12 @@ from .runtime import (
 
 @dataclass(frozen=True)
 class ReversalCandidate:
+    """An enabled reversal: who undoes which branch family, and its anchor.
+
+    A dataclass: a candidate is read by field name and no search hashes,
+    compares or orders one, so being a tuple would buy it nothing.
+    """
+
     participant: str
     choice_state: int
     first_output: CommEvent

@@ -13,10 +13,10 @@ are never discarded by forward execution; consuming an input only moves
 the channel's head index past its log.  This is what makes rollback
 possible later.
 
-Searches hash configurations far more often than they build them, so
-channel states and configurations compute their hash once, at
-construction.  Logs, like channels, are named tuples: they cache no
-hash, since the interpreter hashes and compares a tuple in C.  A
+Searches hash configurations far more often than they build them, so a
+configuration computes its hash once, at construction.  Its parts are
+named tuples: logs, channel states and book entries, like channels, cache
+no hash, since the interpreter hashes and compares a tuple in C.  A
 configuration is its three sorted tuples and that hash, nothing more:
 its lookups scan the tuples, which hold one slot per participant,
 channel or open decision.  A forward step builds its successor from the
@@ -65,22 +65,16 @@ class Log(NamedTuple):
         return f"({self.message}, {self.sender_state}, {self.cp}, {self.timestamp})"
 
 
-@dataclass(frozen=True)
-class ChannelState:
+class ChannelState(NamedTuple):
     """Every log sent on one channel, oldest first, and ``head``, the number
     of them the receiver has consumed.
 
-    ``consumed`` and ``pending`` are the two sides of the head.
+    ``consumed`` and ``pending`` are the two sides of the head.  A channel
+    state caches no hash: as a named tuple it hashes in C.
     """
 
     logs: tuple[Log, ...] = ()
     head: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.logs, self.head)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def consumed(self) -> tuple[Log, ...]:
@@ -94,8 +88,7 @@ class ChannelState:
 EMPTY_CHANNEL = ChannelState()
 
 
-@dataclass(frozen=True)
-class BookEntry:
+class BookEntry(NamedTuple):
     tried: frozenset[tuple[CommEvent, Guard]] = frozenset()
     exhausted: bool = False
 
@@ -112,8 +105,10 @@ class Configuration:
     entry.  :meth:`make` canonicalises dict input; the forward and
     backward steps keep the order themselves, sharing the parts of the
     parent they leave alone.  The hash is computed once, at construction;
-    it is not a field.  There are no dict views: the lookups scan the
-    tuples.
+    it is not a field.  Every ``seen`` lookup of a search hashes a
+    configuration, so it is the one type that caches its hash, and a
+    dataclass rather than a named tuple.  There are no dict views: the
+    lookups scan the tuples.
     """
 
     sigma: tuple[tuple[str, int], ...]

@@ -20,7 +20,6 @@ decorations as well as machines.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -34,8 +33,6 @@ from chorrev.machine import (
     RCfsm,
     Transition,
     Unit,
-    event_key,
-    label_key,
 )
 from chorrev.model import (
     LOOP_END,
@@ -48,11 +45,32 @@ from chorrev.model import (
     Loop,
     Par,
     Seq,
+    guard_text,
     participants,
     validate,
 )
 from chorrev.order import CommEvent, semantics, well_branched
 from chorrev.projection import _deciders
+
+
+# The sort and comparison keys the package's ``finalize`` once used.  The
+# determinizing ``finalize`` below still needs them: a row of the subset
+# construction may hold one event under two decorations, and the
+# decoration's key breaks the tie, guards by their text.
+
+
+def decoration_key(d: Decoration) -> tuple:
+    if isinstance(d, Unit):
+        return ("unit",)
+    return (d.kind, d.choice_state, event_key(d.first_output), guard_text(d.guard))
+
+
+def event_key(e: CommEvent) -> tuple:
+    return (e.channel.sender, e.channel.receiver, e.polarity, e.cp, e.message)
+
+
+def label_key(event: CommEvent, decoration: Decoration) -> tuple:
+    return (event_key(event), decoration_key(decoration))
 
 
 class StateAlloc:
@@ -110,7 +128,7 @@ def _sub_state(mapping: dict[int, int], s: int) -> int:
 
 def _sub_decoration(mapping: dict[int, int], d: Decoration) -> Decoration:
     if isinstance(d, Branch):
-        return dataclasses.replace(d, choice_state=_sub_state(mapping, d.choice_state))
+        return d._replace(choice_state=_sub_state(mapping, d.choice_state))
     return d
 
 
@@ -353,7 +371,7 @@ def finalize(
                 f"two distinct choice states of {owner} were merged into one"
             )
         choice_state_targets[new_q] = d.choice_state
-        return dataclasses.replace(d, choice_state=new_q)
+        return d._replace(choice_state=new_q)
 
     transitions: list[Transition] = []
     emitted = set()

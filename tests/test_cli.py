@@ -231,14 +231,18 @@ def test_project_dot_matches_the_recorded_files(runner, tmp_path):
         assert (tmp_path / f"{a}.dot").read_bytes() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["static_order_loop", "rollback_consumed_marker"])
+# The other data files: two with looped choices, and a choice in a par thread.
+PROJECTED = ["static_order_loop", "rollback_consumed_marker", "choice_in_par"]
+
+
+@pytest.mark.parametrize("name", PROJECTED)
 def test_project_of_looped_choices_matches_the_recorded_output(runner, name):
     result = runner.invoke(main, ["project", str(DATA / f"{name}.rchor")])
     assert result.exit_code == 0
     assert result.stdout_bytes == (DATA / f"project_{name}.txt").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["static_order_loop", "rollback_consumed_marker"])
+@pytest.mark.parametrize("name", PROJECTED)
 def test_project_dot_of_looped_choices_matches_the_recorded_files(runner, tmp_path, name):
     result = runner.invoke(main, ["project", str(DATA / f"{name}.rchor"), "--dot", str(tmp_path)])
     assert result.exit_code == 0
@@ -393,6 +397,17 @@ def test_simulate_stuck_schedule_exits_one(runner, tmp_path):
     assert trace_path.read_text() == "kept\n"
 
 
+def test_simulate_rev_directive_with_no_enabled_reversal_exits_one(runner, tmp_path):
+    path = tmp_path / "rev.json"
+    path.write_text(json.dumps([{"kind": "rev", "participant": "T"}]))
+    result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(path)])
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: the run got stuck: no reversal matches directive"
+        " {'kind': 'rev', 'participant': 'T'}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
@@ -538,6 +553,14 @@ def test_simulate_dump_causality(runner, tmp_path):
     assert "†@1#1(T->D) << †@1#2(T->B)  via sender-order" in result.output
 
 
+def test_simulate_dump_causality_of_no_steps(runner):
+    result = runner.invoke(main, ["simulate", TRAVEL, "--auto", "0", "--dump-causality"])
+    assert result.exit_code == 0
+    assert result.output.endswith(
+        "finished after 0 steps\n[B:q0B, D:q0D, T:q0T] all queues empty\nno dependencies recorded\n"
+    )
+
+
 # Recorded before a channel became one log sequence with a head index:
 # the stdout of a seeded run with two reversals, and the traces of that run
 # and of the replan schedule, whose rollback removes consumed logs.  They
@@ -652,6 +675,23 @@ def test_simulate_interactive_takes_steps(runner):
     assert "finished after 2 steps" in result.output
 
 
+def test_simulate_interactive_refuses_unlisted_answers_and_lists_reversals(runner, tmp_path):
+    path = write(
+        tmp_path,
+        "retry.rchor",
+        "choice { { A -> B : m ; B -> A : r } unless count(m, A->B) >= 1"
+        " + { A -> B : y ; B -> A : s } unless count(y, A->B) >= 1 }",
+    )
+    # Two answers name no listed move; then A sends m, and its guard now
+    # holds, so the menu offers to reverse the branch, which is taken.
+    result = runner.invoke(main, ["simulate", path, "--interactive"], input="9\nx\n0\n1\nq\n")
+    assert result.exit_code == 0
+    assert result.output.count("not a listed move") == 2
+    assert "  0: B receive m@2 on A->B\n  1: A reverse branch m@2\n" in result.output
+    assert "A reverses branch m@2 of q0A: 1 logs undone, exhausted=false" in result.output
+    assert "finished after 2 steps" in result.output
+
+
 # -- explore -------------------------------------------------------------------
 
 
@@ -760,6 +800,9 @@ def test_simulate_failed_rollback_exits_one(runner):
 def test_explore_rejects_malformed_bounds(runner):
     result = runner.invoke(main, ["explore", TRAVEL, "--bound", "steps=3"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["explore", TRAVEL, "--bound", "steps"])
+    assert result.exit_code == 2
+    assert "malformed bound piece 'steps'; expected steps=N,rounds=N" in result.output
     result = runner.invoke(main, ["explore", TRAVEL, "--bound", "steps=3,rounds=0"])
     assert result.exit_code == 2
     # a repeated key is refused, not silently overwritten by its last value

@@ -288,3 +288,21 @@ def test_causal_consistency_catches_a_broken_rollback(retry_system, monkeypatch)
     (res,) = run_checks(retry_system, Bound(20, 1), names=["causal-consistency"])
     assert res.verdict == "fail"
     assert "inconsistent configuration" in res.details
+
+
+def test_causal_consistency_catches_a_rollback_outside_the_plain_semantics(retry_system, monkeypatch):
+    # The audit reads no pending word, so only the plain inclusion notices
+    # one that no plain run leaves behind.
+    real = chorrev.runtime.forget_config
+
+    def with_a_stray_word(cfg):
+        sigma, words = real(cfg)
+        return sigma, words + ((Channel("Z", "Z"), (("stray", 0),)),)
+
+    monkeypatch.setattr(chorrev.runtime, "forget_config", with_a_stray_word)
+    (res,) = run_checks(retry_system, Bound(20, 1), names=["causal-consistency"])
+    assert res.verdict == "fail"
+    assert res.details == (
+        "rollback of m by A reaches a configuration outside the plain semantics:"
+        " [A:0, B:0] Z->Z=stray"
+    )

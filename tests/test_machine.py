@@ -10,7 +10,6 @@ from chorrev.machine import (
     RCfsm,
     Transition,
     Unit,
-    event_key,
     finalize,
     forget_machine,
     to_dot,
@@ -56,7 +55,7 @@ def validate_machine(m: RCfsm) -> list[str]:
                 problems.append(f"decoration of {t} references an unknown state")
     seen = {}
     for t in m.transitions:
-        marker = (t.src, event_key(t.event))
+        marker = (t.src, t.event)
         if marker in seen:
             problems.append(f"nondeterministic on {t.event} from {t.src}")
         seen[marker] = t

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import order_oracle
-from chorrev.model import Interaction, Par, pretty
-from chorrev.order import UndefinedSemantics, semantics, seq_compose
+from chorrev.model import Choice, Interaction, Par, pretty, subterms
+from chorrev.order import CommEvent, UndefinedSemantics, semantics, seq_compose
 from chorrev.parse import parse_choreography
 
 from conftest import DATA, build
@@ -75,6 +75,31 @@ def test_generated_terms_match_the_closure_oracle(shape):
 def test_generated_terms_print_and_parse_back(shape):
     g = build(shape)
     assert parse_choreography(pretty(g)) == g
+
+
+def _opens_a_branch(e):
+    """Whether ``e`` may be minimal in a branch: a send, a loop start or a
+    choice gate, never a receive (it lies above its send) or a loop end
+    (it lies above its start)."""
+    if isinstance(e, CommEvent):
+        return e.polarity == "!"
+    return e.kind in ("loop_start", "choice")
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes)
+def test_branches_open_with_sends_loop_starts_or_choices(shape):
+    # Why ``well_branched`` needs no issue for any other opening event.
+    for node in subterms(build(shape)):
+        if not isinstance(node, Choice):
+            continue
+        try:
+            semantics(node)
+        except UndefinedSemantics:
+            continue
+        for br in node.branches:
+            opening = semantics(br.body).minimal()
+            assert all(_opens_a_branch(e) for e in opening), opening
 
 
 @pytest.mark.parametrize("path", sorted(DATA.glob("*.rchor")), ids=lambda p: p.name)

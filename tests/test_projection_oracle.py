@@ -22,10 +22,14 @@ from chorrev.projection import project_system
 from conftest import DATA
 from test_order_oracle import build, shapes
 
-# The refusals left to the package for a checked choreography, and the two
-# that only the oracle's unvalidated ``project`` keeps.
+# The refusals left to the package for a checked choreography, and the
+# three that only the oracle's unvalidated ``project`` keeps.
 LEFT = ("already decorated", "cannot interleave")
-DEAD = ("no participant besides its controller", "some but not all branches")
+DEAD = (
+    "no participant besides its controller",
+    "some but not all branches",
+    "no anchoring output",
+)
 
 
 def aliases(m):

@@ -299,7 +299,7 @@ def test_lookups_agree_with_the_dicts(travel_system, travel_reversal_search):
     for cfg in travel_reversal_search.configs:
         sigma, chi, book = sigma_dict(cfg), chi_dict(cfg), book_dict(cfg)
         assert all(cfg.state_of(a) == q for a, q in sigma.items())
-        assert all(cfg.channel_state(Channel(*ch.endpoints())) is cs for ch, cs in chi.items())
+        assert all(cfg.channel_state(Channel(*ch)) is cs for ch, cs in chi.items())
         assert all(cfg.book_entry(a, q) is e for (a, q), e in book.items())
     cfg = initial_configuration(travel_system)
     with pytest.raises(KeyError):

@@ -263,7 +263,7 @@ def test_the_hash_is_not_a_field(replan_config):
     assert "_hash" not in repr(replan_config)
     assert hash(replan_config) == hash(tuple(getattr(replan_config, n) for n in names))
     cs = replan_config.chi[0][1]
-    assert tuple(f.name for f in dataclasses.fields(ChannelState)) == ("logs", "head")
+    assert ChannelState._fields == ("logs", "head")
     assert "_hash" not in repr(cs)
     assert hash(cs) == hash((cs.logs, cs.head))
     log = cs.logs[0]
@@ -273,7 +273,7 @@ def test_the_hash_is_not_a_field(replan_config):
     ch = replan_config.chi[0][0]
     assert Channel._fields == ("sender", "receiver")
     assert "_hash" not in repr(ch)
-    assert hash(ch) == hash(ch.endpoints())
+    assert hash(ch) == hash(tuple(ch))
 
 
 def test_channels_and_logs_print_as_before():

@@ -218,6 +218,14 @@ def test_guard_text_round_trips(g):
     assert parse_guard(guard_text(g)) == g
 
 
+def test_guards_of_different_kinds_differ():
+    # Why guards stay dataclasses: as named tuples both pairs would be equal.
+    a, b = GTrue(), MemberAtom("m", Channel("A", "B"))
+    assert GTrue() != GFalse()
+    assert Or(a, b) != And(a, b)
+    assert len({GTrue(), GFalse(), Or(a, b), And(a, b)}) == 4
+
+
 @given(guards)
 def test_desugar_leaves_core_connectives(g):
     core = desugar(g)
