@@ -501,11 +501,13 @@ def _interactive_loop(sim: _Simulation, max_steps: int) -> None:
         if str(answer).strip().lower() in ("q", "quit", ""):
             return
         try:
-            move = pool[int(answer)]
-        except (ValueError, IndexError):
+            index = int(answer)
+        except ValueError:
+            index = -1
+        if not 0 <= index < len(pool):
             _echo("not a listed move", fg="yellow")
             continue
-        entry = sim.apply(move)
+        entry = sim.apply(pool[index])
         _echo("  " + _describe_entry(entry))
 
 

@@ -18,13 +18,18 @@ carried along the search: a forward successor's key is its parent's with
 the one channel slot the move changed replaced, and only the initial
 configuration and reversal targets are keyed from scratch.
 
-Each search interns the keys it meets in one :class:`ClassTable`, as
-small int ids: a key's tuple is hashed where it is made, and every later
-lookup is by id.  The table decides once per class what every member
-shares: its moves, listed by the first member met and only applied by
-the others; whether it is hot, some branch family reversible; and
-whether it is live.  The search asks for reversals only in hot classes,
-and builds no successor for a move into a dead class it has already seen.
+One :class:`ClassTable` interns the keys met as small int ids: a key's
+tuple is hashed where it is made, and every later lookup is by id.  The
+table decides once per class what every member shares: its moves, listed
+by the first member asked and only applied by the others; its reversible
+branch families, the class being hot when there is one; and whether it
+is live.  It also keeps the first member met.  The search with reversals
+asks for reversals only in hot classes, hands over their families, and
+builds no successor for a move into a dead class it has already seen.
+The forward search is a breadth-first walk over the table's ids that
+lists only the classes not listed yet, so ``run_checks`` runs it on the
+table the search with reversals filled, and steps only where that search
+left a class unlisted.
 
 Exploration is bounded in two ways: a cap on the number of transitions
 (breadth-first depth) and a cap on loop rounds, enforced by refusing to
@@ -138,37 +143,44 @@ def _depth(cfg: Configuration) -> int:
 
 
 class ClassTable:
-    """The forward classes one search meets, each interned as a small int id.
+    """The forward classes of one ``run_checks``, each interned as a small int id.
 
-    ``ids`` maps a ``forward_key`` to its id.  Per id the table holds the
-    key; the class's moves within the round bound, in ``enabled_forward``
-    order, as (participant, transition, successor id); whether the class
-    is hot, some branch family passing
-    :func:`~chorrev.reverse.reversible_families`; and whether it is live,
-    some forward run from it within the bound reaching a hot class.  All
-    three read only the key, so any member answers for its class, once;
-    ``None`` marks what no member was asked yet.  Without reversals no
-    class is live, and no hotness is asked.
+    ``ids`` maps a ``forward_key`` to its id; the initial configuration's
+    class is id 0.  Per id the table holds the key; the first member met,
+    a configuration built by the checked steps; the class's moves within
+    the round bound, in ``enabled_forward`` order, as (participant,
+    transition, successor id); its branch families that pass
+    :func:`~chorrev.reverse.reversible_families`, the class being hot when
+    there is one; and whether it is live, some forward run from it within
+    the bound reaching a hot class.  The last three read only the key, so
+    any member answers for its class, once; ``None`` marks what no member
+    was asked yet.  The search with reversals fills the table, and the
+    forward search (:func:`_forward_walk`) walks it, listing the moves of
+    any class the first did not reach.
     """
 
-    def __init__(self, system: System, bound: Bound, with_reversals: bool):
+    def __init__(self, system: System, bound: Bound):
         self.system = system
         self.bound = bound
-        self.with_reversals = with_reversals
         self.ids: dict[tuple, int] = {}
         self.keys: list[tuple] = []
+        self.members: list[Configuration] = []
         self.moves: list[Optional[list[tuple[str, Transition, int]]]] = []
-        self.hot: list[Optional[bool]] = []
+        self.families: list[Optional[tuple]] = []
         self.live: list[Optional[bool]] = []
+        init = runtime.initial_configuration(system)
+        self.intern(forward_key(init), init)
 
-    def intern(self, key: tuple) -> int:
-        """The id of the class keyed ``key``, a new one if it was not met."""
+    def intern(self, key: tuple, member: Configuration) -> int:
+        """The id of the class keyed ``key``, a new one if it was not met,
+        whose first member is then ``member``."""
         cid = self.ids.setdefault(key, len(self.keys))
         if cid == len(self.keys):
             self.keys.append(key)
+            self.members.append(member)
             self.moves.append(None)
-            self.hot.append(None)
-            self.live.append(None if self.with_reversals else False)
+            self.families.append(None)
+            self.live.append(None)
         return cid
 
     def successors(
@@ -196,17 +208,25 @@ class ClassTable:
                 if sum(log.message == LOOP_START and log.cp == ev.cp for log in logs) >= self.bound.max_rounds:
                     continue
             succ = _step(cfg, self.system, a, t)
-            b = self.intern(_successor_key(key, succ, ev))
+            b = self.intern(_successor_key(key, succ, ev), succ)
             moves.append((a, t, b))
             succs.append((succ, b))
         return [(succ, b) for succ, b in succs if wanted(b)]
 
-    def is_hot(self, cid: int, cfg: Configuration) -> bool:
-        """Whether class ``cid``, of which ``cfg`` is a member, is hot."""
-        hot = self.hot[cid]
-        if hot is None:
-            hot = self.hot[cid] = any(reverse.reversible_families(cfg, self.system))
-        return hot
+    def moves_of(self, cid: int) -> list[tuple[str, Transition, int]]:
+        """The moves of class ``cid``, listed from its first member if no
+        member listed them yet."""
+        if self.moves[cid] is None:
+            self.successors(self.members[cid], cid, lambda b: False)
+        return self.moves[cid]
+
+    def families_of(self, cid: int, cfg: Configuration) -> tuple:
+        """The reversible branch families of class ``cid``, of which
+        ``cfg`` is a member; the class is hot when there is one."""
+        families = self.families[cid]
+        if families is None:
+            families = self.families[cid] = tuple(reverse.reversible_families(cfg, self.system))
+        return families
 
     def is_live(self, cid: int, cfg: Configuration) -> bool:
         """Whether class ``cid``, of which ``cfg`` is a member, is live.
@@ -236,7 +256,7 @@ class ClassTable:
             elif _depth(c) > self.bound.max_steps:
                 stack.pop()
                 live[i] = False
-            elif self.is_hot(i, c):
+            elif self.families_of(i, c):
                 stack.pop()
                 live[i] = True
             else:
@@ -245,22 +265,54 @@ class ClassTable:
         return live[cid]
 
 
+def _forward_walk(table: ClassTable) -> ExplorationResult:
+    """The forward search: breadth-first over the class ids of ``table``
+    from the initial class, within the step bound.
+
+    It builds no configuration for a class whose moves are listed, and
+    lists the moves of any other from its first member.  ``configs`` holds
+    the first member of each class met, whose forgetful image every member
+    shares.  A class's breadth-first depth is its :func:`_depth`, whatever
+    filled the table, so the walk meets the classes, ``truncated`` and
+    ``steps_explored`` of the search over every forward configuration.
+    """
+    seen = {0}
+    frontier = [0]
+    depth = 0
+    truncated = False
+    while frontier:
+        if depth == table.bound.max_steps:
+            truncated = any(b not in seen for cid in frontier for _, _, b in table.moves_of(cid))
+            break
+        layer = []
+        for cid in frontier:
+            for _, _, b in table.moves_of(cid):
+                if b not in seen:
+                    seen.add(b)
+                    layer.append(b)
+        frontier = layer
+        depth += 1
+    return ExplorationResult(frozenset(table.members[cid] for cid in seen), truncated, (), depth)
+
+
 def reachable(
     system: System,
     bound: Bound,
     with_reversals: bool = False,
     analyzer: Optional[CausalityAnalyzer] = None,
+    table: Optional[ClassTable] = None,
 ) -> ExplorationResult:
-    """Breadth-first reachability of the instrumented semantics.
+    """Breadth-first reachability of the instrumented semantics, on the
+    ids of ``table`` (a new :class:`ClassTable` if none is passed).
 
-    A configuration is kept whole when its forward class is live (see
-    :class:`ClassTable`) and otherwise as one configuration per class.
-    Without reversals no class is live, so ``configs`` holds one
-    configuration per class; soundness and completeness read only
+    Without reversals this is :func:`_forward_walk`: one configuration per
+    forward class, the first met.  Soundness and completeness read only
     forgetful images, which a class shares.
 
-    With reversals the search is exact where a reversal can read history.
-    A forward step into a live class starts in a live class, and a reversal
+    With reversals a configuration is kept whole when its forward class is
+    live (see :class:`ClassTable`) and otherwise as one configuration per
+    class.  The search is exact where a reversal can read history.  A
+    forward step into a live class starts in a live class, and a reversal
     within the bound starts in a hot class within the bound, which is live.
     So every path to a reversal's source runs through live classes, which
     the search keeps as it would keep every configuration: the same sources
@@ -270,28 +322,29 @@ def reachable(
     configurations enable no reversal and lead only to dead classes, where
     a forward move reads nothing but the key.
 
-    The search runs on the ids of one :class:`ClassTable`.  The frontier
-    holds each configuration with its class, ``seen`` holds a dead class by
-    its id, and a forward successor's key is derived from its parent's (see
-    :func:`_successor_key`); :func:`forward_key` runs on the initial
-    configuration and on reversal targets only.  Two gates save work
-    without changing a result:
+    The frontier holds each configuration with its class, ``seen`` holds a
+    dead class by its id, and a forward successor's key is derived from
+    its parent's (see :func:`_successor_key`); :func:`forward_key` runs on
+    the initial configuration and on reversal targets only.  Two gates
+    save work without changing a result:
 
-    - ``enabled_reversals`` is asked only of members of hot classes.  Every
-      reversal passes :func:`~chorrev.reverse.reversible_families`, which
-      reads only the states, the book and message counts over a channel's
-      whole history.  The key holds the states and the book, and a
-      channel's counts are those of its pending word plus its consumed
-      multiset, so a class is hot for all its members or for none.
+    - ``enabled_reversals`` is asked only of members of hot classes, and
+      is handed the class's families.  Every reversal passes
+      :func:`~chorrev.reverse.reversible_families`, which reads only the
+      states, the book and message counts over a channel's whole history.
+      The key holds the states and the book, and a channel's counts are
+      those of its pending word plus its consumed multiset, so every
+      member of a class has the class's families.
     - A move into a class that is known dead and already seen builds no
       configuration: its successor would be dropped as met.
 
     ``truncated`` says that the last frontier, at the step bound, has a
     successor not yet met or an enabled reversal, whose edge goes unchecked.
     """
-    if with_reversals and analyzer is None:
-        analyzer = CausalityAnalyzer(system)
-    table = ClassTable(system, bound, with_reversals)
+    table = ClassTable(system, bound) if table is None else table
+    if not with_reversals:
+        return _forward_walk(table)
+    analyzer = CausalityAnalyzer(system) if analyzer is None else analyzer
     live = table.live
 
     def class_of(cfg: Configuration, cid: int):
@@ -301,14 +354,12 @@ def reachable(
         return live[cid] is not False or cid not in seen
 
     def reversals(cfg: Configuration, cid: int) -> list[ReversalCandidate]:
-        if with_reversals and table.is_hot(cid, cfg):
-            return reverse.enabled_reversals(cfg, system, analyzer)
-        return []
+        families = table.families_of(cid, cfg)
+        return reverse.enabled_reversals(cfg, system, analyzer, families=families) if families else []
 
-    init = runtime.initial_configuration(system)
-    init_id = table.intern(forward_key(init))
-    seen = {class_of(init, init_id): init}
-    frontier = [(init, init_id)]
+    init = table.members[0]
+    seen = {class_of(init, 0): init}
+    frontier = [(init, 0)]
     edges: list[tuple[Configuration, ReversalCandidate, Configuration]] = []
     depth = 0
     truncated = False
@@ -326,7 +377,7 @@ def reachable(
             for cand in reversals(cfg, cid):
                 succ = reverse.step_reverse(cfg, system, cand, analyzer)
                 edges.append((cfg, cand, succ))
-                succs.append((succ, table.intern(forward_key(succ))))
+                succs.append((succ, table.intern(forward_key(succ), succ)))
             for succ, b in succs:
                 # One lookup: ``succ`` comes back only when it was not met before.
                 if seen.setdefault(class_of(succ, b), succ) is succ:
@@ -459,16 +510,15 @@ def _inclusion(
     return CheckResult(name, True, truncated, detail, dict(stats))
 
 
-def _forward_checks(system: System, bound: Bound, plain: PlainResult) -> dict[str, CheckResult]:
+def _forward_checks(dec: ExplorationResult, plain: PlainResult) -> dict[str, CheckResult]:
     """Soundness (forward runs of the instrumented semantics stay inside
     the plain one) and completeness (every plain behaviour is realised by
-    some instrumented run) from one forward search, which is freed on return.
+    some instrumented run) from the forward search ``dec``.
 
     The search keeps one configuration per forward class, and the checks
     read only the classes' forgetful images, which every member of a class
     shares; ``instrumented_configs`` counts the classes.
     """
-    dec = reachable(system, bound)
     images = frozenset(runtime.forget_config(c) for c in dec.configs)
     stats = {
         "instrumented_configs": len(dec.configs),
@@ -490,17 +540,20 @@ def _forward_checks(system: System, bound: Bound, plain: PlainResult) -> dict[st
     }
 
 
-def _causal_consistency(system: System, bound: Bound, plain: PlainResult) -> CheckResult:
+def _causal_consistency(system: System, bound: Bound, plain: PlainResult, table: ClassTable) -> CheckResult:
     """Rollbacks land on configurations the plain semantics could reach.
 
-    Every reversal edge found within the bound is checked twice: its
-    target must pass the replay audit, and the target's forgetful image
-    must lie in the plain reachable set.  A rollback that cannot be
-    carried out at all fails the check.
+    Every reversal edge found within the bound by the search with
+    reversals, which fills ``table``, is checked: its target must pass the
+    replay audit, and the target's forgetful image must lie in the plain
+    reachable set.  Both read only the target, so each distinct target is
+    checked once, at its first edge, and the first edge that fails is
+    still the one named.  A rollback that cannot be carried out at all
+    fails the check.
     """
     analyzer = CausalityAnalyzer(system)
     try:
-        dec = reachable(system, bound, with_reversals=True, analyzer=analyzer)
+        dec = reachable(system, bound, with_reversals=True, analyzer=analyzer, table=table)
     except RollbackFailed as exc:
         stats = {"plain_configs": len(plain.configs)}
         return CheckResult("causal-consistency", False, False, str(exc), stats)
@@ -509,7 +562,11 @@ def _causal_consistency(system: System, bound: Bound, plain: PlainResult) -> Che
         "plain_configs": len(plain.configs),
         "reversal_edges": len(dec.reversal_edges),
     }
+    checked: set[Configuration] = set()
     for pre, cand, post in dec.reversal_edges:
+        if post in checked:
+            continue
+        checked.add(post)
         problems = audit_configuration(post, system, analyzer)
         if problems:
             detail = (
@@ -538,9 +595,12 @@ def run_checks(system: System, bound: Bound, names: Optional[list[str]] = None) 
     """Run the named checks (all of ``CHECKS`` by default), in that order.
 
     One call runs each search at most once and derives every verdict
-    from the shared results: the plain search always, the forward-only
-    search for soundness and completeness, the search with reversals for
-    causal consistency.
+    from the shared results: the plain search always, and one
+    :class:`ClassTable`.  The search with reversals, for causal
+    consistency, fills the table; soundness and completeness then walk it
+    (:func:`_forward_walk`), listing only the classes the first search
+    left out, as when a rollback failed.  Without causal consistency they
+    run the forward search alone.
     """
     selected = list(names) if names else list(CHECKS)
     for name in selected:
@@ -548,8 +608,11 @@ def run_checks(system: System, bound: Bound, names: Optional[list[str]] = None) 
             raise ValueError(f"unknown check {name!r}; pick from {', '.join(CHECKS)}")
     plain = plain_reachable(system, bound)
     verdicts: dict[str, CheckResult] = {}
-    if {"soundness", "completeness"} & set(selected):
-        verdicts.update(_forward_checks(system, bound, plain))
+    table = None
     if "causal-consistency" in selected:
-        verdicts["causal-consistency"] = _causal_consistency(system, bound, plain)
+        table = ClassTable(system, bound)
+        verdicts["causal-consistency"] = _causal_consistency(system, bound, plain, table)
+    if {"soundness", "completeness"} & set(selected):
+        dec = reachable(system, bound) if table is None else _forward_walk(table)
+        verdicts.update(_forward_checks(dec, plain))
     return [verdicts[name] for name in selected]

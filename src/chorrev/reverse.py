@@ -13,6 +13,13 @@ rewind to the states recorded in the removed logs, receivers of removed
 inputs are restored by replaying what is left of their history, and the
 decision state's book is updated so the same family is not immediately
 retried.
+
+Listing the reversals of a configuration and carrying one out share their
+work.  :func:`enabled_reversals` takes the families that pass
+:func:`reversible_families` from a caller that holds them, as the search
+does per forward class; :func:`step_reverse` checks only the candidate it
+is handed; and both read the anchor's cut from the analyzer, which keeps
+the answers for the configuration it was asked about last.
 """
 
 from __future__ import annotations
@@ -153,29 +160,28 @@ def enabled_reversals(
     system: System,
     analyzer: Optional[CausalityAnalyzer] = None,
     scope: str = FULL,
+    families: Optional[Sequence[tuple[str, int, CommEvent, Guard]]] = None,
 ) -> list[ReversalCandidate]:
     """All reversals available in ``cfg``, in a deterministic order.
 
     A participant can reverse a branch family of its current state when
     the family passes :func:`reversible_families` and its first output is
-    recorded at a point history can rewind to.
+    recorded at a point history can rewind to.  A caller that already
+    holds the families of ``cfg`` (a search holds them per forward class)
+    passes them as ``families``; otherwise they are computed here.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
-    return [cand for cand, _ in _enabled(cfg, system, analyzer, scope)]
-
-
-def _enabled(
-    cfg: Configuration, system: System, analyzer: CausalityAnalyzer, scope: str
-) -> Iterator[tuple[ReversalCandidate, list[int]]]:
-    """Each reversal of :func:`enabled_reversals` with its anchor's cut."""
-    for a, q_hat, first, guard in reversible_families(cfg, system, scope):
+    if families is None:
+        families = reversible_families(cfg, system, scope)
+    out = []
+    for a, q_hat, first, guard in families:
         log = _latest_anchor(cfg, first, q_hat)
         if log is None:
             continue
         anchor = (first.channel, log)
-        kept = analyzer.rollback_cut(cfg, anchor)
-        if kept is not None:
-            yield ReversalCandidate(a, q_hat, first, guard, anchor), kept
+        if analyzer.rollback_cut(cfg, anchor) is not None:
+            out.append(ReversalCandidate(a, q_hat, first, guard, anchor))
+    return out
 
 
 def step_reverse(
@@ -187,6 +193,13 @@ def step_reverse(
 ) -> Configuration:
     """Undo a branch family: roll back its first output and all effects.
 
+    The candidate must still be enabled in ``cfg``: its family belongs to
+    the participant's current state, the decision state is not exhausted,
+    the guard holds, the family's latest anchor is still the candidate's,
+    and history can be rewound to it.  Only the candidate's own family is
+    checked; its cut comes from :meth:`~CausalityAnalyzer.rollback_cut`,
+    which keeps the answers for the configuration asked about last.
+
     The rollback is the cut of the family's anchor (see :func:`rho`).  The
     decision state's book gains the reversed family; its exhausted flag
     records whether every family is now either tried or permitted by its
@@ -195,9 +208,18 @@ def step_reverse(
     :class:`RollbackFailed` names the participant and the reversed message.
     """
     analyzer = analyzer or CausalityAnalyzer(system)
-    kept = next(
-        (cut for cand, cut in _enabled(cfg, system, analyzer, scope) if cand == candidate), None
-    )
+    a, q_hat = candidate.participant, candidate.choice_state
+    first, guard = candidate.first_output, candidate.guard
+    machine = system.machines.get(a)
+    kept = None
+    if (
+        machine is not None
+        and (q_hat, first, guard) in machine.families.get(cfg.state_of(a), ())
+        and not cfg.book_entry(a, q_hat).exhausted
+        and eval_guard(guard, cfg, scope)
+        and candidate.anchor == (first.channel, _latest_anchor(cfg, first, q_hat))
+    ):
+        kept = analyzer.rollback_cut(cfg, candidate.anchor)
     if kept is None:
         raise NotEnabled(f"reversal of {candidate.first_output} is not enabled")
     try:
@@ -207,11 +229,10 @@ def step_reverse(
             f"rollback of {candidate.first_output.message} by {candidate.participant}"
             f" cannot be carried out: {exc}"
         ) from exc
-    a, q_hat = candidate.participant, candidate.choice_state
-    tried = rolled.book_entry(a, q_hat).tried | {(candidate.first_output, candidate.guard)}
+    tried = rolled.book_entry(a, q_hat).tried | {(first, guard)}
     exhausted = all(
-        (first, guard) in tried or eval_guard(guard, rolled, scope)
-        for q, first, guard in system.machines[a].families.get(q_hat, ())
+        (f, g) in tried or eval_guard(g, rolled, scope)
+        for q, f, g in machine.families.get(q_hat, ())
         if q == q_hat
     )
     # The decision state's slot of the sorted book, replaced or inserted.

@@ -682,11 +682,12 @@ def test_simulate_interactive_refuses_unlisted_answers_and_lists_reversals(runne
         "choice { { A -> B : m ; B -> A : r } unless count(m, A->B) >= 1"
         " + { A -> B : y ; B -> A : s } unless count(y, A->B) >= 1 }",
     )
-    # Two answers name no listed move; then A sends m, and its guard now
-    # holds, so the menu offers to reverse the branch, which is taken.
-    result = runner.invoke(main, ["simulate", path, "--interactive"], input="9\nx\n0\n1\nq\n")
+    # Three answers name no listed move, -1 among them, which must not
+    # pick the last move; then A sends m, and its guard now holds, so the
+    # menu offers to reverse the branch, which is taken.
+    result = runner.invoke(main, ["simulate", path, "--interactive"], input="9\nx\n-1\n0\n1\nq\n")
     assert result.exit_code == 0
-    assert result.output.count("not a listed move") == 2
+    assert result.output.count("not a listed move") == 3
     assert "  0: B receive m@2 on A->B\n  1: A reverse branch m@2\n" in result.output
     assert "A reverses branch m@2 of q0A: 1 logs undone, exhausted=false" in result.output
     assert "finished after 2 steps" in result.output
@@ -741,6 +742,18 @@ def test_explore_json_at_two_rounds_matches_the_recorded_output(runner, protocol
     )
     assert result.exit_code == 0
     golden = DATA / f"explore_{protocol}_s200_r2_all.json"
+    assert result.stdout_bytes == golden.read_bytes()
+
+
+def test_explore_json_of_a_refused_rollback_matches_the_recorded_output(runner):
+    # The refused rollback ends the search with reversals early, so the
+    # forward checks walk a partly filled class table and list the rest:
+    # 81 classes, 75 images, both inconclusive at 12 steps.
+    result = runner.invoke(
+        main, ["explore", CONSUMED_MARKER, "--bound", "steps=12,rounds=1", "--json"]
+    )
+    assert result.exit_code == 1
+    golden = DATA / "explore_rollback_consumed_marker_s12_r1_all.json"
     assert result.stdout_bytes == golden.read_bytes()
 
 

@@ -2,10 +2,12 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import chorrev.explore
 import chorrev.reverse
 import chorrev.runtime
+from chorrev.causality import CausalityAnalyzer
 from chorrev.explore import (
     CHECKS,
     Bound,
@@ -14,12 +16,15 @@ from chorrev.explore import (
     reachable,
     run_checks,
 )
+from chorrev.machine import ProjectionError
 from chorrev.model import Channel
+from chorrev.order import UndefinedSemantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
 from chorrev.runtime import forget_config
 
-from conftest import DAG, DATA, book_dict, chi_dict, sigma_dict
+from conftest import DAG, DATA, book_dict, chi_dict, retry_after, sigma_dict
+from test_order_oracle import pairs, shapes
 
 AB = Channel("A", "B")
 
@@ -151,9 +156,9 @@ def _count_searches(monkeypatch) -> dict:
     real_reachable = chorrev.explore.reachable
     real_plain = chorrev.explore.plain_reachable
 
-    def counted_reachable(system, bound, with_reversals=False, analyzer=None):
+    def counted_reachable(system, bound, with_reversals=False, **kwargs):
         calls["reversals" if with_reversals else "forward"] += 1
-        return real_reachable(system, bound, with_reversals, analyzer)
+        return real_reachable(system, bound, with_reversals, **kwargs)
 
     def counted_plain(system, bound):
         calls["plain"] += 1
@@ -167,7 +172,7 @@ def _count_searches(monkeypatch) -> dict:
 @pytest.mark.parametrize(
     "names, expected",
     [
-        (None, {"forward": 1, "reversals": 1, "plain": 1}),
+        (None, {"forward": 0, "reversals": 1, "plain": 1}),
         (["causal-consistency"], {"forward": 0, "reversals": 1, "plain": 1}),
         (["completeness", "soundness"], {"forward": 1, "reversals": 0, "plain": 1}),
     ],
@@ -185,14 +190,51 @@ def test_unknown_name_is_refused_before_any_search(travel_system, monkeypatch):
     assert calls == {"forward": 0, "reversals": 0, "plain": 0}
 
 
-@pytest.mark.parametrize("system_name", ["ping_system", "retry_system", "travel_system"])
-def test_shared_run_equals_single_checks(system_name, request):
-    system = request.getfixturevalue(system_name)
-    bound = Bound(200, 1)
+def assert_shared_run_equals_single_checks(system, bound):
     shared = run_checks(system, bound)
     single = [run_checks(system, bound, [name])[0] for name in CHECKS]
     assert [dataclasses.asdict(r) for r in shared] == [dataclasses.asdict(r) for r in single]
     assert [r.name for r in shared] == list(CHECKS)
+
+
+@pytest.mark.parametrize("system_name", ["ping_system", "retry_system", "travel_system"])
+def test_shared_run_equals_single_checks(system_name, request):
+    assert_shared_run_equals_single_checks(request.getfixturevalue(system_name), Bound(200, 1))
+
+
+# The forward checks of a shared run walk the class table that the search
+# with reversals filled.  On rollback_consumed_marker that search stops at
+# a refused rollback, and the walk lists the classes it left out: only two
+# on the last frontier at Bound(12, 1), but 148 at Bound(30, 2), where the
+# forward checks pass.
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        ("travel", Bound(200, 2)),
+        ("static_order_loop", Bound(200, 2)),
+        ("choice_in_par", Bound(200, 2)),
+        ("rollback_consumed_marker", Bound(12, 1)),
+        ("rollback_consumed_marker", Bound(30, 2)),
+    ],
+)
+def test_shared_run_equals_single_checks_on_the_data_files(name, bound):
+    system = project_system(parse_choreography((DATA / f"{name}.rchor").read_text()))
+    assert_shared_run_equals_single_checks(system, bound)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(shapes, pairs, st.booleans(), st.integers(1, 2), st.integers(0, 8))
+def test_shared_run_equals_single_checks_on_generated_retries(prefix, pair, looped, rounds, steps):
+    try:
+        system = project_system(retry_after(prefix, *pair, looped))
+    except (ProjectionError, UndefinedSemantics):
+        assume(False)
+    assert_shared_run_equals_single_checks(system, Bound(steps, rounds))
 
 
 def test_checks_come_back_in_the_requested_order(retry_system):
@@ -208,30 +250,40 @@ def test_forward_checks_do_not_share_their_stats(retry_system):
 
 def test_run_checks_work_counts_on_travel_at_two_rounds(travel_system, monkeypatch):
     """The layer calls of one ``run_checks``, counted through the module
-    attributes the searches call: the forward steps leave out moves into a
-    dead class already seen, and reversals are listed in hot classes only."""
+    attributes the searches call.  One class table serves every check:
+    each of its 894 classes has its families decided and its moves listed
+    once, the forward steps leave out moves into a dead class already
+    seen, the forward checks walk the table without a step of their own,
+    reversals are listed in hot classes only, and each of the 316 distinct
+    targets of the 808 reversal edges is audited once."""
     calls = Counter()
 
-    def counted(module, name, tag):
-        real = getattr(module, name)
+    def counted(owner, name, tag):
+        real = getattr(owner, name)
 
         def call(*args, **kwargs):
             calls[tag] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, call)
+        monkeypatch.setattr(owner, name, call)
 
+    counted(chorrev.reverse, "reversible_families", "reversible_families")
     counted(chorrev.runtime, "step_output", "step")
     counted(chorrev.runtime, "step_input", "step")
     counted(chorrev.runtime, "enabled_forward", "enabled_forward")
     counted(chorrev.reverse, "enabled_reversals", "enabled_reversals")
     counted(chorrev.reverse, "step_reverse", "step_reverse")
+    counted(CausalityAnalyzer, "cut", "cut")
+    counted(chorrev.explore, "audit_configuration", "audit")
     assert all(r.verdict == "pass" for r in run_checks(travel_system, Bound(200, 2)))
     assert calls == {
-        "step": 6799,
-        "enabled_forward": 1426,
+        "reversible_families": 894,
+        "enabled_forward": 894,
+        "step": 5649,
         "enabled_reversals": 1432,
         "step_reverse": 808,
+        "cut": 808,
+        "audit": 316,
     }
 
 

@@ -142,9 +142,9 @@ def assert_same_search_with_reversals(system, bound):
     assert {forward_key(c) for c in kept.configs} == {forward_key(c) for c in full.configs}
     assert {forget_config(c) for c in kept.configs} == {forget_config(c) for c in full.configs}
     live = explore_oracle.liveness(system, bound)
-    table = ClassTable(system, bound, with_reversals=True)
+    table = ClassTable(system, bound)
     for c in full.configs:
-        assert table.is_live(table.intern(forward_key(c)), c) == live(c, forward_key(c))
+        assert table.is_live(table.intern(forward_key(c), c), c) == live(c, forward_key(c))
     whole = {c for c in full.configs if live(c, forward_key(c))}
     assert {c for c in kept.configs if live(c, forward_key(c))} == whole
     dead = {forward_key(c) for c in kept.configs if c not in whole}

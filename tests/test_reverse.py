@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from chorrev.causality import CausalityAnalyzer
+from chorrev.explore import Bound, reachable
 from chorrev.machine import Branch
 from chorrev.model import Channel, CountAtom
 from chorrev.order import CommEvent
@@ -11,6 +12,7 @@ from chorrev.projection import project_system
 from chorrev.reverse import (
     ReversalCandidate,
     enabled_reversals,
+    reversible_families,
     rho,
     step_reverse,
 )
@@ -18,6 +20,7 @@ from chorrev.runtime import (
     BookEntry,
     Configuration,
     Log,
+    PENDING,
     NotEnabled,
     enabled_forward,
     initial_configuration,
@@ -318,3 +321,61 @@ def test_anchor_premise_needs_an_ongoing_loop(looped_system):
         {},
     )
     assert enabled_reversals(closed, looped_system) == []
+
+
+# -- a stale candidate, and the families a search hands over --------------------
+
+
+def test_step_reverse_refuses_a_candidate_whose_anchor_moved(looped_system):
+    # A sends m in the first loop round and again in the second, in the
+    # same state: the first round's candidate names an anchor that is no
+    # longer the family's latest.
+    round_ = [("out", "A", 1, None, DAG), ("inp", "B", 1, None, DAG), ("out", "A", 3, None, None)]
+    first = drive(looped_system, round_)
+    (stale,) = enabled_reversals(first, looped_system)
+    second = drive(
+        looped_system,
+        [("inp", "B", 3, None, None), ("out", "B", 4, None, None), ("inp", "A", 4, None, None), *round_],
+        first,
+    )
+    (fresh,) = enabled_reversals(second, looped_system)
+    assert fresh.anchor != stale.anchor
+    assert (fresh.participant, fresh.choice_state, fresh.first_output, fresh.guard) == (
+        stale.participant, stale.choice_state, stale.first_output, stale.guard
+    )
+    with pytest.raises(NotEnabled, match="is not enabled"):
+        step_reverse(second, looped_system, stale)
+    step_reverse(second, looped_system, fresh)
+
+
+def test_step_reverse_refuses_a_candidate_whose_guard_no_longer_holds(retry_system):
+    # Counting pending messages only, the guard of m holds while m waits on
+    # A->B and fails once B has consumed it; nothing else changes for A.
+    sent = drive(retry_system, [("out", "A", 2, None, None)])
+    (candidate,) = enabled_reversals(sent, retry_system, scope=PENDING)
+    consumed = drive(retry_system, [("inp", "B", 2, None, None)], sent)
+    with pytest.raises(NotEnabled, match="is not enabled"):
+        step_reverse(consumed, retry_system, candidate, scope=PENDING)
+    step_reverse(consumed, retry_system, candidate)
+
+
+def test_step_reverse_refuses_a_candidate_whose_book_entry_is_exhausted(retry_system):
+    cfg = drive(retry_system, [("out", "A", 2, None, None)])
+    (candidate,) = enabled_reversals(cfg, retry_system)
+    tired = Configuration.make(
+        sigma_dict(cfg), chi_dict(cfg), {("A", candidate.choice_state): BookEntry(frozenset(), True)}
+    )
+    with pytest.raises(NotEnabled, match="is not enabled"):
+        step_reverse(tired, retry_system, candidate)
+
+
+def test_families_handed_over_give_the_same_reversals(travel_system):
+    analyzer = CausalityAnalyzer(travel_system)
+    searched = reachable(travel_system, Bound(200, 1), with_reversals=True, analyzer=analyzer)
+    listed = 0
+    for cfg in searched.configs:
+        families = tuple(reversible_families(cfg, travel_system))
+        own = enabled_reversals(cfg, travel_system, analyzer)
+        assert enabled_reversals(cfg, travel_system, analyzer, families=families) == own
+        listed += len(own)
+    assert listed > 0
