@@ -69,7 +69,8 @@ def _check_parent(path: str) -> None:
 
 def _load(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig: a byte-order mark some editors write is not part of the text.
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         _file_error(exc)
     except UnicodeDecodeError as exc:
@@ -421,7 +422,7 @@ def _directive_problem(d, system: System) -> Optional[str]:
 def _load_schedule(path: str, system: System) -> list:
     """Read a schedule and check every directive before any of them runs."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         directives = raw.get("entries") if isinstance(raw, dict) else raw
         if not isinstance(directives, list):
             raise ValueError('expected a list of directives or {"entries": [...]}')

@@ -170,36 +170,52 @@ def finalize(
             )
 
     # Number the reachable states breadth-first, each state's transitions
-    # in event order; out[i] lists (transition, target number).
+    # in event order (only a state with several needs sorting); out[i]
+    # lists (transition, target number).  Refinement starts from the
+    # partition by acceptance and by the sequence of (event, decoration)
+    # labels, which its first round would reach anyway; each label is
+    # hashed once.
     number = {initial: 0}
     order = [initial]
     out: list[list[tuple[Transition, int]]] = []
+    block: list[int] = []
+    firsts: dict[tuple, int] = {}
     for q in order:
-        row = []
-        for _, t in sorted(rows.get(q, {}).items()):
+        row = rows.get(q, {})
+        listed = []
+        key: list = [q == exit]
+        for t in [row[e] for e in sorted(row)] if len(row) > 1 else row.values():
             j = number.get(t.dst)
             if j is None:
                 j = number[t.dst] = len(order)
                 order.append(t.dst)
-            row.append((t, j))
-        out.append(row)
+            listed.append((t, j))
+            key += (t.event, t.decoration)
+        out.append(listed)
+        block.append(firsts.setdefault(tuple(key), len(firsts)))
 
     # Partition refinement.  Each round numbers the blocks by their first
     # member; on states numbered breadth-first in event order, that is
-    # the breadth-first numbering of the minimal machine.
-    n = len(order)
-    block = [0 if q == exit else 1 for q in order]
-    while True:
-        signatures: dict[tuple, list[int]] = {}
-        for i in range(n):
-            sig = (block[i], tuple((t.event, t.decoration, block[j]) for t, j in out[i]))
+    # the breadth-first numbering of the minimal machine.  The states of
+    # one block have the same labels, so a state's signature is its block
+    # and its targets' blocks in label order.
+    targets = [[j for _, j in row] for row in out]
+    blocks = len(firsts)
+    while blocks < len(order):  # a partition into single states is stable
+        signatures: dict[tuple[int, ...], list[int]] = {}
+        for i, row in enumerate(targets):
+            sig = (block[i], *[block[j] for j in row])
             signatures.setdefault(sig, []).append(i)
-        stable = len(signatures) == len(set(block))
+        stable = len(signatures) == blocks
+        blocks = len(signatures)
         for b, members in enumerate(signatures.values()):
             for i in members:
                 block[i] = b
         if stable:
             break
+    heads: dict[int, int] = {}  # each block's first member
+    for i, b in enumerate(block):
+        heads.setdefault(b, i)
 
     choice_state_targets: dict[int, int] = {}
 
@@ -220,11 +236,11 @@ def finalize(
 
     final = tuple(
         Transition(b, t.event, final_decoration(t.decoration), block[j])
-        for b, members in enumerate(signatures.values())
-        for t, j in out[members[0]]
+        for b, i in heads.items()
+        for t, j in out[i]
     )
     finals = frozenset({block[number[exit]]} if exit in number else ())
-    return RCfsm(owner, tuple(range(len(signatures))), 0, final, finals)
+    return RCfsm(owner, tuple(range(blocks)), 0, final, finals)
 
 
 def to_dot(m: RCfsm) -> str:

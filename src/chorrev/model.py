@@ -266,6 +266,35 @@ def participants(g: Chor) -> frozenset[str]:
     return frozenset(out)
 
 
+def participant_table(g: Chor) -> dict[int, frozenset[str]]:
+    """The participants of every subterm of ``g``, keyed by the subterm's ``id``.
+
+    One bottom-up walk builds every entry from those of the node's
+    children, where asking :func:`participants` of each subterm would walk
+    it again for every construct above it.
+    """
+    table: dict[int, frozenset[str]] = {}
+
+    def walk(node: Chor) -> frozenset[str]:
+        if isinstance(node, Interaction):
+            parts = frozenset((node.sender, node.receiver))
+        elif isinstance(node, Seq):
+            parts = frozenset().union(*map(walk, node.parts))
+        elif isinstance(node, Par):
+            parts = frozenset().union(*map(walk, node.branches))
+        elif isinstance(node, Loop):
+            parts = walk(node.body) | {node.controller}
+        elif isinstance(node, Choice):
+            parts = frozenset().union(*[walk(br.body) for br in node.branches])
+        else:
+            raise TypeError(f"not a choreography term: {node!r}")
+        table[id(node)] = parts
+        return parts
+
+    walk(g)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -322,6 +351,7 @@ def validate(g: Chor) -> ValidationReport:
         else:
             seen[cp] = node
 
+    parts = participant_table(g)
     for node in subterms(g):
         if isinstance(node, Interaction):
             if node.sender == node.receiver:
@@ -332,7 +362,7 @@ def validate(g: Chor) -> ValidationReport:
             if len(node.branches) < 2:
                 issues.append(Issue("par-arity", "par needs at least two branches", node.cp))
         elif isinstance(node, Loop):
-            if node.controller not in participants(node.body):
+            if node.controller not in parts[id(node.body)]:
                 issues.append(
                     Issue(
                         "loop-controller-absent",

@@ -98,7 +98,10 @@ class EventOrder:
     ``events`` holds the same events as ``event_list``.  ``le``, the
     relation as a set of pairs, is built on first access only; it and the
     index are cached properties, which need an instance dict, so an order
-    is a dataclass and not a named tuple.
+    is a dataclass and not a named tuple.  So are ``_subjects``, each
+    event's participant, and ``_comm``, the bitset of the communication
+    events: :func:`semantics` fills both in from those of the parts it
+    composes, so no event is asked for its subject more than once.
     """
 
     event_list: tuple[Event, ...]
@@ -108,6 +111,14 @@ class EventOrder:
     @cached_property
     def _index(self) -> dict[Event, int]:
         return {e: i for i, e in enumerate(self.event_list)}
+
+    @cached_property
+    def _subjects(self) -> list[str]:
+        return [e.subject for e in self.event_list]
+
+    @cached_property
+    def _comm(self) -> int:
+        return sum(1 << i for i, e in enumerate(self.event_list) if isinstance(e, CommEvent))
 
     @cached_property
     def le(self) -> frozenset[tuple[Event, Event]]:
@@ -141,25 +152,46 @@ class EventOrder:
         )
 
 
-def _union(
-    parts: list[EventOrder], extra: tuple[Event, ...] = ()
-) -> tuple[list[Event], list[int], frozenset[Event]]:
-    """The events of ``parts`` side by side, then ``extra``.
+def _order(
+    event_list: list[Event], down: list[int], events: frozenset[Event], subjects: list[str], comm: int
+) -> EventOrder:
+    """An order whose subjects and communication events are already known."""
+    order = EventOrder(tuple(event_list), tuple(down), events)
+    vars(order).update(_subjects=subjects, _comm=comm)
+    return order
 
-    Each part's down-sets are shifted past the events before it; the
-    caller appends the down-sets of ``extra``.
+
+def _union(
+    parts: list[EventOrder], first: Optional[GateEvent] = None, last: Optional[GateEvent] = None
+) -> EventOrder:
+    """The events of ``parts`` side by side, then ``first`` below all of
+    them and ``last`` above all of them, when given.
+
+    Each part's down-sets and communication events are shifted past the
+    events before it.
     """
     event_list: list[Event] = []
     down: list[int] = []
+    subjects: list[str] = []
+    comm = 0
     for sub in parts:
         offset = len(event_list)
         event_list.extend(sub.event_list)
         down.extend(d << offset for d in sub.down)
-    event_list.extend(extra)
-    events = frozenset(extra).union(*(sub.events for sub in parts))
-    if len(events) != len(event_list):
+        subjects.extend(sub._subjects)
+        comm |= sub._comm << offset
+    gates = [e for e in (first, last) if e is not None]
+    events = frozenset(gates).union(*(sub.events for sub in parts))
+    if len(events) != len(event_list) + len(gates):
         raise ValueError("cannot compose overlapping event sets")
-    return event_list, down, events
+    if first is not None:
+        bit = 1 << len(down)
+        down = [d | bit for d in down] + [bit]
+    if last is not None:
+        down.append((1 << len(down) + 1) - 1)
+    event_list += gates
+    subjects += [e.subject for e in gates]
+    return _order(event_list, down, events, subjects, comm)
 
 
 def semantics(g: Chor) -> EventOrder:
@@ -169,21 +201,18 @@ def semantics(g: Chor) -> EventOrder:
     undefined or a choice has no unique deciding participant.
     """
     if isinstance(g, Interaction):
-        snd = CommEvent(g.channel, "!", g.cp, g.message)
-        rcv = CommEvent(g.channel, "?", g.cp, g.message)
-        return EventOrder((snd, rcv), (1, 3), frozenset({snd, rcv}))
+        channel = Channel(g.sender, g.receiver)
+        snd = CommEvent(channel, "!", g.cp, g.message)
+        rcv = CommEvent(channel, "?", g.cp, g.message)
+        return _order([snd, rcv], [1, 3], frozenset((snd, rcv)), [g.sender, g.receiver], 3)
     if isinstance(g, Seq):
         return seq_compose(semantics(part) for part in g.parts)
     if isinstance(g, Par):
-        event_list, down, events = _union([semantics(b) for b in g.branches])
-        return EventOrder(tuple(event_list), tuple(down), events)
+        return _union([semantics(b) for b in g.branches])
     if isinstance(g, Loop):
         start = GateEvent(g.cp, "loop_start", g.controller)
         end = GateEvent(g.cp, "loop_end", g.controller)
-        event_list, down, events = _union([semantics(g.body)], (start, end))
-        bit = 1 << len(down)
-        down = [d | bit for d in down] + [bit, (bit << 2) - 1]
-        return EventOrder(tuple(event_list), tuple(down), events)
+        return _union([semantics(g.body)], start, end)
     if isinstance(g, Choice):
         orders = [semantics(br.body) for br in g.branches]
         # The participants whose events open the branches: one decides.
@@ -193,11 +222,7 @@ def semantics(g: Chor) -> EventOrder:
                 f"choice at control point {g.cp} has no unique deciding participant"
                 f" (candidates: {sorted(subjects) or 'none'})"
             )
-        gate = GateEvent(g.cp, "choice", next(iter(subjects)))
-        event_list, down, events = _union(orders, (gate,))
-        bit = 1 << len(down)
-        down = [d | bit for d in down] + [bit]
-        return EventOrder(tuple(event_list), tuple(down), events)
+        return _union(orders, GateEvent(g.cp, "choice", next(iter(subjects))))
     raise TypeError(f"not a choreography term: {g!r}")
 
 
@@ -207,9 +232,13 @@ def seq_compose(orders: Iterable[EventOrder]) -> EventOrder:
     Each participant's events are ordered before its events in later
     orders.  The first order in which a participant can move first with no
     communication in the orders before it makes the composition undefined.
+    Each order is read through its list of subjects and its bitset of
+    communication events.
     """
     event_list: list[Event] = []
     down: list[int] = []
+    subjects: list[str] = []
+    comm = 0
     events: set[Event] = set()
     # Per participant, everything so far at or below one of its events.
     below: dict[str, int] = {}
@@ -217,9 +246,14 @@ def seq_compose(orders: Iterable[EventOrder]) -> EventOrder:
     for k, order in enumerate(orders):
         if not events.isdisjoint(order.events):
             raise ValueError("cannot compose overlapping event sets")
+        part, part_down, part_comm = order._subjects, order.down, order._comm
         if k:
+            # Communication events with no communication below them whose
+            # participant has not communicated before.
             uncovered = sorted(
-                str(e) for e in order.minimal(order.comm_events) if e.subject not in talkers
+                str(order.event_list[i])
+                for i, p in enumerate(part)
+                if p not in talkers and part_comm >> i & 1 and part_down[i] & part_comm == 1 << i
             )
             if uncovered:
                 raise UndefinedSemantics(
@@ -229,23 +263,26 @@ def seq_compose(orders: Iterable[EventOrder]) -> EventOrder:
                 )
         # Per participant with events so far, its events in this order.
         theirs: dict[str, int] = {}
-        for i, e in enumerate(order.event_list):
-            if e.subject in below:
-                theirs[e.subject] = theirs.get(e.subject, 0) | 1 << i
+        for i, p in enumerate(part):
+            if p in below:
+                theirs[p] = theirs.get(p, 0) | 1 << i
+        prior = [(mask, below[p]) for p, mask in theirs.items()]
         n = len(event_list)
-        for d in order.down:
+        for d in part_down:
             new = d << n
-            for p, mask in theirs.items():
+            for mask, earlier in prior:
                 if d & mask:
-                    new |= below[p]
+                    new |= earlier
             down.append(new)
-        for e, d in zip(order.event_list, down[n:]):
-            below[e.subject] = below.get(e.subject, 0) | d
-            if isinstance(e, CommEvent):
-                talkers.add(e.subject)
+        for i, p in enumerate(part):
+            below[p] = below.get(p, 0) | down[n + i]
+            if part_comm >> i & 1:
+                talkers.add(p)
         event_list.extend(order.event_list)
+        subjects.extend(part)
+        comm |= part_comm << n
         events |= order.events
-    return EventOrder(tuple(event_list), tuple(down), frozenset(events))
+    return _order(event_list, down, frozenset(events), subjects, comm)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NoReturn
 
 from .model import (
     And,
@@ -77,7 +79,10 @@ class ParseError(Exception):
             lines = self.source.splitlines()
             if 1 <= self.line <= len(lines):
                 snippet = lines[self.line - 1]
-                caret = " " * (self.col - 1) + "^"
+                # The snippet's tabs stay in the padding, so that the caret
+                # lines up under the column however wide a tab is shown.
+                pad = "".join("\t" if c == "\t" else " " for c in snippet[: self.col - 1])
+                caret = pad.ljust(self.col - 1) + "^"
                 return f"{head}\n  {snippet}\n  {caret}"
         return head
 
@@ -115,94 +120,129 @@ _TOKEN_SPEC = [
     (",", r","),
     ("!", r"!"),
 ]
-# One alternation of the patterns above, each in its own group.  ``|``
-# takes the leftmost alternative that matches, as trying them in turn did,
-# and ``lastindex`` names the group, hence the kind.
-_TOKEN_RE = re.compile("|".join(f"({rx})" for _, rx in _TOKEN_SPEC))
-_KINDS = [kind for kind, _ in _TOKEN_SPEC]
+# One scan finds every token.  A match is the skipped text before a token,
+# then the token (by the first pattern of ``_TOKEN_SPEC`` that matches), a
+# character no pattern takes, or nothing at the end of the input.
+_SCAN_RE = re.compile(
+    f"((?:{_TOKEN_SPEC[0][1]})*)"
+    f"(?:({'|'.join(rx for _, rx in _TOKEN_SPEC[1:])})|(.)|\\Z)"
+)
+# A token of fixed text is its own kind; otherwise it is a name or a number.
+_FIXED = KEYWORDS | {kind for kind, _ in _TOKEN_SPEC if kind not in ("skip", "int", "id")}
+
+
+def _kind(lexeme: str) -> str:
+    if lexeme in _FIXED:
+        return lexeme
+    return "id" if lexeme[0].isalpha() else "int"
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, each with its line and column.
+
+    No token spans a line end, so lines are counted in the skipped text.
+    """
     tokens: list[Token] = []
-    pos = 0
     line = 1
-    col = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col, text)
-        kind = _KINDS[m.lastindex - 1]
-        lexeme = m.group()
-        if kind == "id" and lexeme in KEYWORDS:
-            kind = lexeme
-        if kind != "skip":
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
+    pos = 0
+    line_start = 0  # the offset of the current line's first character
+    for skipped, lexeme, bad in _SCAN_RE.findall(text):
+        if skipped:
+            if "\n" in skipped:
+                line += skipped.count("\n")
+                line_start = pos + skipped.rfind("\n") + 1
+            pos += len(skipped)
+        if lexeme:
+            tokens.append(Token(_kind(lexeme), lexeme, line, pos - line_start + 1))
+            pos += len(lexeme)
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", line, pos - line_start + 1, text)
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token texts and kinds of one scan.
+
+    A token's line and column matter only to an error, so ``tokens``, the
+    full :class:`Token` list, is made only when one is raised.
+    """
+
+    def __init__(self, source: str):
         self.source = source
-        self.annotations: list[tuple[int, Token]] = []
+        self.texts: list[str] = []
+        for _, lexeme, bad in _SCAN_RE.findall(source):
+            if lexeme:
+                self.texts.append(lexeme)
+            elif bad:
+                tokenize(source)  # raises the error that locates the character
+        # Each token's kind, read once, and None past the last token.
+        self.kinds = [*map(_kind, self.texts), None]
+        self.pos = 0
+        self.annotations: list[tuple[int, int]] = []  # (value, token index)
         self.unannotated = 0
+
+    @cached_property
+    def tokens(self) -> list[Token]:
+        return tokenize(self.source)
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def accept(self, kind: str) -> Token | None:
-        tok = self.peek()
-        if tok is not None and tok.kind == kind:
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.accept(kind)
-        if tok is None:
-            self.fail(what or f"expected {kind!r}")
-        return tok
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """Consume a token of ``kind`` and return its text."""
+        pos = self.pos
+        if self.kinds[pos] == kind:
+            self.pos = pos + 1
+            return self.texts[pos]
+        self.fail(what or f"expected {kind!r}")
 
-    def fail(self, message: str, token: Token | None = None) -> None:
-        tok = token if token is not None else self.peek()
-        if tok is None:
-            if self.tokens:
-                last = self.tokens[-1]
-                raise ParseError(
-                    f"unexpected end of input; {message}",
-                    last.line,
-                    last.col + len(last.text),
-                    self.source,
-                )
-            raise ParseError(f"empty input; {message}", 1, 1, self.source)
-        raise ParseError(message, tok.line, tok.col, self.source)
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        """Raise ``message`` at token ``at``, by default the next one."""
+        at = self.pos if at is None else at
+        if at < len(self.texts):
+            tok = self.tokens[at]
+            raise ParseError(message, tok.line, tok.col, self.source)
+        if self.texts:
+            last = self.tokens[-1]
+            raise ParseError(
+                f"unexpected end of input; {message}",
+                last.line,
+                last.col + len(last.text),
+                self.source,
+            )
+        raise ParseError(f"empty input; {message}", 1, 1, self.source)
 
     # -- choreography grammar ----------------------------------------------
 
     def chor(self) -> Chor:
         terms = [self.term()]
-        while self.accept(";"):
+        while self.kinds[self.pos] == ";":
+            self.pos += 1
             terms.append(self.term())
         return terms[0] if len(terms) == 1 else Seq(tuple(terms))
 
     def term(self) -> Chor:
-        if self.accept("("):
+        kind = self.kinds[self.pos]
+        if kind == "id":
+            sender = self.texts[self.pos]
+            self.pos += 1
+            self.expect("->", "expected '->' after the sender")
+            receiver = self.expect("id", "expected the receiver name")
+            self.expect(":", "expected ':' before the message name")
+            message = self.expect("id", "expected the message name")
+            return Interaction(sender, receiver, message, self.cpann())
+        if kind == "(":
+            self.pos += 1
             inner = self.chor()
             self.expect(")")
             return inner
-        if self.accept("par"):
+        if kind == "par":
+            self.pos += 1
             cp = self.cpann()
             self.expect("{")
             branches = [self.chor()]
@@ -212,19 +252,21 @@ class _Parser:
                 branches.append(self.chor())
             self.expect("}")
             return Par(tuple(branches), cp)
-        if self.accept("loop"):
+        if kind == "loop":
+            self.pos += 1
             cp = self.cpann()
             self.expect("@", "expected '@' and the loop controller")
-            controller = self.expect("id", "expected the loop controller name").text
+            controller = self.expect("id", "expected the loop controller name")
             self.expect("{")
             body = self.chor()
             self.expect("}")
             return Loop(controller, body, cp)
-        if self.accept("choice"):
+        if kind == "choice":
+            self.pos += 1
             cp = self.cpann()
             at = None
             if self.accept("@"):
-                at = self.expect("id", "expected a participant name after '@'").text
+                at = self.expect("id", "expected a participant name after '@'")
             self.expect("{")
             branches = [self.branch()]
             self.expect("+", "choice needs at least two branches separated by '+'")
@@ -233,16 +275,7 @@ class _Parser:
                 branches.append(self.branch())
             self.expect("}")
             return Choice(tuple(branches), cp, at)
-        sender = self.peek()
-        if sender is None or sender.kind != "id":
-            self.fail("expected an interaction, 'par', 'loop', 'choice' or '('")
-        self.pos += 1
-        self.expect("->", "expected '->' after the sender")
-        receiver = self.expect("id", "expected the receiver name").text
-        self.expect(":", "expected ':' before the message name")
-        message = self.expect("id", "expected the message name").text
-        cp = self.cpann()
-        return Interaction(sender.text, receiver, message, cp)
+        self.fail("expected an interaction, 'par', 'loop', 'choice' or '('")
 
     def branch(self) -> ChoiceBranch:
         self.expect("{", "expected '{' opening a choice branch")
@@ -252,10 +285,11 @@ class _Parser:
         return ChoiceBranch(body, self.guard())
 
     def cpann(self) -> int:
-        if self.accept("@cp"):
-            tok = self.expect("int", "expected the control point number")
-            value = int(tok.text)
-            self.annotations.append((value, tok))
+        if self.kinds[self.pos] == "@cp":
+            self.pos += 1
+            at = self.pos
+            value = int(self.expect("int", "expected the control point number"))
+            self.annotations.append((value, at))
             return value
         # Called before a construct's children, so this numbers in preorder.
         self.unannotated += 1
@@ -291,7 +325,7 @@ class _Parser:
             return GFalse()
         if self.accept("count"):
             self.expect("(")
-            message = self.expect("id", "expected the counted message name").text
+            message = self.expect("id", "expected the counted message name")
             self.expect(",")
             channel = self.channel()
             self.expect(")")
@@ -302,19 +336,19 @@ class _Parser:
                     break
             if op is None:
                 self.fail("expected a comparison (<, <=, ==, >=, >)")
-            bound = int(self.expect("int", "expected the count bound").text)
+            bound = int(self.expect("int", "expected the count bound"))
             return CountAtom(message, channel, op, bound)
-        tok = self.peek()
-        if tok is not None and tok.kind == "id":
+        if self.kinds[self.pos] == "id":
+            message = self.texts[self.pos]
             self.pos += 1
             self.expect("in", "expected 'in' after the message name")
-            return MemberAtom(tok.text, self.channel())
+            return MemberAtom(message, self.channel())
         self.fail("expected a guard")
 
     def channel(self) -> Channel:
-        sender = self.expect("id", "expected the channel sender").text
+        sender = self.expect("id", "expected the channel sender")
         self.expect("->", "expected '->' in the channel")
-        receiver = self.expect("id", "expected the channel receiver").text
+        receiver = self.expect("id", "expected the channel receiver")
         return Channel(sender, receiver)
 
 
@@ -325,7 +359,7 @@ def parse_choreography(text: str) -> Chor:
     annotation styles, duplicate annotations and input nested deeper than
     the recursive descent and the tree walks can follow.
     """
-    parser = _Parser(tokenize(text), text)
+    parser = _Parser(text)
     try:
         g = parser.chor()
         # Validation and every later tree walk recurse once per level too.
@@ -333,33 +367,25 @@ def parse_choreography(text: str) -> Chor:
             pass
     except RecursionError:
         raise ParseError("input nested too deeply") from None
-    leftover = parser.peek()
-    if leftover is not None:
+    if parser.kinds[parser.pos] is not None:
         parser.fail("unexpected trailing input")
     if parser.annotations and parser.unannotated:
-        _, tok = parser.annotations[0]
-        raise ParseError(
+        parser.fail(
             "control points must be annotated on every construct or on none",
-            tok.line,
-            tok.col,
-            text,
+            parser.annotations[0][1],
         )
-    if not parser.annotations:
-        return g
-    seen: dict[int, Token] = {}
-    for value, tok in parser.annotations:
+    seen: set[int] = set()
+    for value, at in parser.annotations:
         if value in seen:
-            raise ParseError(
-                f"control point {value} is annotated twice", tok.line, tok.col, text
-            )
-        seen[value] = tok
+            parser.fail(f"control point {value} is annotated twice", at)
+        seen.add(value)
     return g
 
 
 def parse_guard(text: str) -> Guard:
     """Parse a guard expression on its own (mostly useful in tests)."""
-    parser = _Parser(tokenize(text), text)
+    parser = _Parser(text)
     g = parser.guard()
-    if parser.peek() is not None:
+    if parser.kinds[parser.pos] is not None:
         parser.fail("unexpected trailing input")
     return g

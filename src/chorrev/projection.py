@@ -45,7 +45,7 @@ from .model import (
     LOOP_START,
     Par,
     Seq,
-    participants,
+    participant_table,
     validate,
 )
 from .order import CommEvent, EventOrder, GateEvent, semantics, well_branched
@@ -93,9 +93,10 @@ def project_system(g: Chor) -> System:
     if not wb.ok:
         raise ProjectionError(f"choreography is not well branched:\n{wb}")
     deciders = _deciders(order)
+    parts = participant_table(g)
     machines: dict[str, RCfsm] = {}
-    for a in sorted(participants(g)):
-        w = _Writer(deciders)
+    for a in sorted(parts[id(g)]):
+        w = _Writer(deciders, parts)
         exit, _ = _project(g, a, 0, w)
         machines[a] = finalize(a, 0, exit, w.transitions)
     return System(g, machines, order)
@@ -104,11 +105,13 @@ def project_system(g: Chor) -> System:
 class _Writer:
     """The transitions of one participant, in the order ``_project`` writes
     them, and the branch family of each event.  State 0 is the initial
-    state, and ``states`` hands out the others.
+    state, and ``states`` hands out the others.  ``parts`` is the
+    choreography's :func:`~chorrev.model.participant_table`.
     """
 
-    def __init__(self, deciders: dict[int, str]):
+    def __init__(self, deciders: dict[int, str], parts: dict[int, frozenset[str]]):
         self.deciders = deciders
+        self.parts = parts
         self.transitions: list[Transition] = []
         self.family: dict[CommEvent, Anchor] = {}
         self.states = itertools.count(1)
@@ -126,16 +129,21 @@ def _project(g: Chor, a: str, src: int, w: _Writer, anchor: Anchor = None) -> tu
     first start marker, and each start marker is its own family.
     """
     if isinstance(g, Interaction):
-        polarity = "!" if a == g.sender else "?" if a == g.receiver else None
-        if polarity is None:
+        if a == g.sender:
+            event = CommEvent(Channel(a, g.receiver), "!", g.cp, g.message)
+            if anchor is None:
+                anchor = event
+        elif a == g.receiver:
+            event = CommEvent(Channel(g.sender, a), "?", g.cp, g.message)
+        else:
             return src, anchor
         dst = next(w.states)
-        event = CommEvent(g.channel, polarity, g.cp, g.message)
-        if anchor is None and polarity == "!":
-            anchor = event
         w.family[event] = anchor
         w.transitions.append(Transition(src, event, UNIT, dst))
         return dst, anchor
+
+    if a not in w.parts[id(g)]:
+        return src, anchor
 
     if isinstance(g, Seq):
         for part in g.parts:
@@ -146,20 +154,17 @@ def _project(g: Chor, a: str, src: int, w: _Writer, anchor: Anchor = None) -> tu
         return _interleave(g, a, src, w, anchor)
 
     if isinstance(g, Loop):
-        members = participants(g.body)
         if a == g.controller:
-            others = sorted(members - {a})
+            others = sorted(w.parts[id(g.body)] - {a})
             starts = [CommEvent(Channel(a, b), "!", g.cp, LOOP_START) for b in others]
             ends = [CommEvent(Channel(a, b), "!", g.cp, LOOP_END) for b in others]
             w.family.update((e, e if anchor is None else anchor) for e in starts)
             anchor = starts[0] if anchor is None else anchor
-        elif a in members:
+        else:
             ch = Channel(g.controller, a)
             starts = [CommEvent(ch, "?", g.cp, LOOP_START)]
             ends = [CommEvent(ch, "?", g.cp, LOOP_END)]
             w.family[starts[0]] = anchor
-        else:
-            return src, anchor
         w.family.update(dict.fromkeys(ends, anchor))
         # The start markers into the body, the body, the start markers of
         # the next round back to the body's entry, and the end markers.
@@ -210,8 +215,6 @@ def _choose(g: Choice, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[in
     with a loop it controls.  Everyone else's branches continue the thread.
     """
     decider = a == w.deciders[g.cp]
-    if not decider and a not in participants(g):
-        return src, anchor
     exit = None
     found = []
     for br in g.branches:
@@ -241,14 +244,13 @@ def _interleave(g: Par, a: str, src: int, w: _Writer, anchor: Anchor) -> tuple[i
     """Write the product of the threads of ``g`` that ``a`` takes part in,
     each written apart first and each continuing the thread.
 
-    A lone such thread is written in place from ``src`` and keeps its
-    decorations; with none, nothing is written.  The product writes plain
-    transitions, so a thread with branch decorations cannot join one.  The
-    threads' states are fresh, so one index by source state serves all.
+    ``a`` takes part in ``g``, so in one thread at least.  A lone such
+    thread is written in place from ``src`` and keeps its decorations.
+    The product writes plain transitions, so a thread with branch
+    decorations cannot join one.  The threads' states are fresh, so one
+    index by source state serves all.
     """
-    branches = [b for b in g.branches if a in participants(b)]
-    if not branches:
-        return src, anchor
+    branches = [b for b in g.branches if a in w.parts[id(b)]]
     if len(branches) == 1:
         return _project(branches[0], a, src, w, anchor)
     start = len(w.transitions)

@@ -40,6 +40,14 @@ def test_check_accepts_travel(runner):
     assert "control points: 10" in result.output
 
 
+def test_check_reads_a_file_with_a_byte_order_mark(runner, tmp_path):
+    path = tmp_path / "bom.rchor"
+    path.write_bytes(b"\xef\xbb\xbf" + (DATA / "travel.rchor").read_bytes())
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "control points: 10" in result.output
+
+
 def test_check_rejects_duplicate_annotations(runner, tmp_path):
     path = write(tmp_path, "dup.rchor", "A -> B : m @cp 2 ; B -> C : n @cp 2")
     result = runner.invoke(main, ["check", path])
@@ -383,6 +391,15 @@ def test_simulate_schedule_accepts_wrapped_entries(runner, tmp_path, schedule_pa
     wrapped.write_text(json.dumps({"entries": load_json(schedule_path)}))
     result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(wrapped)])
     assert result.exit_code == 0
+
+
+def test_simulate_schedule_with_a_byte_order_mark(runner, tmp_path, schedule_path):
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + schedule_path.read_bytes())
+    plain = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(schedule_path)])
+    result = runner.invoke(main, ["simulate", TRAVEL, "--schedule", str(marked)])
+    assert result.exit_code == 0, result.output
+    assert result.output == plain.output
 
 
 def test_simulate_stuck_schedule_exits_one(runner, tmp_path):

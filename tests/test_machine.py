@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from chorrev.machine import (
+    UNIT,
     Branch,
     DeterminizationConflict,
     ProjectionError,
@@ -24,6 +25,7 @@ from projection_oracle import (
     StateAlloc,
     decorate,
     empty_machine,
+    finalize as oracle_finalize,
     finalize_pmachine,
     forget_pmachine,
     join_machines,
@@ -253,6 +255,43 @@ def test_finalize_is_canonical():
             deterministic += 1
             assert finalize(m.owner, m.initial, m.interface, m.transitions) == expected
     assert deterministic >= 40
+
+
+def test_finalize_tells_states_apart_by_their_decorations():
+    # Two copies of a random machine behind two first outputs: a state of
+    # one copy merges with its twin in the other exactly when the labels
+    # ahead of them agree, decorations included, as in the oracle's
+    # finalize.  Every decoration names the fresh initial state.
+    rng = random.Random(11)
+    kept_apart = merged = 0
+    for _ in range(200):
+        m = random_pmachine(rng)
+        if len({(t.src, t.event) for t in m.transitions}) != len(m.transitions):
+            continue
+        shift = max(m.states) + 1
+        initial = 2 * shift
+
+        def twin(q):
+            return q if q == m.interface else q + shift
+
+        def label(t):
+            if rng.random() < 0.6:
+                return UNIT
+            return Branch(initial, t.event, rng.choice([GTrue(), Not(GTrue())]), rng.random() < 0.5)
+
+        transitions = [
+            Transition(initial, out_ev(100, "left"), UNIT, m.initial),
+            Transition(initial, out_ev(101, "right"), UNIT, twin(m.initial)),
+        ]
+        transitions += [Transition(t.src, t.event, label(t), t.dst) for t in m.transitions]
+        transitions += [Transition(twin(t.src), t.event, label(t), twin(t.dst)) for t in m.transitions]
+        f = finalize(m.owner, initial, m.interface, transitions)
+        assert f == oracle_finalize(m.owner, initial, m.interface, transitions)
+        if len(f.states) == len(m.states) + 1:
+            merged += 1
+        else:
+            kept_apart += 1
+    assert merged >= 20 and kept_apart >= 20, (merged, kept_apart)
 
 
 @pytest.mark.parametrize(

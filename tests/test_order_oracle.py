@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import order_oracle
 from chorrev.model import Choice, Interaction, Par, pretty, subterms
-from chorrev.order import CommEvent, UndefinedSemantics, semantics, seq_compose
+from chorrev.order import CommEvent, EventOrder, UndefinedSemantics, semantics, seq_compose
 from chorrev.parse import parse_choreography
 
 from conftest import DATA, build
@@ -68,6 +68,22 @@ def assert_same_order(g):
 @given(shapes)
 def test_generated_terms_match_the_closure_oracle(shape):
     assert_same_order(build(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes)
+def test_composed_subjects_match_those_read_off_the_events(shape):
+    # ``semantics`` composes each order's subjects and communication events
+    # from its parts'; an order built from the same events and down-sets
+    # works them out anew.
+    g = build(shape)
+    for node in subterms(g):
+        try:
+            order = semantics(node)
+        except UndefinedSemantics:
+            continue
+        fresh = EventOrder(order.event_list, order.down, order.events)
+        assert (order._subjects, order._comm) == (fresh._subjects, fresh._comm)
 
 
 @settings(max_examples=300, deadline=None)

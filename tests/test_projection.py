@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 import chorrev
-from chorrev import order
+from chorrev import model, order
 from chorrev.causality import CausalityAnalyzer
 from chorrev.machine import ProjectionError, Unit
-from chorrev.model import Channel, CountAtom, subterms
+from chorrev.model import Channel, CountAtom, subterms, validate
 from chorrev.order import CommEvent, UndefinedSemantics
 from chorrev.parse import parse_choreography
 from chorrev.projection import project_system
@@ -230,6 +230,34 @@ def test_projection_and_analysis_reuse_the_root_order(semantics_calls):
     semantics_calls.clear()
     CausalityAnalyzer(system)
     assert semantics_calls == []
+
+
+def test_subterm_walks_grow_linearly_with_loop_nesting(monkeypatch):
+    # Validation and projection read each subterm's participants off one
+    # table, so doubling the depth of a loop nest doubles the walks over
+    # its subterms; asking each loop for its body's participants would
+    # make them grow with the square of the depth.
+    calls = [0]
+    original = model.subterms
+
+    def counted(g):
+        calls[0] += 1
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "chorrev" or name.startswith("chorrev.")) and vars(module).get("subterms") is original:
+            monkeypatch.setattr(module, "subterms", counted)
+    made = {}
+    for depth in (50, 100):
+        source = "A -> B : x"
+        for _ in range(depth):
+            source = f"loop @A {{ A -> B : x ; {source} }}"
+        g = parse_choreography(source)
+        calls[0] = 0
+        validate(g)
+        project_system(g)
+        made[depth] = calls[0]
+    assert 0 < made[100] <= 2.1 * made[50], made
 
 
 def test_branch_families_do_not_depend_on_the_hash_seed():

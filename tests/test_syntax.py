@@ -134,6 +134,18 @@ def test_parse_error_reports_position():
         pytest.fail("expected ParseError")
 
 
+def test_caret_keeps_the_tabs_of_the_line():
+    # A terminal widens the tab, and the caret line's tab with it.
+    with pytest.raises(ParseError) as exc:
+        parse_choreography("A -> B : m ;\n\tB -> C : $")
+    assert (exc.value.line, exc.value.col) == (2, 11)
+    assert str(exc.value) == (
+        "parse error at line 2, column 11: unexpected character '$'\n"
+        "  \tB -> C : $\n"
+        "  \t         ^"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [
