@@ -256,14 +256,7 @@ def control_points(g: Chor) -> list[tuple[int, Chor]]:
 
 def participants(g: Chor) -> frozenset[str]:
     """All participants: interaction endpoints and loop controllers."""
-    out: set[str] = set()
-    for node in subterms(g):
-        if isinstance(node, Interaction):
-            out.add(node.sender)
-            out.add(node.receiver)
-        elif isinstance(node, Loop):
-            out.add(node.controller)
-    return frozenset(out)
+    return participant_table(g)[id(g)]
 
 
 def participant_table(g: Chor) -> dict[int, frozenset[str]]:
@@ -274,25 +267,26 @@ def participant_table(g: Chor) -> dict[int, frozenset[str]]:
     it again for every construct above it.
     """
     table: dict[int, frozenset[str]] = {}
-
-    def walk(node: Chor) -> frozenset[str]:
-        if isinstance(node, Interaction):
-            parts = frozenset((node.sender, node.receiver))
-        elif isinstance(node, Seq):
-            parts = frozenset().union(*map(walk, node.parts))
-        elif isinstance(node, Par):
-            parts = frozenset().union(*map(walk, node.branches))
-        elif isinstance(node, Loop):
-            parts = walk(node.body) | {node.controller}
-        elif isinstance(node, Choice):
-            parts = frozenset().union(*[walk(br.body) for br in node.branches])
-        else:
-            raise TypeError(f"not a choreography term: {node!r}")
-        table[id(node)] = parts
-        return parts
-
-    walk(g)
+    _participant_walk(g, table)
     return table
+
+
+def _participant_walk(node: Chor, table: dict[int, frozenset[str]]) -> frozenset[str]:
+    """Enter the participants of ``node`` and of its subterms in ``table``."""
+    if isinstance(node, Interaction):
+        parts = frozenset((node.sender, node.receiver))
+    elif isinstance(node, Seq):
+        parts = frozenset().union(*[_participant_walk(part, table) for part in node.parts])
+    elif isinstance(node, Par):
+        parts = frozenset().union(*[_participant_walk(b, table) for b in node.branches])
+    elif isinstance(node, Loop):
+        parts = _participant_walk(node.body, table) | {node.controller}
+    elif isinstance(node, Choice):
+        parts = frozenset().union(*[_participant_walk(br.body, table) for br in node.branches])
+    else:
+        raise TypeError(f"not a choreography term: {node!r}")
+    table[id(node)] = parts
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def validate(g: Chor) -> ValidationReport:
         else:
             seen[cp] = node
 
-    parts = participant_table(g)
+    parts: dict[int, frozenset[str]] = {}
     for node in subterms(g):
         if isinstance(node, Interaction):
             if node.sender == node.receiver:
@@ -362,6 +356,9 @@ def validate(g: Chor) -> ValidationReport:
             if len(node.branches) < 2:
                 issues.append(Issue("par-arity", "par needs at least two branches", node.cp))
         elif isinstance(node, Loop):
+            if id(node.body) not in parts:
+                # An outermost loop: one table covers every loop inside it.
+                parts.update(participant_table(node.body))
             if node.controller not in parts[id(node.body)]:
                 issues.append(
                     Issue(

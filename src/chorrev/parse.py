@@ -137,6 +137,28 @@ def _kind(lexeme: str) -> str:
     return "id" if lexeme[0].isalpha() else "int"
 
 
+def _scan(text: str) -> list[tuple[str, str, str]]:
+    """The matches of ``_SCAN_RE`` in ``text`` that end in a token.
+
+    Each is the skipped text before the token, the token, and ``""``.
+    Raises :class:`ParseError` at the first character that no token takes.
+    """
+    found: list[tuple[str, str, str]] = []
+    for match in _SCAN_RE.findall(text):
+        if match[1]:
+            found.append(match)
+        elif match[2]:
+            pos = sum(len(skipped) + len(lexeme) for skipped, lexeme, _ in found) + len(match[0])
+            line_start = text.rfind("\n", 0, pos) + 1
+            raise ParseError(
+                f"unexpected character {match[2]!r}",
+                text.count("\n", 0, pos) + 1,
+                pos - line_start + 1,
+                text,
+            )
+    return found
+
+
 def tokenize(text: str) -> list[Token]:
     """The tokens of ``text``, each with its line and column.
 
@@ -146,17 +168,14 @@ def tokenize(text: str) -> list[Token]:
     line = 1
     pos = 0
     line_start = 0  # the offset of the current line's first character
-    for skipped, lexeme, bad in _SCAN_RE.findall(text):
+    for skipped, lexeme, _ in _scan(text):
         if skipped:
             if "\n" in skipped:
                 line += skipped.count("\n")
                 line_start = pos + skipped.rfind("\n") + 1
             pos += len(skipped)
-        if lexeme:
-            tokens.append(Token(_kind(lexeme), lexeme, line, pos - line_start + 1))
-            pos += len(lexeme)
-        elif bad:
-            raise ParseError(f"unexpected character {bad!r}", line, pos - line_start + 1, text)
+        tokens.append(Token(_kind(lexeme), lexeme, line, pos - line_start + 1))
+        pos += len(lexeme)
     return tokens
 
 
@@ -169,12 +188,7 @@ class _Parser:
 
     def __init__(self, source: str):
         self.source = source
-        self.texts: list[str] = []
-        for _, lexeme, bad in _SCAN_RE.findall(source):
-            if lexeme:
-                self.texts.append(lexeme)
-            elif bad:
-                tokenize(source)  # raises the error that locates the character
+        self.texts = [lexeme for _, lexeme, _ in _scan(source)]
         # Each token's kind, read once, and None past the last token.
         self.kinds = [*map(_kind, self.texts), None]
         self.pos = 0

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import causality_oracle
-from chorrev import causality, model
+from chorrev import causality, model, order
 from chorrev.causality import (
     CausalityAnalyzer,
     LoopRef,
@@ -440,7 +440,7 @@ def test_logs_find_their_events_without_a_tree_walk_each(travel_system, monkeypa
         calls[-1] += 1
         return walk(g)
 
-    for module in (model, causality):
+    for module in (model, order, causality):
         monkeypatch.setattr(module, "subterms", counting)
     for rounds in (1, 2):
         calls.append(0)

@@ -233,20 +233,25 @@ def test_projection_and_analysis_reuse_the_root_order(semantics_calls):
 
 
 def test_subterm_walks_grow_linearly_with_loop_nesting(monkeypatch):
-    # Validation and projection read each subterm's participants off one
-    # table, so doubling the depth of a loop nest doubles the walks over
-    # its subterms; asking each loop for its body's participants would
-    # make them grow with the square of the depth.
+    # Validation and projection read each subterm's participants off a
+    # table built once, so doubling the depth of a loop nest doubles the
+    # walks over its subterms; asking each loop for its body's participants
+    # would make them grow with the square of the depth.  Both the
+    # ``subterms`` walks and the nodes the participant table visits count.
     calls = [0]
+
+    def counting(original):
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        return counted
+
     original = model.subterms
-
-    def counted(g):
-        calls[0] += 1
-        return original(g)
-
     for name, module in list(sys.modules.items()):
         if (name == "chorrev" or name.startswith("chorrev.")) and vars(module).get("subterms") is original:
-            monkeypatch.setattr(module, "subterms", counted)
+            monkeypatch.setattr(module, "subterms", counting(original))
+    monkeypatch.setattr(model, "_participant_walk", counting(model._participant_walk))
     made = {}
     for depth in (50, 100):
         source = "A -> B : x"

@@ -21,11 +21,15 @@ from chorrev.model import (
     guard_text,
     participants,
     pretty,
+    subterms,
     validate,
 )
 from chorrev.order import UndefinedSemantics, semantics
 from chorrev.parse import ParseError, parse_choreography, parse_guard
 from chorrev.runtime import PENDING, eval_guard
+
+from conftest import build
+from test_order_oracle import shapes
 
 
 def cps_by_kind(g):
@@ -290,6 +294,29 @@ def test_validate_controller_absent():
     g = Loop("A", Interaction("B", "C", "m", 2), 1)
     report = validate(g)
     assert [i.kind for i in report.issues] == ["loop-controller-absent"]
+
+
+def _walked_participants(g):
+    out = set()
+    for node in subterms(g):
+        if isinstance(node, Interaction):
+            out |= {node.sender, node.receiver}
+        elif isinstance(node, Loop):
+            out.add(node.controller)
+    return out
+
+
+@given(shapes)
+def test_participants_and_absent_controllers_match_a_walk_of_each_body(shape):
+    g = build(shape)
+    assert participants(g) == _walked_participants(g)
+    absent = [
+        node.cp
+        for node in subterms(g)
+        if isinstance(node, Loop) and node.controller not in _walked_participants(node.body)
+    ]
+    issues = validate(g).issues
+    assert [i.cp for i in issues if i.kind == "loop-controller-absent"] == absent
 
 
 def test_validate_nonpositive_control_point():
